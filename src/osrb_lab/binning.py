@@ -7,6 +7,13 @@ reference.  Expectations over the binning ensemble come in three flavors:
 exhaustive enumeration, an exact set-partition formula for integer Tsallis
 orders, and seeded Monte Carlo.
 
+The exact formula is the moment-cumulant expansion of E[P(b|z)^alpha]
+over the partition lattice: one signed term c_rho(m) G_rho^n per set
+partition rho of the alpha tuple positions, where c_rho is a product of
+scaled Bernoulli(1/m) cumulants.  The all-singletons term equals the
+reference's unit mass and is dropped analytically, so small means are not
+formed as a difference against 1; each term is built in the log domain.
+
 Randomness: all draws use numpy's Philox counter-based generator keyed by
 ``(seed, stream)``, so trial substreams are reproducible and independent
 of execution order.  Monte Carlo reductions use a fixed-shape pairwise
@@ -19,6 +26,7 @@ import hashlib
 import json
 import math
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product as iter_product
@@ -217,42 +225,6 @@ def expected_divergence_enum(j: JointPmf, m: int, alpha) -> float:
 # Exact expectation for integer Tsallis orders
 
 
-@dataclass(frozen=True)
-class Composition:
-    """Ordered tuple of positive integer parts."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
-        if not parts or any(p < 1 for p in parts):
-            raise ValueError("Composition: parts must be positive integers")
-        object.__setattr__(self, "parts", parts)
-
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
-
-
-def compositions(alpha: int, ell: int) -> list[Composition]:
-    """All ordered compositions of ``alpha`` into ``ell`` positive parts."""
-    alpha = int(alpha)
-    ell = int(ell)
-    if alpha < 1 or ell < 1 or ell > alpha:
-        raise ValueError("compositions: need 1 <= ell <= alpha")
-    out = []
-
-    def rec(remaining, parts_left, acc):
-        if parts_left == 1:
-            out.append(Composition(acc + (remaining,)))
-            return
-        for first in range(1, remaining - parts_left + 2):
-            rec(remaining - first, parts_left - 1, acc + (first,))
-
-    rec(alpha, ell, ())
-    return out
-
-
 def set_partitions(items: int):
     """Yield set partitions of range(items) as tuples of blocks."""
     if items == 0:
@@ -274,106 +246,50 @@ def set_partitions(items: int):
     yield from rec(0, [])
 
 
-class PowerSums:
-    """Per-column conditional power sums S_k(z) = sum_x p(x|z)^k."""
+def bin_cumulant_coefficients(m: int, max_order: int) -> list[int]:
+    """c_s(m) = m^s kappa_s for s = 1..max_order, as exact integers.
 
-    def __init__(self, pz: np.ndarray, table: np.ndarray):
-        self.pz = pz
-        self.table = table  # shape (max_power, n_cols); row k-1 holds S_k
-
-    @property
-    def max_power(self) -> int:
-        return self.table.shape[0]
-
-    @classmethod
-    def from_joint(cls, j: JointPmf, max_power: int) -> "PowerSums":
-        if max_power < 1:
-            raise ValueError("PowerSums: max_power must be >= 1")
-        pz, cond = j.col_conditionals()
-        n_cols = j.shape[1]
-        table = np.zeros((max_power, n_cols))
-        for z in range(n_cols):
-            if pz[z] <= 0.0:
-                continue
-            col = cond[:, z]
-            for k in range(1, max_power + 1):
-                table[k - 1, z] = math.fsum(np.power(col, k).tolist())
-        return cls(pz, table)
-
-    def value(self, k: int, col: int) -> float:
-        if not 1 <= k <= self.max_power:
-            raise ValueError(f"PowerSums: power {k} outside 1..{self.max_power}")
-        return float(self.table[k - 1, col])
-
-
-def _partition_weight(sigma) -> float:
-    """Moebius weight of a set partition: prod (-1)^(|B|-1) (|B|-1)!."""
-    w = 1.0
-    for block in sigma:
-        size = len(block)
-        w *= (-1.0) ** (size - 1) * math.factorial(size - 1)
-    return w
-
-
-def distinct_tuple_sum(ps: PowerSums, comp: Composition, col: int) -> float:
-    """Sum over pairwise-distinct symbol tuples of prod_i p(x_i|z)^parts[i].
-
-    Computed by Moebius inclusion-exclusion over the power sums, so the
-    cost is independent of the alphabet size.
+    kappa_s is the s-th cumulant of a Bernoulli(1/m) bin indicator, whose
+    raw moments all equal 1/m; the moment recursion, scaled by m^s, gives
+    c_s = m^(s-1) - sum_{k<s} C(s-1, k-1) c_k m^(s-k-1).  So c_1 = 1,
+    c_2 = m - 1, c_3 = (m - 1)(m - 2), and every c_s with s >= 2 vanishes
+    at m = 1.
     """
-    parts = comp.parts
-    if comp.total > ps.max_power:
-        raise ValueError("distinct_tuple_sum: parts exceed available powers")
-    terms = []
-    for sigma in set_partitions(len(parts)):
-        w = _partition_weight(sigma)
-        prod = 1.0
-        for block in sigma:
-            prod *= ps.value(sum(parts[i] for i in block), col)
-        terms.append(w * prod)
-    return math.fsum(terms)
-
-
-def _partition_terms(alpha: int):
-    """Set partitions of range(alpha) reduced to (m-exponent, block sizes)."""
-    for pi in set_partitions(alpha):
-        sizes = tuple(len(b) for b in pi)
-        yield alpha - len(sizes), Composition(sizes)
+    c = [0]
+    for s in range(1, max_order + 1):
+        c.append(m ** (s - 1) - sum(math.comb(s - 1, k - 1) * c[k] * m ** (s - k - 1)
+                                    for k in range(1, s)))
+    return c[1:]
 
 
 def expected_tsallis_exact(j: JointPmf, m: int, alpha: int) -> float:
     """Exact ensemble average of the Tsallis divergence, integer order 2..5.
 
-    Expands E[P(b|z)^alpha] over equality patterns of alpha-tuples: each
-    set partition with L blocks contributes m^(alpha - L) times the
-    distinct-tuple sum of its block sizes.  At order two this reduces to
-    (m - 1) * sum_z p(z) S_2(z).
+    The single-letter case of :func:`expected_tsallis_exact_iid`.  At
+    order two it reduces to (m - 1) * sum_z p(z) S_2(z).
     """
     alpha = int(alpha)
     if not 2 <= alpha <= 5:
         raise ValueError("expected_tsallis_exact: order must be an integer in 2..5")
     if m < 1:
         raise ValueError("expected_tsallis_exact: m must be >= 1")
-    ps = PowerSums.from_joint(j, alpha)
-    pz = ps.pz
-    col_values = []
-    for z in range(j.shape[1]):
-        if pz[z] <= 0.0:
-            continue
-        acc = [
-            (m ** exp) * distinct_tuple_sum(ps, sizes, z)
-            for exp, sizes in _partition_terms(alpha)
-        ]
-        col_values.append(pz[z] * math.fsum(acc))
-    return (math.fsum(col_values) - 1.0) / (alpha - 1.0)
+    return expected_tsallis_exact_iid(j, 1, m, alpha)
 
 
 def expected_tsallis_exact_iid(j: JointPmf, n: int, m: int, alpha: int) -> float:
     """Exact ensemble average for the n-fold i.i.d. extension of ``j``.
 
-    Power sums of a product joint factor per letter, so every partition
-    term reduces to a single-letter average raised to the n-th power.
-    No sequence alphabet is materialized.
+    Moment-cumulant expansion over the set partitions rho of the alpha
+    tuple positions: E[sum_b P(b|z)^alpha] m^(alpha-1) is the sum over rho
+    of prod_{B in rho} c_|B|(m) S_|B|(z), with S_k(z) = sum_x p(x|z)^k
+    and c_s from :func:`bin_cumulant_coefficients`.  Power sums of a
+    product joint factor per letter, so each rho contributes
+    c_rho(m) G_rho^n with G_rho = sum_z p(z) prod_B S_|B|(z); no sequence
+    alphabet is materialized.  The all-singletons rho is exactly the unit
+    mass of the reference and is dropped analytically, so nothing cancels
+    against 1, and m = 1 gives exactly 0.0.  Each term is formed in the
+    log domain as exp(log|c_rho(m)| + n log G_rho); a term or sum beyond
+    float range raises GuardError.
     """
     a = float(alpha)
     if not (a.is_integer() and 2 <= a <= 5):
@@ -383,19 +299,27 @@ def expected_tsallis_exact_iid(j: JointPmf, n: int, m: int, alpha: int) -> float
         raise ValueError("expected_tsallis_exact_iid: n must be >= 1")
     if m < 1:
         raise ValueError("expected_tsallis_exact_iid: m must be >= 1")
-    ps = PowerSums.from_joint(j, alpha)
-    pz = ps.pz
-    pos = np.nonzero(pz > 0.0)[0]
+    pz, cond = j.col_conditionals()
+    pos = pz > 0.0
+    pz, cond = pz[pos], cond[:, pos]
+    power_sums = {1: 1.0}  # S_1(z) = 1 exactly on every positive column
+    power_sums.update((k, np.sum(cond ** k, axis=0)) for k in range(2, alpha + 1))
+    c = dict(enumerate(bin_cumulant_coefficients(m, alpha), start=1))
+    block_types = Counter(tuple(sorted(len(b) for b in rho))
+                          for rho in set_partitions(alpha))
     terms = []
-    for exp, sizes in _partition_terms(alpha):
-        for sigma in set_partitions(len(sizes.parts)):
-            w = _partition_weight(sigma)
-            merged = [sum(sizes.parts[i] for i in block) for block in sigma]
-            base = math.fsum(
-                pz[z] * math.prod(ps.value(k, z) for k in merged) for z in pos
-            )
-            terms.append((m ** exp) * w * base ** n)
-    return (math.fsum(terms) - 1.0) / (alpha - 1.0)
+    try:
+        for sizes, count in block_types.items():
+            coef = count * math.prod(c[s] for s in sizes)
+            if sizes[-1] == 1 or coef == 0:
+                continue  # the unit term, or a coefficient that vanishes at this m
+            g = math.fsum(pz * math.prod(power_sums[s] for s in sizes))
+            term = math.exp(math.log(abs(coef)) + n * math.log(g))
+            terms.append(term if coef > 0 else -term)
+        return math.fsum(terms) / (alpha - 1)
+    except OverflowError:
+        raise GuardError(f"exact mean at n={n}, log2(m)={math.log2(m):.1f}, "
+                         f"order {alpha} exceeds float range")
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .measures import (
     InfiniteOrderError,
     JointPmf,
     Pmf,
+    _atomic_write_text,
     check_alpha,
     d_infinity,
     kl_divergence,
@@ -87,7 +88,7 @@ def emit_records(records: list[dict], fmt: str, path) -> None:
     """
     if fmt == "json":
         doc = [{k: _jsonable(v) for k, v in rec.items()} for rec in records]
-        _atomic_write(path, json.dumps(doc, indent=2) + "\n")
+        _atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
         return
     if fmt != "csv":
         raise ValidationError(f"unknown output format {fmt!r}")
@@ -100,7 +101,7 @@ def emit_records(records: list[dict], fmt: str, path) -> None:
     writer.writerow(fieldnames)
     for rec in records:
         writer.writerow([_format_value(rec[k]) for k in fieldnames])
-    _atomic_write(path, buf.getvalue())
+    _atomic_write_text(path, buf.getvalue())
 
 
 def emit_records_with_header(records: list[dict], fmt: str, path, fieldnames) -> None:
@@ -108,7 +109,7 @@ def emit_records_with_header(records: list[dict], fmt: str, path, fieldnames) ->
     if fmt == "csv" and not records:
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerow(list(fieldnames))
-        _atomic_write(path, buf.getvalue())
+        _atomic_write_text(path, buf.getvalue())
         return
     emit_records(records, fmt, path)
 
@@ -159,12 +160,6 @@ def load_records(path, fmt: str | None = None) -> list[dict]:
         return []
     header = rows[0]
     return [dict(zip(header, map(_parse_cell, row))) for row in rows[1:]]
-
-
-def _atomic_write(path, text: str) -> None:
-    from .measures import _atomic_write_text
-
-    _atomic_write_text(path, text)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +272,8 @@ def _cmd_osrb(opts: dict) -> int:
         if mode == "exact":
             try:
                 mean = binning.expected_tsallis_exact_iid(j, n, m, alpha)
+            except GuardError:
+                raise
             except ValueError as exc:
                 raise ValidationError(str(exc))
             stderr, used_trials = 0.0, 0

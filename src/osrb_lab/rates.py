@@ -392,8 +392,8 @@ def secrecy_rate(main: Channel, eve: Channel, source, alpha,
             comps["I(X;Z)"] = ixz
             flags = []
         else:
-            hxz = conditional_entropy(eve.joint(p_x).swapped())
-            hxy = conditional_entropy(jm.swapped())
+            hxz = conditional_entropy(eve.joint(p_x))
+            hxy = conditional_entropy(jm)
             value = hxz - hxy
             comps.update({"H(X|Z)": hxz, "H(X|Y)": hxy})
             flags = []

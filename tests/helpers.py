@@ -1,5 +1,8 @@
 """Randomized instance generators and checks shared across the test modules."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from osrb_lab.binning import expected_tsallis_exact_iid, m_from_rate
@@ -15,6 +18,69 @@ def random_joint(rng, nx, nz, marginal_floor=1e-3):
             rows = tuple(f"x{i}" for i in range(nx))
             cols = tuple(f"z{i}" for i in range(nz))
             return JointPmf(rows, cols, probs)
+
+
+def dyadic_joint(rng, nx, nz, scale=2 ** 10):
+    """Random joint whose entries are positive multiples of 1/scale.
+
+    Each entry is exact in binary floating point and the entries sum to
+    exactly one, so the joint means the same law in float and in rational
+    arithmetic.
+    """
+    counts = rng.multinomial(scale - nx * nz, rng.dirichlet(np.ones(nx * nz))) + 1
+    rows = tuple(f"x{i}" for i in range(nx))
+    cols = tuple(f"z{i}" for i in range(nz))
+    return JointPmf(rows, cols, counts.reshape(nx, nz) / scale)
+
+
+def _restricted_growth_partitions(k):
+    """Set partitions of range(k), as lists of blocks, from restricted growth
+    strings: position i joins any block opened so far, or opens the next."""
+    def grow(labels):
+        if len(labels) == k:
+            blocks = [[] for _ in range(max(labels, default=-1) + 1)]
+            for i, b in enumerate(labels):
+                blocks[b].append(i)
+            yield blocks
+            return
+        for b in range(max(labels, default=-1) + 2):
+            yield from grow(labels + [b])
+    yield from grow([])
+
+
+def exact_mean_oracle(joint, n, m, alpha):
+    """Expected Tsallis divergence of the binned n-fold extension, as a Fraction.
+
+    Evaluates the equality-pattern double sum in rational arithmetic: each
+    set partition pi of the alpha tuple positions (which positions share a
+    symbol) has weight m^(alpha - |pi|), and the symbols of distinct blocks
+    are forced apart by Moebius inclusion-exclusion over the partitions
+    sigma of pi's blocks, with weight prod (-1)^(|C|-1) (|C|-1)!.  The unit
+    term is subtracted at the end.  The joint's float entries are taken
+    exactly, so pass a dyadic joint whose entries sum to exactly one.
+    """
+    cols = [[Fraction(float(v)) for v in col] for col in np.asarray(joint.probs).T]
+    cols = [(sum(col), col) for col in cols if sum(col)]
+    cond = [(pz, [v / pz for v in col]) for pz, col in cols]
+
+    bases = {}
+
+    def base_n(powers):
+        key = tuple(sorted(powers))
+        if key not in bases:
+            bases[key] = sum(pz * math.prod(sum(v ** k for v in col) for k in key)
+                             for pz, col in cond) ** n
+        return bases[key]
+
+    total = Fraction(0)
+    for pi in _restricted_growth_partitions(alpha):
+        sizes = [len(b) for b in pi]
+        for sigma in _restricted_growth_partitions(len(sizes)):
+            mu = math.prod((-1) ** (len(c) - 1) * math.factorial(len(c) - 1)
+                           for c in sigma)
+            powers = [sum(sizes[i] for i in c) for c in sigma]
+            total += m ** (alpha - len(pi)) * mu * base_n(powers)
+    return (total - 1) / (alpha - 1)
 
 
 def random_pmf(rng, k, floor=0.0, prefix="s"):

@@ -4,15 +4,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import order_two_transition_problems, random_joint
+from helpers import (
+    dyadic_joint,
+    exact_mean_oracle,
+    order_two_transition_problems,
+    random_joint,
+)
 from osrb_lab.measures import GuardError, JointPmf, cond_renyi_entropy
 from osrb_lab.binning import (
     BinningMap,
-    Composition,
-    PowerSums,
-    compositions,
+    bin_cumulant_coefficients,
     derive_seed,
-    distinct_tuple_sum,
     divergence_for_binning,
     expected_divergence_enum,
     expected_divergence_mc,
@@ -109,33 +111,21 @@ class TestInduced:
 
 
 class TestPartitionMachinery:
-    def test_compositions_count(self):
-        # ordered positive integer splittings of 4 over all lengths: 2^(4-1)
-        combos = [c for ell in range(1, 5) for c in compositions(4, ell)]
-        assert len(combos) == 8
-        assert all(c.total == 4 for c in combos)
-        assert len(compositions(4, 2)) == 3
-
     def test_set_partition_bell_numbers(self):
         for k, bell in [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52)]:
             assert len(list(set_partitions(k))) == bell
 
-    def test_power_sums_basic(self, rng):
-        j = random_joint(rng, 3, 2)
-        ps = PowerSums.from_joint(j, 4)
-        for z in range(2):
-            assert ps.value(1, z) == pytest.approx(1.0, abs=1e-12)
-            vals = [ps.value(k, z) for k in range(1, 5)]
-            for hi, lo in zip(vals, vals[1:]):
-                assert hi >= lo - 1e-12
-
-    def test_distinct_tuple_sum_small_case(self):
-        # two distinct items with p(x|z) = (0.75, 0.25): the distinct-pair
-        # sum for parts (1, 1) is 2 * 0.75 * 0.25
-        j = JointPmf(("a", "b"), ("z",), [[0.75], [0.25]])
-        ps = PowerSums.from_joint(j, 2)
-        val = distinct_tuple_sum(ps, Composition((1, 1)), 0)
-        assert val == pytest.approx(2 * 0.75 * 0.25, abs=1e-12)
+    def test_cumulant_coefficients_closed_forms(self):
+        for m in range(1, 12):
+            assert bin_cumulant_coefficients(m, 5) == [
+                1,
+                m - 1,
+                (m - 1) * (m - 2),
+                (m - 1) * (m * m - 6 * m + 6),
+                (m - 1) * (m - 2) * (m * m - 12 * m + 12),
+            ]
+        assert bin_cumulant_coefficients(2, 4)[3] == -2
+        assert bin_cumulant_coefficients(3, 5)[4] == -30
 
 
 class TestExactExpectation:
@@ -184,6 +174,35 @@ class TestExactExpectation:
             exact = (m - 1) * base ** n
             assert expected_tsallis_exact_iid(FLIP, n, m, 2) == pytest.approx(
                 float(exact), rel=1e-12)
+
+    @pytest.mark.parametrize("joint_seed", [None, 0, 1, 2])
+    def test_iid_matches_fraction_oracle(self, joint_seed):
+        # dyadic joints are the same law in float and in Fraction arithmetic
+        j = FLIP if joint_seed is None else dyadic_joint(np.random.default_rng(joint_seed), 3, 2)
+        for alpha in (2, 3, 4, 5):
+            for n in (1, 2, 12, 40, 120, 160, 320):
+                for rate in (0.3, 0.9):
+                    m = m_from_rate(n, rate)
+                    exact = exact_mean_oracle(j, n, m, alpha)
+                    got = expected_tsallis_exact_iid(j, n, m, alpha)
+                    assert abs(Fraction(got) - exact) <= Fraction(1, 10 ** 12) * exact, (
+                        f"n={n} m={m} a={alpha}: {got!r} vs {float(exact)!r}")
+
+    def test_single_bin_mean_is_exactly_zero(self, rng):
+        joints = [FLIP] + [random_joint(rng, 3, 2) for _ in range(20)]
+        for j in joints:
+            for alpha in (2, 3, 4, 5):
+                assert expected_tsallis_exact(j, 1, alpha) == 0.0
+                assert expected_tsallis_exact_iid(j, 40, 1, alpha) == 0.0
+
+    def test_beyond_float_range_raises_guard(self):
+        # near-deterministic columns keep every G_rho close to one, so the
+        # m^4 coefficient at m = 2^288 leaves float range
+        eps = 2.0 ** -20
+        j = JointPmf(("x0", "x1"), ("z0", "z1"),
+                     [[0.5 - eps, eps], [eps, 0.5 - eps]])
+        with pytest.raises(GuardError):
+            expected_tsallis_exact_iid(j, 320, m_from_rate(320, 0.9), 5)
 
     def test_iid_rejects_bad_orders(self):
         with pytest.raises(ValueError):

@@ -91,6 +91,26 @@ class TestOsrb:
         assert len(printed) == 11
         assert printed[0] == "n=2 m=2 mean=0.390625 stderr=0"
 
+    def test_exact_large_blocklength_stays_finite(self, files, capsys):
+        out = path(files, "big.csv")
+        rc = main(["osrb", "--joint", path(files, "flip.json"),
+                   "--alpha", "5", "--rate", "0.9", "--n", "320",
+                   "--mode", "exact", "--out", out])
+        assert rc == 0
+        with open(out) as fh:
+            row = fh.read().splitlines()[1].split(",")
+        assert row[3] == str(math.ceil(2.0 ** 288))
+        assert row[5] == "7.13268947524e+146"
+
+    def test_exact_beyond_float_range_exits_3(self, files, capsys):
+        eps = 2.0 ** -20
+        JointPmf(("x0", "x1"), ("z0", "z1"),
+                 [[0.5 - eps, eps], [eps, 0.5 - eps]]).save(files / "sharp.json")
+        rc = main(["osrb", "--joint", path(files, "sharp.json"),
+                   "--alpha", "5", "--rate", "0.9", "--n", "320", "--mode", "exact"])
+        assert rc == 3
+        assert "float range" in capsys.readouterr().err
+
     def test_enum_agrees_with_exact(self, files, capsys):
         args = ["osrb", "--joint", path(files, "flip.json"), "--alpha", "2",
                 "--rate", "0.5", "--n", "2,3"]

@@ -183,6 +183,17 @@ class TestSecrecy:
         assert rep.rate_bits == pytest.approx(h2(0.3) - h2(0.1), abs=1e-12)
         assert "H(X|Z)" in rep.components
 
+    def test_below_order_one_branch_skewed_input(self):
+        # input (0.8, 0.2): P(Z=0) = 0.62 and P(Y=0) = 0.74, so
+        # H(X|Z) = h(0.2) + h(0.3) - h(0.62) and H(X|Y) = h(0.2) + h(0.1) - h(0.74)
+        rep = secrecy_rate(BSC01, BSC03, Pmf(("0", "1"), (0.8, 0.2)), 0.5)
+        hxz = h2(0.2) + h2(0.3) - h2(0.62)
+        hxy = h2(0.2) + h2(0.1) - h2(0.74)
+        assert rep.components["H(X|Z)"] == pytest.approx(hxz, abs=1e-12)
+        assert rep.components["H(X|Y)"] == pytest.approx(hxy, abs=1e-12)
+        assert rep.rate_bits == pytest.approx(hxz - hxy, abs=1e-12)
+        assert rep.rate_bits == pytest.approx(0.2810, abs=1e-4)
+
     def test_negative_rate_flagged_not_clipped(self):
         rep = secrecy_rate(BSC03, BSC01, UNIFORM2, 2)
         assert rep.rate_bits < -0.5
