@@ -104,11 +104,15 @@ def pairwise_sum(values) -> float:
 
 
 def m_from_rate(n: int, rate: float) -> int:
-    """Bin count for a rate in bits per symbol: ceil(2^(n * rate))."""
+    """Bin count for a rate in bits per symbol: ceil(2^(n * rate)).
+
+    Raises GuardError once n * rate >= 1024, beyond float range."""
     if n < 1:
         raise ValueError("blocklength must be >= 1")
     if rate < 0.0:
         raise ValueError("rate must be >= 0")
+    if n * rate >= 1024:
+        raise GuardError(f"bin count m = ceil(2^({n} * {rate})) exceeds float range")
     return int(math.ceil(2.0 ** (n * rate)))
 
 

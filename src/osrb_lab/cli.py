@@ -318,7 +318,7 @@ def _threshold_report(opts: dict, alpha: float) -> rates.RateReport:
                 raise ValidationError(f"--{flag} is required for the stochastic encoder")
         return rates.osrb_threshold_stochastic(
             _load_pmf(opts["pu"]), _load_channel(opts["chxu"]),
-            _load_channel(opts["eve"]), alpha, seed=opts["seed"])
+            _load_channel(opts["eve"]), alpha)
     raise ValidationError(f"unknown encoder {encoder!r}")
 
 
@@ -332,8 +332,7 @@ def _secrecy_report(opts: dict, alpha: float) -> rates.RateReport:
             if opts.get(flag) is None:
                 raise ValidationError(f"--{flag} is required for the stochastic encoder")
         source = (_load_pmf(opts["pu"]), _load_channel(opts["chxu"]))
-        return rates.secrecy_rate(main, eve, source, alpha,
-                                  encoder="stochastic", seed=opts["seed"])
+        return rates.secrecy_rate(main, eve, source, alpha, encoder="stochastic")
     if opts.get("input") is None:
         raise ValidationError("--input is required for the deterministic encoder")
     return rates.secrecy_rate(main, eve, _load_pmf(opts["input"]), alpha)
@@ -438,7 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--chxu", default=None, help="U->X channel (JSON)")
     r.add_argument("--main", default=None, help="main channel (JSON)")
     r.add_argument("--eve", default=None, help="eavesdropper channel (JSON)")
-    r.add_argument("--seed", type=int, default=0)
+    r.add_argument("--seed", type=int, default=0,
+                   help="accepted for compatibility; no rates value depends on it")
     r.add_argument("--out", default=None)
     r.add_argument("--format", choices=("csv", "json"), default="csv")
 

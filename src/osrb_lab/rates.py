@@ -143,18 +143,19 @@ def _alpha_coeff(a: float) -> float:
     return a / (a - 1.0)
 
 
-_LOG_FLOOR = 1e-300
-_SNAP = 1e-12
-
-
 class _RPrimeProblem:
-    """Shared tensors for the objective over t(z|u,x), all logs base 2.
+    """The smoothing objective F(t) and the concave G(r) it reduces to.
 
-    ``exact_value`` carries the true support semantics (mass of t outside
-    supp p(z|x) drives the penalty infinite).  The ascent path works on a
-    floored surrogate so the softmax parameterization, which never reaches
-    the boundary exactly, stays differentiable; final scores snap tiny
-    mass to zero and use the exact objective.
+    ``exact_value`` is F(t) = -c D(t || p(z|x) | p(u,x)) + D(t-bar || p(z) | p(u))
+    in bits with the true support semantics.  With D(P || Q) =
+    max_R sum P log(R/Q) on the gain term, the best t for a fixed r(z|u) is
+    t*(z|u,x) ~ p(z|x) (r(z|u)/p(z))^(1/c), so max F = max_r G(r) with
+    G(r) = c sum_{u,x} p(u,x) log2 sum_z p(z|x) (r(z|u)/p(z))^(1/c), and
+    F(t*(r)) >= G(r).  G is concave for c >= 1 and one term per u.  The
+    gradient is dG/dr(z|u) = p(u) rho(z|u) / ln 2 with rho = r-next / r,
+    r-next = sum_x p(x|u) t* the Blahut-Arimoto update; ``score`` forms rho
+    from the gradient, so an r(z|u) = 0 gets rho = +inf when c > 1.  By
+    concavity sum_u p(u) (max_z rho - 1) / ln 2 bounds max G - G(r).
     """
 
     def __init__(self, p_u: Pmf, ch_xu: Channel, ch_zx: Channel, a: float):
@@ -172,9 +173,12 @@ class _RPrimeProblem:
         self.p_zx = np.broadcast_to(ch_zx.rows[None, :, :], (nu, nx, nz))
         p_x = self.w.sum(axis=0)
         self.p_z = p_x @ ch_zx.rows
-        self.log2_pzx = np.log2(np.maximum(self.p_zx, _LOG_FLOOR))
-        self.log2_pz = np.log2(np.maximum(self.p_z, _LOG_FLOOR))
-        self.shape = (nu, nx, nz)
+        with np.errstate(divide="ignore"):
+            self.log2_pzx = np.log2(self.p_zx)
+            self.log2_pz = np.log2(self.p_z)
+            scale = np.where(self.p_z > 0.0, self.p_z ** (-1.0 / self.c), 0.0)
+        self.k = ch_zx.rows * scale                 # p(z|x) p(z)^(-1/c), 0 off supp p(z)
+        self.live = self.p_u > 0.0                  # the ascent's u rows
 
     def exact_value(self, t: np.ndarray) -> float:
         if np.any((t > 0.0) & (self.p_zx == 0.0)):
@@ -190,113 +194,99 @@ class _RPrimeProblem:
         d2 = float(np.sum(self.p_u[:, None] * tbar * np.where(pos, log2_tbar - self.log2_pz, 0.0)))
         return -self.c * d1 + d2
 
-    def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        shift = theta - theta.max(axis=2, keepdims=True)
-        log_t = shift - np.log(np.exp(shift).sum(axis=2, keepdims=True))
-        t = np.exp(log_t)
-        log2_t = log_t / LN2
-        tbar = np.einsum("ux,uxz->uz", self.p_xu, t)
-        log2_tbar = np.log2(np.maximum(tbar, _LOG_FLOOR))
-        d1 = float(np.sum(self.w[:, :, None] * t * (log2_t - self.log2_pzx)))
-        d2 = float(np.sum(self.p_u[:, None] * tbar * (log2_tbar - self.log2_pz)))
-        val = -self.c * d1 + d2
-        inv_ln2 = 1.0 / LN2
-        g_t = self.w[:, :, None] * (
-            -self.c * (log2_t - self.log2_pzx + inv_ln2)
-            + (log2_tbar[:, None, :] - self.log2_pz[None, None, :] + inv_ln2)
-        )
-        g_theta = t * (g_t - np.sum(t * g_t, axis=2, keepdims=True))
-        return val, g_theta
-
-    def snap(self, theta: np.ndarray) -> np.ndarray:
-        """Map theta to a channel with sub-threshold mass removed."""
-        shift = theta - theta.max(axis=2, keepdims=True)
-        t = np.exp(shift)
-        t /= t.sum(axis=2, keepdims=True)
-        t[t < _SNAP] = 0.0
-        t /= t.sum(axis=2, keepdims=True)
-        return t
-
-    def feasible_theta(self) -> np.ndarray:
-        return np.log(np.maximum(self.p_zx, _LOG_FLOOR))
-
     def feasible_value(self) -> float:
         """Objective at t = p(z|x): the mutual information I(U;Z)."""
         return self.exact_value(np.array(self.p_zx, dtype=float))
 
+    def start(self) -> np.ndarray:
+        """log r for r = p(z|u), whose t* scores at least I(U;Z)."""
+        with np.errstate(divide="ignore"):
+            return np.log(self.p_xu[self.live] @ self.p_zx[0])
 
-def _ascend(problem: _RPrimeProblem, theta: np.ndarray, max_iter: int, ftol: float) -> tuple[float, np.ndarray, bool]:
-    step = 1.0
-    val, grad = problem.value_and_grad(theta)
-    stall = 0
-    for _ in range(max_iter):
-        improved = False
-        while step >= 1e-14:
-            cand = theta + step * grad
-            cand_val, cand_grad = problem.value_and_grad(cand)
-            if cand_val > val:
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            return val, theta, True
-        if cand_val - val < ftol * max(1.0, abs(val)):
-            stall += 1
-        else:
-            stall = 0
-        theta, val, grad = cand, cand_val, cand_grad
-        step = min(step * 2.0, 1e8)
-        if stall >= 5:
-            return val, theta, True
-    return val, theta, False
+    def score(self, log_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The per-u terms of G(r) in bits, and log rho (-inf off supp p(z|u))."""
+        w = self.w[self.live]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            s = np.exp(log_r / self.c) @ self.k.T
+            value = self.c * np.sum(np.where(w > 0.0, w * np.log2(s), 0.0), axis=1)
+            b = np.where(w > 0.0, self.p_xu[self.live] / s, 0.0) @ self.k
+            log_rho = np.where(b > 0.0, np.log(b) + (1.0 / self.c - 1.0) * log_r, -np.inf)
+        return value, log_rho
+
+    def gap(self, log_rho: np.ndarray) -> float:
+        """Frank-Wolfe bound on max G - G(r), in bits."""
+        with np.errstate(over="ignore"):
+            top = np.exp(log_rho.max(axis=1))
+        return float(np.sum(self.p_u[self.live] * (top - 1.0))) / LN2
+
+    def tilt(self, log_r: np.ndarray) -> np.ndarray:
+        """t*(z|u,x) for r; rows that t* leaves empty keep p(z|x)."""
+        t = np.array(self.p_zx, dtype=float)
+        q = np.exp(log_r / self.c)[:, None, :] * self.k[None, :, :]
+        total = q.sum(axis=2, keepdims=True)
+        with np.errstate(invalid="ignore"):
+            t[self.live] = np.where(total > 0.0, q / total, t[self.live])
+        return t
 
 
-def _optimize_r_prime(p_u, ch_xu, ch_zx, a, starts, seed, max_iter, ftol):
-    from .binning import philox_rng
+def _over_relax(log_r: np.ndarray, log_rho: np.ndarray, eta) -> np.ndarray:
+    """log of r rho^eta renormalized over z; eta = 1 is the Blahut-Arimoto
+    update r <- sum_x p(x|u) t*."""
+    step = log_r + eta * log_rho
+    top = step.max(axis=1, keepdims=True)
+    return step - (top + np.log(np.exp(step - top).sum(axis=1, keepdims=True)))
 
+
+def _optimize_r_prime(p_u, ch_xu, ch_zx, a, max_iter, tol):
+    """Over-relaxed Blahut-Arimoto ascent on G(r) from r = p(z|u).
+
+    A step takes r(.|u) to r rho^eta, renormalized.  Each u doubles its eta
+    after each step, up to 64; a step that would lower its term of G is
+    replaced by the eta = 1 step, which never does.  Stops once the gap is
+    at most ``tol`` or after ``max_iter`` steps.
+    """
     problem = _RPrimeProblem(p_u, ch_xu, ch_zx, a)
-    rng = philox_rng(seed, 0)
-    best_val = -math.inf
-    best_t = None
-    best_start = -1
-    converged_all = True
-    candidates = [problem.feasible_theta()]
-    candidates += [rng.normal(0.0, 2.0, size=problem.shape) for _ in range(starts)]
-    for idx, theta0 in enumerate(candidates):
-        _, theta, conv = _ascend(problem, theta0, max_iter, ftol)
-        converged_all = converged_all and conv
-        t = problem.snap(theta)
-        val = problem.exact_value(t)
-        if val > best_val:
-            best_val, best_t, best_start = val, t, idx
+    log_r = problem.start()
+    value, log_rho = problem.score(log_r)
+    eta = np.ones((log_r.shape[0], 1))
+    iterations = 0
+    gap = problem.gap(log_rho)
+    while gap > tol and iterations < max_iter:
+        cand = _over_relax(log_r, log_rho, eta)
+        cand_value, cand_rho = problem.score(cand)
+        back = ~(cand_value >= value)
+        if np.any(eta[back] > 1.0):  # the u terms are independent: redo those rows at eta = 1
+            eta[back] = 1.0
+            cand = _over_relax(log_r, log_rho, eta)
+            cand_value, cand_rho = problem.score(cand)
+        log_r, value, log_rho = cand, cand_value, cand_rho
+        eta = np.minimum(2.0 * eta, 64.0)
+        iterations += 1
+        gap = problem.gap(log_rho)
+    t = problem.tilt(log_r)
+    best = problem.exact_value(t)
     feas = problem.feasible_value()
-    if best_val < feas:  # never report below the feasible point t = p(z|x)
-        best_val = feas
-        best_t = np.array(problem.p_zx, dtype=float)
-        best_start = 0
-    trace = {
-        "starts": starts + 1,
-        "best_start": best_start,
-        "converged": converged_all,
-        "feasible_value": feas,
-    }
-    return best_val, TiltChannel(best_t), trace
+    if best < feas:  # never report below the feasible point t = p(z|x)
+        best, t = feas, np.array(problem.p_zx, dtype=float)
+    trace = {"iterations": iterations, "gap": gap, "converged": gap <= tol,
+             "feasible_value": feas}
+    return best, TiltChannel(t), trace
 
 
 def r_prime(p_u: Pmf, ch_xu: Channel, ch_zx: Channel, alpha, *,
-            starts: int = 20, seed: int = 0, max_iter: int = 500,
-            ftol: float = 1e-12) -> tuple[float, TiltChannel]:
+            max_iter: int = 500, tol: float = 1e-9) -> tuple[float, TiltChannel]:
     """Best value of the smoothing-channel objective and its argmax.
 
     Maximizes ``-c D(t(z|u,x) || p(z|x) | p(u,x)) + D(t(z|u) || p(z) | p(u))``
     over channels t, where c = alpha/(alpha-1) for finite orders above one
-    and c = 1 at INFINITY.  Multi-start projected ascent (softmax
-    reparameterization): the feasible start t = p(z|x) plus ``starts``
-    seeded random starts, best value kept, ties to the earliest start.
-    The feasible start pins the result at or above I(U;Z).
+    and c = 1 at INFINITY.  The maximum is that of a concave function of
+    r(z|u) (see ``_RPrimeProblem``), so one deterministic ascent reaches it;
+    it stops once its certified gap to the maximum is at most ``tol`` bits,
+    or after ``max_iter`` steps.  The returned channel scores the returned
+    value, which is never below I(U;Z).
     """
     a = check_alpha(alpha)
-    value, tilt, _ = _optimize_r_prime(p_u, ch_xu, ch_zx, a, starts, seed, max_iter, ftol)
+    value, tilt, _ = _optimize_r_prime(p_u, ch_xu, ch_zx, a, max_iter, tol)
     return value, tilt
 
 
@@ -342,15 +332,13 @@ def r_prime_grid_oracle(p_u: Pmf, ch_xu: Channel, ch_zx: Channel, alpha,
     return total
 
 
-def osrb_threshold_stochastic(p_u: Pmf, ch_xu: Channel, ch_zx: Channel, alpha,
-                              **opt) -> RateReport:
-    """Stochastic-encoder binning threshold H(U) - r_prime."""
+def osrb_threshold_stochastic(p_u: Pmf, ch_xu: Channel, ch_zx: Channel, alpha, *,
+                              max_iter: int = 500, tol: float = 1e-9) -> RateReport:
+    """Stochastic-encoder binning threshold H(U) - r_prime; flagged
+    ``optimizer_not_converged`` when r_prime's gap is above ``tol`` at ``max_iter``."""
     a = check_alpha(alpha)
     hu = shannon_entropy(p_u)
-    value, _, trace = _optimize_r_prime(
-        p_u, ch_xu, ch_zx, a,
-        opt.get("starts", 20), opt.get("seed", 0),
-        opt.get("max_iter", 500), opt.get("ftol", 1e-12))
+    value, _, trace = _optimize_r_prime(p_u, ch_xu, ch_zx, a, max_iter, tol)
     flags = () if trace["converged"] else ("optimizer_not_converged",)
     return RateReport(a, STOCHASTIC, hu - value,
                       {"H(U)": hu, "r_prime": value,
@@ -363,7 +351,8 @@ def osrb_threshold_stochastic(p_u: Pmf, ch_xu: Channel, ch_zx: Channel, alpha,
 
 
 def secrecy_rate(main: Channel, eve: Channel, source, alpha,
-                 encoder: str = "deterministic", **opt) -> RateReport:
+                 encoder: str = "deterministic", *, max_iter: int = 500,
+                 tol: float = 1e-9) -> RateReport:
     """Achievable secrecy rate of a wiretap pair under a leakage order.
 
     ``source`` is the input Pmf for the deterministic encoder, or a
@@ -371,7 +360,8 @@ def secrecy_rate(main: Channel, eve: Channel, source, alpha,
     order one gives I(X;Y) - I(X;Z); orders in (0,1) give H(X|Z) - H(X|Y);
     orders above one (and INFINITY) give I(X;Y) minus the mean output
     divergence of the eavesdropper channel.  The stochastic branch gives
-    I(U;Y) - r_prime and needs order > 1 or INFINITY.
+    I(U;Y) - r_prime and needs order > 1 or INFINITY; ``max_iter`` and
+    ``tol`` go to the r_prime solve as in ``osrb_threshold_stochastic``.
     """
     a = check_alpha(alpha)
     if encoder == "deterministic":
@@ -412,10 +402,7 @@ def secrecy_rate(main: Channel, eve: Channel, source, alpha,
             raise GuardError("auxiliary alphabet larger than |X| + 1")
         ch_uy = ch_xu.then(main)
         iuy = mutual_information(ch_uy.joint(p_u).swapped())
-        value, _, trace = _optimize_r_prime(
-            p_u, ch_xu, eve, a,
-            opt.get("starts", 20), opt.get("seed", 0),
-            opt.get("max_iter", 500), opt.get("ftol", 1e-12))
+        value, _, trace = _optimize_r_prime(p_u, ch_xu, eve, a, max_iter, tol)
         flags = [] if trace["converged"] else ["optimizer_not_converged"]
         rate = iuy - value
         if rate < 0.0:
@@ -437,7 +424,7 @@ def secrecy_rate_iid_variant(j: JointPmf, main: Channel, alpha) -> RateReport:
     a = check_alpha(alpha)
     p_x = j.row_marginal()
     hxz = cond_renyi_entropy(j, a) if (math.isinf(a) or a > 1.0) else conditional_entropy(j)
-    hxy = conditional_entropy(main.joint(p_x).swapped())
+    hxy = conditional_entropy(main.joint(p_x))
     value = hxz - hxy
     flags = ("negative_rate",) if value < 0.0 else ()
     return RateReport(a, "deterministic", value,

@@ -138,3 +138,54 @@ def order_two_transition_problems(joint, below_gap):
         problems.append("above-threshold means are not strictly increasing: "
                         + ", ".join("%.4f" % v for v in above))
     return problems
+
+
+def criterion_six_instances():
+    """The 200 binary (p_u, p(x|u), p(z|x), alpha) solves of criterion 6,
+    drawn in the same order from the same seed."""
+    rng = np.random.default_rng(314)
+    for _ in range(50):
+        pu = Pmf(("u0", "u1"), rng.dirichlet([2.5, 2.5]))
+        cxu = Channel(("u0", "u1"), ("x0", "x1"), rng.dirichlet([2.5, 2.5], size=2))
+        czx = Channel(("x0", "x1"), ("z0", "z1"), rng.dirichlet([2.5, 2.5], size=2))
+        for a in (1.5, 2.0, 4.0, math.inf):
+            yield pu, cxu, czx, a
+
+
+def sparse_smoothing_instance(rng, zero_frac):
+    """Random (p_u, p(x|u), p(z|x)) with alphabets of 3..8 letters.
+
+    Each entry of p_u and of the channels is zeroed with probability
+    ``zero_frac``, keeping one entry per row, and rows are renormalized.
+    """
+    nu, nx, nz = (int(k) for k in rng.integers(3, 9, size=3))
+    u, x, z = ([f"{p}{i}" for i in range(k)] for p, k in (("u", nu), ("x", nx), ("z", nz)))
+
+    def rows(n_in, n_out):
+        m = rng.dirichlet(np.ones(n_out), size=n_in)
+        zero = rng.random(m.shape) < zero_frac
+        zero[np.arange(n_in), rng.integers(n_out, size=n_in)] = False
+        m = np.where(zero, 0.0, m)
+        return m / m.sum(axis=1, keepdims=True)
+
+    return Pmf(u, rows(1, nu)[0]), Channel(u, x, rows(nu, nx)), Channel(x, z, rows(nx, nz))
+
+
+def smoothing_objective(pu, cxu, czx, alpha, t):
+    """-c D(t || p(z|x) | p(u,x)) + D(t-bar || p(z) | p(u)) in bits, written
+    out term by term; t must put no mass outside supp p(z|x)."""
+    c = 1.0 if math.isinf(alpha) else alpha / (alpha - 1.0)
+    p_u, p_xu, p_zx = pu.probs, cxu.rows, czx.rows
+    p_z = (p_u @ p_xu) @ p_zx
+    nx, nz = t.shape[1:]
+
+    def kl(p, q):
+        return sum(pi * math.log2(pi / qi) for pi, qi in zip(p, q) if pi > 0.0)
+
+    penalty = gain = 0.0
+    for iu in np.flatnonzero(p_u > 0.0):
+        for ix in range(nx):
+            penalty += p_u[iu] * p_xu[iu, ix] * kl(t[iu, ix], p_zx[ix])
+        tbar = [sum(p_xu[iu, ix] * t[iu, ix, iz] for ix in range(nx)) for iz in range(nz)]
+        gain += p_u[iu] * kl(tbar, p_z)
+    return -c * penalty + gain

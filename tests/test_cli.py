@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import osrb_lab
 from osrb_lab.cli import (
     OSRB_FIELDS,
     ValidationError,
@@ -110,6 +113,18 @@ class TestOsrb:
                    "--alpha", "5", "--rate", "0.9", "--n", "320", "--mode", "exact"])
         assert rc == 3
         assert "float range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["exact", "enum", "mc"])
+    def test_bin_count_beyond_float_range_exits_3(self, files, mode):
+        # n * rate = 1200: 2^(n * rate) is not a float
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(osrb_lab.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "osrb_lab.cli", "osrb", "--joint", path(files, "flip.json"),
+             "--alpha", "2", "--rate", "4", "--n", "300", "--mode", mode],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 3
+        assert "bin count m" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_enum_agrees_with_exact(self, files, capsys):
         args = ["osrb", "--joint", path(files, "flip.json"), "--alpha", "2",

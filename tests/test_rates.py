@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_joint
+from helpers import (
+    criterion_six_instances,
+    random_joint,
+    smoothing_objective,
+    sparse_smoothing_instance,
+)
 from osrb_lab.measures import (
     Channel,
     GuardError,
@@ -79,13 +84,13 @@ class TestThresholds:
                 assert lo <= hi + 1e-9
 
     def test_stochastic_worked_value(self):
-        rep = osrb_threshold_stochastic(UNIFORM2, COPY, BSC03, 2,
-                                        starts=6, seed=1)
+        rep = osrb_threshold_stochastic(UNIFORM2, COPY, BSC03, 2)
         assert rep.rate_bits == pytest.approx(-math.log2(0.58), abs=1e-6)
         assert rep.encoder == STOCHASTIC
         assert rep.components["I(U;Z)"] == pytest.approx(1 - h2(0.3), abs=1e-9)
         assert set(rep.flags) <= {"optimizer_not_converged"}
-        assert rep.optimizer_trace["starts"] == 7
+        assert rep.optimizer_trace["converged"]
+        assert rep.optimizer_trace["gap"] <= 1e-9
 
 
 class TestRPrime:
@@ -96,7 +101,7 @@ class TestRPrime:
 
         out = BSC03.output(UNIFORM2)
         for a in (1.5, 2.0, 4.0, math.inf):
-            val, tilt = r_prime(UNIFORM2, COPY, BSC03, a, starts=6, seed=0)
+            val, tilt = r_prime(UNIFORM2, COPY, BSC03, a)
             mean = sum(
                 0.5 * renyi_divergence(Pmf(("0", "1"), BSC03.rows[i]), out, a, bits=True)
                 for i in range(2))
@@ -106,29 +111,29 @@ class TestRPrime:
     def test_point_mass_u_gives_zero(self):
         pu = Pmf(("u",), (1.0,))
         ch = Channel(("u",), ("0", "1"), [[0.6, 0.4]])
-        val, _ = r_prime(pu, ch, BSC03, 2, starts=4, seed=0)
+        val, _ = r_prime(pu, ch, BSC03, 2)
         assert abs(val) <= 1e-9
 
     def test_independent_output_gives_zero(self):
         flat = Channel(("0", "1"), ("z0", "z1"), [[0.7, 0.3], [0.7, 0.3]])
-        val, _ = r_prime(UNIFORM2, COPY, flat, 2, starts=4, seed=0)
+        val, _ = r_prime(UNIFORM2, COPY, flat, 2)
         assert abs(val) <= 1e-6
 
     def test_value_at_least_feasible_point(self, rng):
-        for k in range(5):
+        for _ in range(5):
             pu = Pmf(("u0", "u1"), rng.dirichlet([3, 3]))
             cxu = Channel(("u0", "u1"), ("x0", "x1"), rng.dirichlet([3, 3], size=2))
             czx = Channel(("x0", "x1"), ("z0", "z1"), rng.dirichlet([3, 3], size=2))
-            val, _ = r_prime(pu, cxu, czx, 2, starts=4, seed=k)
+            val, _ = r_prime(pu, cxu, czx, 2)
             iuz = mutual_information(cxu.then(czx).joint(pu))
             assert val >= iuz - 1e-9
 
     def test_grid_oracle_agreement(self, rng):
-        for k in range(4):
+        for _ in range(4):
             pu = Pmf(("u0", "u1"), rng.dirichlet([3, 3]))
             cxu = Channel(("u0", "u1"), ("x0", "x1"), rng.dirichlet([3, 3], size=2))
             czx = Channel(("x0", "x1"), ("z0", "z1"), rng.dirichlet([3, 3], size=2))
-            val, _ = r_prime(pu, cxu, czx, 2, starts=8, seed=k)
+            val, _ = r_prime(pu, cxu, czx, 2)
             grid = r_prime_grid_oracle(pu, cxu, czx, 2, step=0.02)
             assert val >= grid - 1e-9
             assert val - grid <= 5e-3
@@ -137,6 +142,58 @@ class TestRPrime:
         for a in (0.5, 1.0):
             with pytest.raises(ValueError):
                 r_prime(UNIFORM2, COPY, BSC03, a)
+
+    def test_rejects_removed_start_options(self):
+        for stale in ({"starts": 4}, {"seed": 0}, {"ftol": 1e-12}):
+            with pytest.raises(TypeError):
+                r_prime(UNIFORM2, COPY, BSC03, 2, **stale)
+            with pytest.raises(TypeError):
+                osrb_threshold_stochastic(UNIFORM2, COPY, BSC03, 2, **stale)
+            with pytest.raises(TypeError):
+                secrecy_rate(BSC01, BSC03, (UNIFORM2, COPY), 2,
+                             encoder="stochastic", **stale)
+
+    def test_criterion_six_instances_converge(self):
+        for pu, cxu, czx, a in criterion_six_instances():
+            rep = osrb_threshold_stochastic(pu, cxu, czx, a)
+            assert "optimizer_not_converged" not in rep.flags
+            assert rep.optimizer_trace["gap"] <= 1e-9
+
+    @pytest.mark.parametrize("zero_frac", [0.0, 0.3])
+    def test_certificate_bounds_random_channels(self, zero_frac):
+        # r' + gap must bound the objective of every feasible channel: random
+        # ones, and those a random local search reaches from the returned
+        # argmax; the argmax must score the reported value, at least I(U;Z)
+        rng = np.random.default_rng(2718)
+        for _ in range(12):
+            pu, cxu, czx = sparse_smoothing_instance(rng, zero_frac)
+            iuz = mutual_information(cxu.then(czx).joint(pu))
+            rows = np.argwhere(pu.probs[:, None] * cxu.rows > 0.0)
+            for a in (1.5, 2.0, 4.0, math.inf):
+                val, tilt = r_prime(pu, cxu, czx, a)
+                rep = osrb_threshold_stochastic(pu, cxu, czx, a)
+                bound = val + rep.optimizer_trace["gap"] + 1e-12
+                assert rep.components["r_prime"] == val
+                assert rep.optimizer_trace["converged"] == (rep.optimizer_trace["gap"] <= 1e-9)
+                assert val >= iuz - 1e-9
+                t = tilt.t.copy()
+                best = smoothing_objective(pu, cxu, czx, a, t)
+                assert best == pytest.approx(val, abs=1e-9)
+                noise = rng.dirichlet(np.ones(czx.rows.shape[1]), size=t.shape[:2]) * (czx.rows > 0.0)
+                assert smoothing_objective(
+                    pu, cxu, czx, a, noise / noise.sum(axis=2, keepdims=True)) <= bound
+                for _ in range(30):
+                    # move a fraction of t(z2|u,x) to z1 inside supp p(z|x)
+                    u, x = rows[rng.integers(len(rows))]
+                    z1, z2 = rng.choice(np.flatnonzero(czx.rows[x] > 0.0), 2)
+                    cand = t.copy()
+                    move = cand[u, x, z2] * 10.0 ** -rng.integers(0, 4)
+                    cand[u, x, z2] -= move
+                    cand[u, x, z1] += move
+                    score = smoothing_objective(pu, cxu, czx, a, cand)
+                    if score > best:
+                        t, best = cand, score
+                assert best <= bound
 
     def test_alphabet_guard(self):
         labels = tuple(f"u{i}" for i in range(9))
@@ -200,8 +257,7 @@ class TestSecrecy:
         assert "negative_rate" in rep.flags
 
     def test_stochastic_copy_matches_deterministic(self):
-        rep = secrecy_rate(BSC01, BSC03, (UNIFORM2, COPY), 2,
-                           encoder="stochastic", starts=6, seed=3)
+        rep = secrecy_rate(BSC01, BSC03, (UNIFORM2, COPY), 2, encoder="stochastic")
         det = secrecy_rate(BSC01, BSC03, UNIFORM2, 2).rate_bits
         assert rep.rate_bits == pytest.approx(det, abs=1e-6)
         assert rep.components["I(U;Y)"] == pytest.approx(1 - h2(0.1), abs=1e-9)
@@ -220,6 +276,17 @@ class TestSecrecy:
     def test_unknown_encoder(self):
         with pytest.raises(ValueError):
             secrecy_rate(BSC01, BSC03, UNIFORM2, 2, encoder="typical")
+
+    def test_iid_variant_skewed_input(self):
+        # Z from input (0.8, 0.2) through BSC(0.3); main channel BSC(0.1):
+        # P(Y=0) = 0.74, so H(X|Y) = h(0.2) + h(0.1) - h(0.74) = 0.3642
+        p_x = Pmf(("0", "1"), (0.8, 0.2))
+        rep = secrecy_rate_iid_variant(BSC03.joint(p_x), BSC01, 2)
+        hxy = h2(0.2) + h2(0.1) - h2(0.74)
+        assert rep.components["H(X|Y)"] == pytest.approx(hxy, abs=1e-12)
+        assert rep.components["H(X|Y)"] == pytest.approx(0.3642, abs=1e-4)
+        assert rep.rate_bits == pytest.approx(
+            cond_renyi_entropy(BSC03.joint(p_x), 2) - hxy, abs=1e-12)
 
     def test_iid_variant_equals_typical_for_symmetric_pair(self):
         j = BSC03.joint(UNIFORM2)
