@@ -78,7 +78,10 @@ def _is_one(alpha: float) -> bool:
 
 
 def _as_prob_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name}: probabilities must be an array of numbers")
     if arr.size == 0:
         raise ValueError(f"{name}: empty probability array")
     if np.any(~np.isfinite(arr)):
@@ -89,7 +92,10 @@ def _as_prob_array(values, name: str) -> np.ndarray:
 
 
 def _check_labels(labels, name: str) -> tuple[str, ...]:
-    labs = tuple(str(x) for x in labels)
+    try:
+        labs = tuple(str(x) for x in labels)
+    except TypeError:
+        raise ValueError(f"{name}: labels must be a list")
     if len(labs) == 0:
         raise ValueError(f"{name}: empty alphabet")
     if len(set(labs)) != len(labs):
@@ -97,13 +103,36 @@ def _check_labels(labels, name: str) -> tuple[str, ...]:
     return labs
 
 
-def _normalize(arr: np.ndarray, name: str, atol: float) -> np.ndarray:
-    total = math.fsum(arr.ravel().tolist())
-    if abs(total - 1.0) > atol:
-        raise NormalizationError(f"{name}: mass {total!r} deviates from 1 by more than {atol}")
-    out = arr / total
+def _renormalized(values, name: str, atol: float, per_row: bool = False) -> np.ndarray:
+    """Probabilities divided by their mass, as a read-only array.
+
+    The mass is the sum of the whole array, or of each row (last axis)
+    when ``per_row``; a mass more than ``atol`` away from 1 raises
+    NormalizationError.
+    """
+    arr = _as_prob_array(values, name)
+    rows = arr.reshape(-1, arr.shape[-1]) if per_row and arr.ndim else arr.reshape(1, -1)
+    out = np.empty_like(rows)
+    for i, row in enumerate(rows):
+        total = math.fsum(row.tolist())
+        if abs(total - 1.0) > atol:
+            where = f"row {i} " if per_row else ""
+            raise NormalizationError(
+                f"{name}: {where}mass {total!r} deviates from 1 by more than {atol}")
+        out[i] = row / total
+    out = out.reshape(arr.shape)
     out.setflags(write=False)
     return out
+
+
+def _fields(doc, name: str, *keys) -> list:
+    """Values of the given keys of a loaded JSON object, in order."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{name}: expected a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"{name}: missing key {key!r}")
+    return [doc[key] for key in keys]
 
 
 def _atomic_write_text(path, text: str) -> None:
@@ -134,11 +163,11 @@ class Pmf:
 
     def __post_init__(self):
         labs = _check_labels(self.labels, "Pmf")
-        arr = _as_prob_array(self.probs, "Pmf")
+        arr = _renormalized(self.probs, "Pmf", NORM_ATOL)
         if arr.ndim != 1 or arr.shape[0] != len(labs):
             raise ValueError("Pmf: probs must be a vector matching labels")
         object.__setattr__(self, "labels", labs)
-        object.__setattr__(self, "probs", _normalize(arr.copy(), "Pmf", NORM_ATOL))
+        object.__setattr__(self, "probs", arr)
 
     @property
     def size(self) -> int:
@@ -164,14 +193,8 @@ class Pmf:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Pmf":
-        labs = _check_labels(doc["labels"], "Pmf")
-        arr = _as_prob_array(doc["probs"], "Pmf")
-        if arr.ndim != 1 or arr.shape[0] != len(labs):
-            raise ValueError("Pmf: probs must be a vector matching labels")
-        total = math.fsum(arr.tolist())
-        if abs(total - 1.0) > LOAD_ATOL:
-            raise NormalizationError(f"Pmf: loaded mass {total!r} outside 1e-9 window")
-        return cls(labs, arr / total)
+        labels, probs = _fields(doc, "Pmf", "labels", "probs")
+        return cls(labels, _renormalized(probs, "Pmf", LOAD_ATOL))
 
     def save(self, path) -> None:
         _atomic_write_text(path, json.dumps(self.to_dict(), indent=2) + "\n")
@@ -193,12 +216,12 @@ class JointPmf:
     def __post_init__(self):
         rows = _check_labels(self.row_labels, "JointPmf rows")
         cols = _check_labels(self.col_labels, "JointPmf cols")
-        arr = _as_prob_array(self.probs, "JointPmf")
+        arr = _renormalized(self.probs, "JointPmf", NORM_ATOL)
         if arr.shape != (len(rows), len(cols)):
             raise ValueError("JointPmf: probs shape must be (rows, cols)")
         object.__setattr__(self, "row_labels", rows)
         object.__setattr__(self, "col_labels", cols)
-        object.__setattr__(self, "probs", _normalize(arr.copy(), "JointPmf", NORM_ATOL))
+        object.__setattr__(self, "probs", arr)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -266,15 +289,8 @@ class JointPmf:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "JointPmf":
-        rows = _check_labels(doc["row_labels"], "JointPmf rows")
-        cols = _check_labels(doc["col_labels"], "JointPmf cols")
-        arr = _as_prob_array(doc["probs"], "JointPmf")
-        if arr.shape != (len(rows), len(cols)):
-            raise ValueError("JointPmf: probs shape must be (rows, cols)")
-        total = math.fsum(arr.ravel().tolist())
-        if abs(total - 1.0) > LOAD_ATOL:
-            raise NormalizationError(f"JointPmf: loaded mass {total!r} outside 1e-9 window")
-        return cls(rows, cols, arr / total)
+        rows, cols, probs = _fields(doc, "JointPmf", "row_labels", "col_labels", "probs")
+        return cls(rows, cols, _renormalized(probs, "JointPmf", LOAD_ATOL))
 
     def save(self, path) -> None:
         _atomic_write_text(path, json.dumps(self.to_dict(), indent=2) + "\n")
@@ -296,16 +312,9 @@ class Channel:
     def __post_init__(self):
         ins = _check_labels(self.in_labels, "Channel inputs")
         outs = _check_labels(self.out_labels, "Channel outputs")
-        arr = _as_prob_array(self.rows, "Channel")
+        arr = _renormalized(self.rows, "Channel", NORM_ATOL, per_row=True)
         if arr.shape != (len(ins), len(outs)):
             raise ValueError("Channel: rows shape must be (inputs, outputs)")
-        arr = arr.copy()
-        for i in range(arr.shape[0]):
-            total = math.fsum(arr[i].tolist())
-            if abs(total - 1.0) > NORM_ATOL:
-                raise NormalizationError(f"Channel: row {i} mass {total!r} off by more than {NORM_ATOL}")
-            arr[i] = arr[i] / total
-        arr.setflags(write=False)
         object.__setattr__(self, "in_labels", ins)
         object.__setattr__(self, "out_labels", outs)
         object.__setattr__(self, "rows", arr)
@@ -346,18 +355,8 @@ class Channel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Channel":
-        ins = _check_labels(doc["row_labels"], "Channel inputs")
-        outs = _check_labels(doc["col_labels"], "Channel outputs")
-        arr = _as_prob_array(doc["probs"], "Channel")
-        if arr.shape != (len(ins), len(outs)):
-            raise ValueError("Channel: probs shape must be (inputs, outputs)")
-        arr = arr.copy()
-        for i in range(arr.shape[0]):
-            total = math.fsum(arr[i].tolist())
-            if abs(total - 1.0) > LOAD_ATOL:
-                raise NormalizationError(f"Channel: row {i} mass {total!r} outside 1e-9 window")
-            arr[i] = arr[i] / total
-        return cls(ins, outs, arr)
+        ins, outs, probs = _fields(doc, "Channel", "row_labels", "col_labels", "probs")
+        return cls(ins, outs, _renormalized(probs, "Channel", LOAD_ATOL, per_row=True))
 
     def save(self, path) -> None:
         _atomic_write_text(path, json.dumps(self.to_dict(), indent=2) + "\n")

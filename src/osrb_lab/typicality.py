@@ -228,13 +228,9 @@ def joint_typical_set(j: JointPmf, n: int, eps: float) -> JointTypicalSet:
     x_count = kx ** n
     x_digits = index_digits(np.arange(x_count), kx, n)
 
-    pu, cond_xu = j.row_conditionals()
+    _, cond_xu = j.row_conditionals()
     with np.errstate(divide="ignore"):
         log_cond = np.log(cond_xu)
-
-    n_frac = Fraction(n)
-    bound = n_frac * Fraction(2.0) * Fraction(float(eps))
-    p_fracs = [[Fraction(float(v)) for v in row] for row in j.probs]
 
     x_members = []
     x_log_probs = []
@@ -245,27 +241,14 @@ def joint_typical_set(j: JointPmf, n: int, eps: float) -> JointTypicalSet:
         for pos in range(n):
             cell = u_digits[pos] * kx + x_digits[:, pos]
             np.add.at(pair_counts, (rows, cell), 1)
-        uniq, inverse = np.unique(pair_counts, axis=0, return_inverse=True)
-        row_ok = np.zeros(uniq.shape[0], dtype=bool)
-        for r, row in enumerate(uniq):
-            ok = True
-            for a in range(ku):
-                for b in range(kx):
-                    if abs(Fraction(int(row[a * kx + b])) - n_frac * p_fracs[a][b]) >= bound:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            row_ok[r] = ok
-        mask = row_ok[inverse]
+        # 2 * eps is exact in binary floating point, so the window is the
+        # rational n * 2 * eps
+        mask = _typical_count_rows(pair_counts, j.probs.ravel(), n, 2 * eps)
         xs = np.nonzero(mask)[0].astype(np.int64)
         if xs.size == 0:
             raise EmptyTypicalSetError(
                 f"u member {int(u)} has no conditionally typical x at n={n}")
-        cond_log = np.zeros(xs.shape[0])
-        for i, x in enumerate(xs):
-            xd = x_digits[x]
-            cond_log[i] = float(np.sum(log_cond[u_digits, xd]))
+        cond_log = np.sum(log_cond[u_digits, x_digits[xs]], axis=1)
         cond_mass = float(logsumexp(cond_log))
         if not math.isfinite(cond_mass):
             raise EmptyTypicalSetError(

@@ -91,7 +91,7 @@ class WiretapCode:
             raise ValueError(f"unknown code kind {self.kind!r}")
         m = np.asarray(self.m_label, dtype=np.int64)
         f = np.asarray(self.f_label, dtype=np.int64)
-        count = _code_members(self).shape[0]
+        count = self._labeled.size
         if m.shape != (count,) or f.shape != (count,):
             raise ValueError("label arrays must cover every member exactly once")
         if m.min(initial=1) < 1 or m.max(initial=1) > self.m1:
@@ -104,6 +104,12 @@ class WiretapCode:
         f.setflags(write=False)
         object.__setattr__(self, "m_label", m)
         object.__setattr__(self, "f_label", f)
+
+    @property
+    def _labeled(self) -> TypicalSet:
+        """The typical set whose members carry the (m, f) labels: the x
+        sequences of a deterministic code, the u sequences of a stochastic one."""
+        return self.source.u_set if self.kind == STOCHASTIC else self.source
 
     @property
     def member_count(self) -> int:
@@ -121,28 +127,8 @@ class WiretapCode:
         """Tilted probability mass of each (m, f) cell, shape (m1, m2)."""
         out = np.zeros((self.m1, self.m2))
         np.add.at(out, (self.m_label - 1, self.f_label - 1),
-                  np.exp(_code_log_probs(self)))
+                  np.exp(self._labeled.log_probs))
         return out
-
-
-def _code_members(code: WiretapCode) -> np.ndarray:
-    if code.kind == STOCHASTIC:
-        return code.source.u_set.members
-    return code.source.members
-
-
-def _code_log_probs(code: WiretapCode) -> np.ndarray:
-    if code.kind == STOCHASTIC:
-        return code.source.u_set.log_probs
-    return code.source.log_probs
-
-
-def _source_pmf(code: WiretapCode) -> Pmf:
-    """Single-letter law of the channel-input symbol X."""
-    if code.kind == STOCHASTIC:
-        j = code.source.base
-        return Pmf(j.col_labels, j.col_marginal().probs)
-    return code.source.base
 
 
 def build_code(source, r1: float, r2: float, seed: int, *,
@@ -215,10 +201,10 @@ def encode(code: WiretapCode, m: int, f: int, seed: int):
     pos = code.bin_positions(m, f)
     if pos.size == 0:
         raise EmptyBinError(f"bin ({m}, {f}) has no members")
-    weights = _restricted_weights(_code_log_probs(code)[pos])
+    weights = _restricted_weights(code._labeled.log_probs[pos])
     rng = philox_rng(seed, 0)
     choice = int(pos[rng.choice(pos.size, p=weights)])
-    member = int(_code_members(code)[choice])
+    member = int(code._labeled.members[choice])
     if code.kind == DETERMINISTIC:
         return member
     xs, x_log = code.source.conditional(member)
@@ -240,10 +226,9 @@ def decode(code: WiretapCode, f: int, y_seq: int, main: Channel):
     pos = code.f_positions(f)
     if pos.size == 0:
         return None, None
-    lik = _likelihood_rows(code, main, pos)
-    scores = np.exp(_code_log_probs(code)[pos]) * lik[:, int(y_seq)]
-    best = int(np.argmax(scores))
-    return int(code.m_label[pos[best]]), int(_code_members(code)[pos[best]])
+    rows = _likelihood_rows(code, main, pos)[:, [int(y_seq)]]
+    best = int(pos[_decisions(code, pos, rows)[0]])
+    return int(code.m_label[best]), int(code._labeled.members[best])
 
 
 def _likelihood_rows(code: WiretapCode, ch: Channel, pos: np.ndarray) -> np.ndarray:
@@ -255,10 +240,10 @@ def _likelihood_rows(code: WiretapCode, ch: Channel, pos: np.ndarray) -> np.ndar
         raise GuardError(f"output alphabet {k_out}^{n} exceeds guard")
     if pos.size * out_count > MATRIX_GUARD:
         raise GuardError("likelihood matrix exceeds the size guard")
-    members = _code_members(code)[pos]
+    members = code._labeled.members[pos]
     if code.kind == STOCHASTIC:
         return np.stack([s_kernel_row(code.source, ch, int(u)) for u in members])
-    base = _source_pmf(code)
+    base = code._labeled.base
     if ch.in_labels != base.labels:
         raise ValueError("channel input alphabet does not match the source")
     digits = index_digits(members, base.size, n)
@@ -266,21 +251,67 @@ def _likelihood_rows(code: WiretapCode, ch: Channel, pos: np.ndarray) -> np.ndar
 
 
 def _iid_output_vector(code: WiretapCode, ch: Channel) -> np.ndarray:
-    """i.i.d. output law of the single-letter marginal, over z sequences."""
-    q = ch.output(_source_pmf(code)).probs
+    """i.i.d. output law of the single-letter X marginal, over z sequences."""
+    x_law = code.source.base
+    if code.kind == STOCHASTIC:
+        # Pmf() renormalizes the marginal once more; recorded leakages
+        # depend on those last bits
+        x_law = Pmf(x_law.col_labels, x_law.col_marginal().probs)
+    q = ch.output(x_law).probs
     vec = np.ones(1)
     for _ in range(code.n):
         vec = np.kron(vec, q)
     return vec
 
 
-def _leakage_value(p_mz: np.ndarray, target: np.ndarray, a: float) -> float:
+def _decisions(code: WiretapCode, pos: np.ndarray, main_rows: np.ndarray) -> np.ndarray:
+    """Posterior-mode decision for every receiver column of ``main_rows``.
+
+    ``pos`` are member positions and ``main_rows`` their likelihood rows;
+    the result indexes ``pos``: the argmax of tilted prior times
+    likelihood, ties to the lowest member.
+    """
+    prior = np.exp(code._labeled.log_probs[pos])
+    return np.argmax(prior[:, None] * main_rows, axis=0)
+
+
+def _leakage_kernel(code: WiretapCode, pos: np.ndarray, weights: np.ndarray,
+                    eve_rows: np.ndarray, q_target: np.ndarray, a: float) -> float:
+    """Divergence of p(m, z^n | f) from the product reference ``q_target``.
+
+    ``pos`` are the members carrying f, ``weights`` their tilted law
+    restricted to f and ``eve_rows`` their likelihood rows; ``q_target``
+    is the i.i.d. output law over m1.  Float residue in (-1e-12, 0) is
+    reported as 0.0 at every order.
+    """
+    p_mz = np.zeros((code.m1, eve_rows.shape[1]))
+    np.add.at(p_mz, code.m_label[pos] - 1, weights[:, None] * eve_rows)
+    target = np.broadcast_to(q_target, p_mz.shape).copy()
     if math.isinf(a):
-        return d_infinity_raw(p_mz, target)
-    value = tsallis_raw(p_mz, target, a)
-    if -1e-12 < value < 0.0:
-        return 0.0
-    return value
+        value = d_infinity_raw(p_mz, target)
+    else:
+        value = tsallis_raw(p_mz, target, a)
+    return 0.0 if -1e-12 < value < 0.0 else value
+
+
+def _miss_kernel(code: WiretapCode, pos: np.ndarray, weights: np.ndarray,
+                 main_rows: np.ndarray) -> float:
+    """Mass of the (member, y) pairs under f that ``_decisions`` decodes to
+    a wrong message; arguments as for ``_leakage_kernel``."""
+    labels = code.m_label[pos]
+    m_hat = labels[_decisions(code, pos, main_rows)]
+    correct = np.sum(main_rows * (m_hat[None, :] == labels[:, None]), axis=1)
+    return min(max(1.0 - float(np.dot(weights, correct)), 0.0), 1.0)
+
+
+def _dither_members(code: WiretapCode, f: int) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, restricted tilted weights) of the members carrying f."""
+    if not 1 <= f <= code.m2:
+        raise ValueError("dither label out of range")
+    pos = code.f_positions(f)
+    if pos.size == 0:
+        raise ValueError(f"no member carries dither {f}")
+    return pos, _restricted_weights(code._labeled.log_probs[pos])
 
 
 def leakage(code: WiretapCode, f: int, eve: Channel, alpha) -> float:
@@ -291,17 +322,9 @@ def leakage(code: WiretapCode, f: int, eve: Channel, alpha) -> float:
     output law.  Computed by full enumeration of z sequences.
     """
     a = check_alpha(alpha)
-    if not 1 <= f <= code.m2:
-        raise ValueError("dither label out of range")
-    pos = code.f_positions(f)
-    if pos.size == 0:
-        raise ValueError(f"no member carries dither {f}")
-    weights = _restricted_weights(_code_log_probs(code)[pos])
-    rows = _likelihood_rows(code, eve, pos)
-    p_mz = np.zeros((code.m1, rows.shape[1]))
-    np.add.at(p_mz, code.m_label[pos] - 1, weights[:, None] * rows)
-    target = np.broadcast_to(_iid_output_vector(code, eve) / code.m1, p_mz.shape)
-    return _leakage_value(p_mz, np.array(target), a)
+    pos, weights = _dither_members(code, f)
+    return _leakage_kernel(code, pos, weights, _likelihood_rows(code, eve, pos),
+                           _iid_output_vector(code, eve) / code.m1, a)
 
 
 def error_prob(code: WiretapCode, f: int, main: Channel) -> float:
@@ -311,19 +334,8 @@ def error_prob(code: WiretapCode, f: int, main: Channel) -> float:
     the posterior-mode decoder of ``decode`` is applied to every receiver
     sequence and the miss mass is accumulated exactly.
     """
-    if not 1 <= f <= code.m2:
-        raise ValueError("dither label out of range")
-    pos = code.f_positions(f)
-    if pos.size == 0:
-        raise ValueError(f"no member carries dither {f}")
-    rows = _likelihood_rows(code, main, pos)
-    prior = np.exp(_code_log_probs(code)[pos])
-    decoded = np.argmax(prior[:, None] * rows, axis=0)
-    m_hat = code.m_label[pos][decoded]
-    correct = np.sum(rows * (m_hat[None, :] == code.m_label[pos][:, None]), axis=1)
-    weights = _restricted_weights(_code_log_probs(code)[pos])
-    value = 1.0 - float(np.dot(weights, correct))
-    return min(max(value, 0.0), 1.0)
+    pos, weights = _dither_members(code, f)
+    return _miss_kernel(code, pos, weights, _likelihood_rows(code, main, pos))
 
 
 @dataclass(frozen=True)
@@ -354,8 +366,6 @@ def select_f(code: WiretapCode, main: Channel, eve: Channel, alpha):
     populated value exists.
     """
     a = check_alpha(alpha)
-    log_probs = _code_log_probs(code)
-    prior = np.exp(log_probs)
     all_pos = np.arange(code.member_count)
     eve_rows = _likelihood_rows(code, eve, all_pos)
     main_rows = _likelihood_rows(code, main, all_pos)
@@ -370,15 +380,9 @@ def select_f(code: WiretapCode, main: Channel, eve: Channel, alpha):
             records.append(LeakageRecord(f, a, math.inf, 1.0, code.n, code.seed))
             continue
         any_members = True
-        weights = _restricted_weights(log_probs[pos])
-        p_mz = np.zeros((code.m1, eve_rows.shape[1]))
-        np.add.at(p_mz, code.m_label[pos] - 1, weights[:, None] * eve_rows[pos])
-        leak = _leakage_value(p_mz, np.broadcast_to(q_target, p_mz.shape).copy(), a)
-        rows = main_rows[pos]
-        decoded = np.argmax(prior[pos][:, None] * rows, axis=0)
-        m_hat = code.m_label[pos][decoded]
-        correct = np.sum(rows * (m_hat[None, :] == code.m_label[pos][:, None]), axis=1)
-        err = min(max(1.0 - float(np.dot(weights, correct)), 0.0), 1.0)
+        weights = _restricted_weights(code._labeled.log_probs[pos])
+        leak = _leakage_kernel(code, pos, weights, eve_rows[pos], q_target, a)
+        err = _miss_kernel(code, pos, weights, main_rows[pos])
         records.append(LeakageRecord(f, a, leak, err, code.n, code.seed))
         score = leak + err
         if score < best_score:

@@ -189,3 +189,48 @@ def smoothing_objective(pu, cxu, czx, alpha, t):
         tbar = [sum(p_xu[iu, ix] * t[iu, ix, iz] for ix in range(nx)) for iz in range(nz)]
         gain += p_u[iu] * kl(tbar, p_z)
     return -c * penalty + gain
+
+
+def joint_typical_oracle(joint, n, eps):
+    """Jointly typical set of ``joint`` by brute force in Fraction arithmetic.
+
+    Every (u, x) sequence pair is tested, sequences indexed most
+    significant symbol first.  A u qualifies when each symbol count c
+    has |c - n p(u)| < n eps, with p(u) the row sum of the joint; a pair
+    (u, x) qualifies when each pair count N has |N - n p(u, x)| < 2 n eps.
+    The joint's float entries are taken exactly.  Returns {u: (xs, law)}
+    with ``xs`` the qualifying x in increasing order and ``law`` the
+    product of p(x_i | u_i) renormalized over xs, as floats; returns None
+    when the construction must fail: no qualifying u, or a qualifying u
+    whose x set is empty or carries zero mass.
+    """
+    p = [[Fraction(float(v)) for v in row] for row in np.asarray(joint.probs)]
+    ku, kx = len(p), len(p[0])
+    p_u = [sum(row) for row in p]
+    window = n * Fraction(float(eps))
+
+    def digits(index, k):
+        out = []
+        for _ in range(n):
+            index, d = divmod(index, k)
+            out.append(d)
+        return out[::-1]
+
+    result = {}
+    for u in range(ku ** n):
+        ud = digits(u, ku)
+        if any(abs(ud.count(a) - n * p_u[a]) >= window for a in range(ku)):
+            continue
+        xs, weights = [], []
+        for x in range(kx ** n):
+            xd = digits(x, kx)
+            pairs = list(zip(ud, xd))
+            if all(abs(pairs.count((a, b)) - n * p[a][b]) < 2 * window
+                   for a in range(ku) for b in range(kx)):
+                xs.append(x)
+                weights.append(math.prod(p[a][b] / p_u[a] for a, b in pairs))
+        total = sum(weights)
+        if total == 0:
+            return None
+        result[u] = (xs, [float(w / total) for w in weights])
+    return result or None

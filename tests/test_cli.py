@@ -62,6 +62,19 @@ class TestMeasure:
         assert rc == 2
         assert "absent.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc,message", [
+        ({"labels": ["a", "b"]}, "missing key 'probs'"),
+        ([0.5, 0.5], "expected a JSON object"),
+        ({"labels": 2, "probs": [1.0]}, "labels must be a list"),
+        ({"labels": ["a", "b"], "probs": {"a": 1.0}}, "array of numbers"),
+    ])
+    def test_malformed_pmf_file_exits_2(self, files, capsys, doc, message):
+        (files / "bad.json").write_text(json.dumps(doc))
+        rc = main(["measure", "--p", path(files, "bad.json"),
+                   "--q", path(files, "skew.json"), "--kind", "tv"])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
 
 EXACT_ROWS = [
     (2, 2, "0.390625"),
@@ -263,6 +276,36 @@ class TestWiretapCommand:
         printed = capsys.readouterr().out.splitlines()
         assert len(printed) == 8
         assert all("leakage=" in ln for ln in printed[:4])
+
+    def test_independent_eavesdropper_at_infinite_order(self, files, capsys):
+        # BSC(0.5) leaks nothing; D_inf rounding used to come back as a
+        # negative leakage that the record check rejected with exit 2
+        Channel.bsc(0.5, ("a", "b")).save(files / "flat.json")
+        doc = {"n": [4], "r1": 0, "r2": 0.25, "alpha": "inf",
+               "encoder": "deterministic", "codes": 1, "seed": 0, "eps": 0.9,
+               "source": "half.json", "main": "main.json", "eve": "flat.json"}
+        cfg = files / "flat-cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = path(files, "flat.csv")
+        assert main(["wiretap", "--config", str(cfg), "--out", out]) == 0
+        (rec,) = load_records(out)
+        assert 0.0 <= rec["leakage"] < 1e-12
+
+    @pytest.mark.parametrize("field,doc", [
+        ("source", {"labels": ["a", "b"]}),
+        ("main/eve", [[0.9, 0.1], [0.1, 0.9]]),
+    ])
+    def test_malformed_input_file_exits_2(self, files, capsys, field, doc):
+        (files / "bad.json").write_text(json.dumps(doc))
+        cfg_doc = {"n": [3], "r1": 0.25, "r2": 0.25, "alpha": 2,
+                   "encoder": "deterministic", "codes": 1, "seed": 5, "eps": 0.9,
+                   "source": "half.json", "main": "main.json", "eve": "eve.json"}
+        cfg_doc["source" if field == "source" else "main"] = "bad.json"
+        cfg = files / "bad-cfg.json"
+        cfg.write_text(json.dumps(cfg_doc))
+        rc = main(["wiretap", "--config", str(cfg)])
+        assert rc == 2
+        assert f"config field {field!r}" in capsys.readouterr().err
 
     def test_missing_config(self, files, capsys):
         rc = main(["wiretap", "--config", path(files, "nope.json")])

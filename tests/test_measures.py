@@ -88,6 +88,36 @@ class TestTypes:
         with pytest.raises(NormalizationError):
             Pmf.load(path)
 
+    @pytest.mark.parametrize("cls,probs,off", [
+        (JointPmf, [[0.25, 0.25], [0.25, 0.25 + 5e-10]], [[0.25, 0.25], [0.25, 0.26]]),
+        (Channel, [[0.5, 0.5 + 5e-10], [0.3, 0.7]], [[0.5, 0.5], [0.3, 0.71]]),
+    ])
+    def test_joint_and_channel_load_renormalize_within_window_only(
+            self, tmp_path, cls, probs, off):
+        path = tmp_path / "j.json"
+        doc = {"row_labels": ["a", "b"], "col_labels": ["x", "y"], "probs": probs}
+        path.write_text(json.dumps(doc))
+        loaded = cls.load(path)
+        arr = loaded.probs if cls is JointPmf else loaded.rows
+        masses = [arr.ravel().tolist()] if cls is JointPmf else arr.tolist()
+        assert all(math.fsum(m) == 1.0 for m in masses)
+        with pytest.raises(NormalizationError):
+            cls(("a", "b"), ("x", "y"), probs)
+        path.write_text(json.dumps(dict(doc, probs=off)))
+        with pytest.raises(NormalizationError):
+            cls.load(path)
+
+    @pytest.mark.parametrize("cls,doc,key", [
+        (Pmf, {"labels": ["a"]}, "probs"),
+        (JointPmf, {"row_labels": ["a"], "probs": [[1.0]]}, "col_labels"),
+        (Channel, {"col_labels": ["x"], "probs": [[1.0]]}, "row_labels"),
+    ])
+    def test_from_dict_names_missing_key(self, cls, doc, key):
+        with pytest.raises(ValueError, match=f"missing key '{key}'"):
+            cls.from_dict(doc)
+        with pytest.raises(ValueError, match="JSON object"):
+            cls.from_dict([doc])
+
     def test_joint_marginals(self, rng):
         j = random_joint(rng, 3, 2)
         assert math.isclose(j.row_marginal().probs.sum(), 1.0, abs_tol=1e-12)

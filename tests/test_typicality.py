@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from helpers import random_pmf
+from helpers import dyadic_joint, joint_typical_oracle, random_pmf
 from osrb_lab.measures import Channel, GuardError, JointPmf, Pmf
 from osrb_lab.typicality import (
     EmptyTypicalSetError,
@@ -121,6 +121,39 @@ class TestJointTypicalSet:
                      [[1 / 3, 1 / 3], [1 / 6, 1 / 6]])
         with pytest.raises(EmptyTypicalSetError, match="conditionally typical"):
             joint_typical_set(j, 3, 0.08)
+
+
+class TestJointTypicalOracle:
+    @pytest.mark.parametrize("eps", [0.05, 0.15, 0.3, 0.6])
+    def test_matches_fraction_brute_force(self, eps):
+        # seeded dyadic joints, the second of each shape with a zero cell;
+        # members and conditional laws against exhaustive pair enumeration
+        rng = np.random.default_rng(2024)
+        built = 0
+        for ku, kx in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+            for zero_cell in (False, True):
+                probs = dyadic_joint(rng, ku, kx).probs.copy()
+                if zero_cell:
+                    probs[0, 1] += probs[0, 0]
+                    probs[0, 0] = 0.0
+                j = JointPmf(tuple(f"u{i}" for i in range(ku)),
+                             tuple(f"x{i}" for i in range(kx)), probs)
+                for n in range(1, 4 if ku * kx == 9 else 5):
+                    want = joint_typical_oracle(j, n, eps)
+                    if want is None:
+                        with pytest.raises(EmptyTypicalSetError):
+                            joint_typical_set(j, n, eps)
+                        continue
+                    jts = joint_typical_set(j, n, eps)
+                    assert jts.u_set.members.tolist() == sorted(want)
+                    for u, xs, logs in zip(jts.u_set.members, jts.x_members,
+                                           jts.x_log_probs):
+                        want_xs, want_law = want[int(u)]
+                        assert xs.tolist() == want_xs
+                        for got, expect in zip(np.exp(logs).tolist(), want_law):
+                            assert math.isclose(got, expect, rel_tol=1e-12)
+                    built += 1
+        assert built > 0
 
 
 class TestSmoothedKernel:

@@ -7,7 +7,7 @@ import pytest
 
 from osrb_lab.binning import derive_seed, m_from_rate
 from osrb_lab.measures import Channel, JointPmf, Pmf
-from osrb_lab.typicality import joint_typical_set, typical_set
+from osrb_lab.typicality import index_digits, joint_typical_set, s_kernel, typical_set
 from osrb_lab.wiretap import (
     RECORD_FIELDS,
     EmptyBinError,
@@ -179,6 +179,20 @@ class TestLeakage:
         assert leakage(code, 1, flat, 2) == pytest.approx(0.0, abs=1e-12)
         assert leakage(code, 1, flat, math.inf) == pytest.approx(0.0, abs=1e-9)
 
+    def test_independent_eavesdropper_never_negative_at_infinite_order(self):
+        # BSC(0.5) output is independent of the input, so every induced
+        # law equals the reference up to rounding; D_inf must not report
+        # that rounding as a negative leakage
+        flat = Channel.bsc(0.5, ("a", "b"))
+        ts = typical_set(UNIFORM2, 4, 0.9)
+        for seed in range(5):
+            code = build_code(ts, 0.0, 0.25, seed)
+            _, recs = select_f(code, MAIN, flat, math.inf)
+            for rec in recs:
+                if code.f_positions(rec.f).size:
+                    assert 0.0 <= rec.leakage < 1e-12
+                    assert 0.0 <= leakage(code, rec.f, flat, math.inf) < 1e-12
+
     def test_nonnegative_across_orders(self):
         ts = typical_set(UNIFORM2, 4, 0.9)
         code = build_code(ts, 0.25, 0.25, 2)
@@ -248,6 +262,61 @@ class TestErrorAndSelection:
         worst14 = max(tv(14, s) for s in range(8))
         assert worst14 < worst10 < 0.2
         assert worst14 < 0.03
+
+
+def cross_path_codes(kind):
+    if kind == "deterministic":
+        ts = typical_set(Pmf(("a", "b"), (0.6, 0.4)), 4, 0.9)
+        return [build_code(ts, 0.25, 0.5, seed) for seed in range(3)]
+    j = JointPmf(("u0", "u1"), ("a", "b"), [[0.30, 0.20], [0.15, 0.35]])
+    jts = joint_typical_set(j, 3, 0.5)
+    return [build_code(jts, 1 / 3, 1 / 3, seed) for seed in range(3)]
+
+
+def decoded_miss_mass(code, f, main):
+    """Miss mass of ``decode`` under f, summed over every receiver sequence
+    with likelihoods taken letter by letter (smoothed kernel for u)."""
+    labeled = code.source if code.kind == "deterministic" else code.source.u_set
+    pos = code.f_positions(f)
+    weights = np.exp(labeled.log_probs[pos])
+    weights /= weights.sum()
+    k = len(main.out_labels)
+    miss = 0.0
+    for y in range(k ** code.n):
+        m_hat, _ = decode(code, f, y, main)
+        y_digits = index_digits([y], k, code.n)[0]
+        for w, i in zip(weights, pos):
+            if code.m_label[i] == m_hat:
+                continue
+            member = int(labeled.members[i])
+            if code.kind == "deterministic":
+                x_digits = index_digits([member], len(main.in_labels), code.n)[0]
+                lik = math.prod(main.rows[x, z] for x, z in zip(x_digits, y_digits))
+            else:
+                lik = s_kernel(code.source, main, member, y)
+            miss += w * lik
+    return miss
+
+
+class TestCrossPath:
+    @pytest.mark.parametrize("alpha", [1, 2, math.inf])
+    @pytest.mark.parametrize("kind", ["deterministic", "stochastic"])
+    def test_select_f_matches_single_dither_scores(self, kind, alpha):
+        for code in cross_path_codes(kind):
+            _, recs = select_f(code, MAIN, EVE, alpha)
+            populated = [f for f in range(1, code.m2 + 1) if code.f_positions(f).size]
+            assert populated
+            for f in populated:
+                assert recs[f - 1].leakage == leakage(code, f, EVE, alpha)
+                assert recs[f - 1].error_prob == error_prob(code, f, MAIN)
+
+    @pytest.mark.parametrize("kind", ["deterministic", "stochastic"])
+    def test_error_prob_is_miss_mass_of_decode(self, kind):
+        for code in cross_path_codes(kind):
+            for f in range(1, code.m2 + 1):
+                if code.f_positions(f).size:
+                    assert error_prob(code, f, MAIN) == pytest.approx(
+                        decoded_miss_mass(code, f, MAIN), abs=1e-12)
 
 
 class TestRecords:
