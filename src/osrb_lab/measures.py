@@ -26,7 +26,6 @@ import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 LN2 = math.log(2.0)
 NORM_ATOL = 1e-12        # mass tolerance accepted by constructors
@@ -73,6 +72,32 @@ def format_alpha(alpha: float) -> str:
     return f"{alpha:.12g}"
 
 
+def logsumexp(a, axis=None):
+    """log of the sum of exp(a), over all entries or along ``axis``.
+
+    The float operations are those of ``scipy.special.logsumexp``: the
+    maximal entries are taken out of the shifted sum s, which is divided
+    by their count c, giving log1p(s) + log(c) + max; where that is not
+    finite (all entries -inf, or an inf or nan), log(sum(exp(a))) is
+    returned instead.  A 0-d result comes back as a numpy scalar.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=axis, keepdims=True)
+        is_max = a == a_max
+        count = np.sum(is_max, axis=axis, keepdims=True, dtype=float)
+        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max),
+                   axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / count)
+        out = np.log1p(s) + np.log(count) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)))
+    out = np.squeeze(out, axis=axis)
+    return out[()] if out.ndim == 0 else out
+
+
 def _is_one(alpha: float) -> bool:
     return abs(alpha - 1.0) < ALPHA_ONE_WINDOW
 
@@ -92,6 +117,8 @@ def _as_prob_array(values, name: str) -> np.ndarray:
 
 
 def _check_labels(labels, name: str) -> tuple[str, ...]:
+    if isinstance(labels, (str, bytes)):
+        raise ValueError(f"{name}: labels must be a list, not a string")
     try:
         labs = tuple(str(x) for x in labels)
     except TypeError:

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .measures import Channel, GuardError, JointPmf, Pmf, _atomic_write_text
+from .measures import Channel, GuardError, JointPmf, Pmf, _atomic_write_text, logsumexp
 
 SEQ_GUARD = 2 ** 24
 

@@ -30,6 +30,7 @@ from .measures import (
     Pmf,
     check_alpha,
     d_infinity_raw,
+    logsumexp,
     parse_alpha,
     tsallis_raw,
 )
@@ -46,6 +47,10 @@ from .typicality import (
 MEMBER_GUARD = 2 ** 20
 OUTPUT_GUARD = 2 ** 20
 MATRIX_GUARD = 2 ** 26
+ROW_BLOCK_CELLS = 2 ** 20    # likelihood cells built per block of member rows
+TABLE_CELLS = 2 ** 22        # p(m, z^n | f) cells held per batch of dithers
+RESIDUE = 1e-12              # float residue: leakage in (-RESIDUE, 0) is 0, and
+                             # dither scores this close count as tied
 
 DETERMINISTIC = "deterministic"
 STOCHASTIC = "stochastic"
@@ -180,8 +185,6 @@ def build_code(source, r1: float, r2: float, seed: int, *,
 
 
 def _restricted_weights(log_probs: np.ndarray) -> np.ndarray:
-    from scipy.special import logsumexp
-
     total = logsumexp(log_probs)
     if not np.isfinite(total):
         raise ValueError("bin carries zero tilted mass")
@@ -226,28 +229,44 @@ def decode(code: WiretapCode, f: int, y_seq: int, main: Channel):
     pos = code.f_positions(f)
     if pos.size == 0:
         return None, None
-    rows = _likelihood_rows(code, main, pos)[:, [int(y_seq)]]
+    rows = _likelihood_rows(code.source, main, pos)[:, [int(y_seq)]]
     best = int(pos[_decisions(code, pos, rows)[0]])
     return int(code.m_label[best]), int(code._labeled.members[best])
 
 
-def _likelihood_rows(code: WiretapCode, ch: Channel, pos: np.ndarray) -> np.ndarray:
-    """P(output sequence | member) rows over every output sequence."""
-    n = code.n
+def _likelihood_rows(source, ch: Channel, pos: np.ndarray | None = None) -> np.ndarray:
+    """P(output sequence | member) rows over every output sequence.
+
+    ``source`` is a code's TypicalSet or JointTypicalSet and ``pos`` the
+    labeled member positions (all members when None).  Deterministic rows
+    are exp of ``_channel_log_likelihoods``, built a block of members at a
+    time with the exp in place; stochastic rows are ``s_kernel_row`` of
+    each u member.
+    """
+    stochastic = isinstance(source, JointTypicalSet)
+    labeled = source.u_set if stochastic else source
+    members = labeled.members if pos is None else labeled.members[pos]
+    n = source.n
     k_out = len(ch.out_labels)
     out_count = k_out ** n
     if out_count > OUTPUT_GUARD:
         raise GuardError(f"output alphabet {k_out}^{n} exceeds guard")
-    if pos.size * out_count > MATRIX_GUARD:
+    if members.size * out_count > MATRIX_GUARD:
         raise GuardError("likelihood matrix exceeds the size guard")
-    members = code._labeled.members[pos]
-    if code.kind == STOCHASTIC:
-        return np.stack([s_kernel_row(code.source, ch, int(u)) for u in members])
-    base = code._labeled.base
-    if ch.in_labels != base.labels:
+    rows = np.empty((members.size, out_count))
+    if stochastic:
+        for i, u in enumerate(members):
+            rows[i] = s_kernel_row(source, ch, int(u))
+        return rows
+    if ch.in_labels != labeled.base.labels:
         raise ValueError("channel input alphabet does not match the source")
-    digits = index_digits(members, base.size, n)
-    return np.exp(_channel_log_likelihoods(ch, digits, out_count, n))
+    step = max(1, ROW_BLOCK_CELLS // out_count)
+    for lo in range(0, members.size, step):
+        block = rows[lo:lo + step]
+        digits = index_digits(members[lo:lo + step], labeled.base.size, n)
+        block[...] = _channel_log_likelihoods(ch, digits, out_count, n)
+        np.exp(block, out=block)
+    return rows
 
 
 def _iid_output_vector(code: WiretapCode, ch: Channel) -> np.ndarray:
@@ -275,29 +294,68 @@ def _decisions(code: WiretapCode, pos: np.ndarray, main_rows: np.ndarray) -> np.
     return np.argmax(prior[:, None] * main_rows, axis=0)
 
 
-def _leakage_kernel(code: WiretapCode, pos: np.ndarray, weights: np.ndarray,
-                    eve_rows: np.ndarray, q_target: np.ndarray, a: float) -> float:
-    """Divergence of p(m, z^n | f) from the product reference ``q_target``.
+def _leakage_tables(code: WiretapCode, pos: np.ndarray, weights: np.ndarray,
+                    eve_rows: np.ndarray, dithers: list):
+    """Yield ``(f, p(m, z^n | f))`` for each f of ``dithers``, in order.
 
-    ``pos`` are the members carrying f, ``weights`` their tilted law
-    restricted to f and ``eve_rows`` their likelihood rows; ``q_target``
-    is the i.i.d. output law over m1.  Float residue in (-1e-12, 0) is
-    reported as 0.0 at every order.
+    ``pos`` are member positions in increasing order, ``weights`` their
+    tilted law restricted to their own dither and ``eve_rows`` their
+    likelihood rows; every f of ``dithers`` must be carried by some member
+    of ``pos``.  Each member's weighted row is added to its (f, m) cell in
+    member order, one member per cell per step, so every cell is summed
+    in the order ``np.add.at`` would sum it.  Tables are built for a batch
+    of dithers at a time, TABLE_CELLS cells at most (one dither at least).
     """
-    p_mz = np.zeros((code.m1, eve_rows.shape[1]))
-    np.add.at(p_mz, code.m_label[pos] - 1, weights[:, None] * eve_rows)
-    target = np.broadcast_to(q_target, p_mz.shape).copy()
+    m1, width = code.m1, eve_rows.shape[1]
+    f0 = code.f_label[pos] - 1
+    m0 = code.m_label[pos] - 1
+    cell = f0 * m1 + m0
+    order = np.argsort(cell, kind="stable")
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size) - np.searchsorted(cell[order], cell[order])
+    by_rank = np.argsort(rank, kind="stable")
+    per_batch = max(1, TABLE_CELLS // (m1 * width))
+    for lo in range(0, len(dithers), per_batch):
+        batch = dithers[lo:lo + per_batch]
+        slot = np.full(code.m2, -1)
+        slot[np.asarray(batch) - 1] = np.arange(len(batch))
+        tables = np.zeros((len(batch), m1, width))
+        flat = tables.reshape(-1, width)
+        members = by_rank[slot[f0[by_rank]] >= 0]
+        steps = np.split(members, np.flatnonzero(np.diff(rank[members])) + 1)
+        for k, step in enumerate(steps):
+            contrib = eve_rows[step]
+            contrib *= weights[step, None]
+            cells = slot[f0[step]] * m1 + m0[step]
+            if k == 0:      # the first member of every cell: 0.0 + x is x
+                flat[cells] = contrib
+            else:
+                flat[cells] += contrib
+        yield from zip(batch, tables)
+
+
+def _leakage_value(p_mz: np.ndarray, target: np.ndarray, a: float) -> float:
+    """Divergence of p(m, z^n | f) from the product reference ``target``,
+    uniform messages times the i.i.d. output law, shaped like ``p_mz``.
+    Float residue in (-RESIDUE, 0) is reported as 0.0 at every order."""
     if math.isinf(a):
         value = d_infinity_raw(p_mz, target)
     else:
         value = tsallis_raw(p_mz, target, a)
-    return 0.0 if -1e-12 < value < 0.0 else value
+    return 0.0 if -RESIDUE < value < 0.0 else value
+
+
+def _leakage_target(code: WiretapCode, eve: Channel) -> np.ndarray:
+    """Uniform messages times the i.i.d. output law, shape (m1, k^n)."""
+    q = _iid_output_vector(code, eve) / code.m1
+    return np.broadcast_to(q, (code.m1, q.size)).copy()
 
 
 def _miss_kernel(code: WiretapCode, pos: np.ndarray, weights: np.ndarray,
                  main_rows: np.ndarray) -> float:
     """Mass of the (member, y) pairs under f that ``_decisions`` decodes to
-    a wrong message; arguments as for ``_leakage_kernel``."""
+    a wrong message.  ``pos`` are the members carrying f, ``weights`` their
+    tilted law restricted to f and ``main_rows`` their likelihood rows."""
     labels = code.m_label[pos]
     m_hat = labels[_decisions(code, pos, main_rows)]
     correct = np.sum(main_rows * (m_hat[None, :] == labels[:, None]), axis=1)
@@ -323,8 +381,9 @@ def leakage(code: WiretapCode, f: int, eve: Channel, alpha) -> float:
     """
     a = check_alpha(alpha)
     pos, weights = _dither_members(code, f)
-    return _leakage_kernel(code, pos, weights, _likelihood_rows(code, eve, pos),
-                           _iid_output_vector(code, eve) / code.m1, a)
+    rows = _likelihood_rows(code.source, eve, pos)
+    [(_, p_mz)] = _leakage_tables(code, pos, weights, rows, [f])
+    return _leakage_value(p_mz, _leakage_target(code, eve), a)
 
 
 def error_prob(code: WiretapCode, f: int, main: Channel) -> float:
@@ -335,7 +394,7 @@ def error_prob(code: WiretapCode, f: int, main: Channel) -> float:
     sequence and the miss mass is accumulated exactly.
     """
     pos, weights = _dither_members(code, f)
-    return _miss_kernel(code, pos, weights, _likelihood_rows(code, main, pos))
+    return _miss_kernel(code, pos, weights, _likelihood_rows(code.source, main, pos))
 
 
 @dataclass(frozen=True)
@@ -356,41 +415,43 @@ class LeakageRecord:
             raise ValueError("error_prob must lie in [0, 1]")
 
 
-def select_f(code: WiretapCode, main: Channel, eve: Channel, alpha):
+def select_f(code: WiretapCode, main: Channel, eve: Channel, alpha, *, rows=None):
     """Score every dither value and pick the best one.
 
     Returns ``(f_star, records)`` where records holds one LeakageRecord
-    per f in order and f_star minimizes leakage + error_prob with equal
-    weights, ties to the lowest f.  Dither values with no members score
-    infinite leakage and error one, so they are never selected while any
-    populated value exists.
+    per f in order and f_star is the lowest f whose leakage + error_prob
+    lies within RESIDUE of the minimum.  Dither values with no members
+    score infinite leakage and error one, so they are never selected
+    while any populated value exists.  ``rows`` is the (eve, main) pair
+    of ``_likelihood_rows`` over every member of ``code.source``, passed
+    by a caller that shares them across codes; they are built when None.
     """
     a = check_alpha(alpha)
-    all_pos = np.arange(code.member_count)
-    eve_rows = _likelihood_rows(code, eve, all_pos)
-    main_rows = _likelihood_rows(code, main, all_pos)
-    q_target = _iid_output_vector(code, eve) / code.m1
-    records = []
-    best_f = None
-    best_score = math.inf
-    any_members = False
-    for f in range(1, code.m2 + 1):
-        pos = code.f_positions(f)
-        if pos.size == 0:
-            records.append(LeakageRecord(f, a, math.inf, 1.0, code.n, code.seed))
-            continue
-        any_members = True
-        weights = _restricted_weights(code._labeled.log_probs[pos])
-        leak = _leakage_kernel(code, pos, weights, eve_rows[pos], q_target, a)
-        err = _miss_kernel(code, pos, weights, main_rows[pos])
-        records.append(LeakageRecord(f, a, leak, err, code.n, code.seed))
-        score = leak + err
-        if score < best_score:
-            best_score = score
-            best_f = f
-    if not any_members:
+    if rows is None:
+        rows = (_likelihood_rows(code.source, eve), _likelihood_rows(code.source, main))
+    eve_rows, main_rows = rows
+    order = np.argsort(code.f_label, kind="stable")
+    bounds = np.searchsorted(code.f_label[order], np.arange(1, code.m2 + 2))
+    groups = {f: order[bounds[f - 1]:bounds[f]] for f in range(1, code.m2 + 1)
+              if bounds[f] > bounds[f - 1]}
+    if not groups:
         raise ValueError("every dither value is empty")
-    return best_f, records
+    log_probs = code._labeled.log_probs
+    weights = np.empty(code.member_count)
+    for pos in groups.values():
+        weights[pos] = _restricted_weights(log_probs[pos])
+    target = _leakage_target(code, eve)
+    scores = {}
+    for f, p_mz in _leakage_tables(code, np.arange(code.member_count), weights,
+                                   eve_rows, list(groups)):
+        pos = groups[f]
+        scores[f] = (_leakage_value(p_mz, target, a),
+                     _miss_kernel(code, pos, weights[pos], main_rows[pos]))
+    best = min(leak + err for leak, err in scores.values())
+    f_star = next(f for f, (leak, err) in scores.items() if leak + err <= best + RESIDUE)
+    records = [LeakageRecord(f, a, *scores.get(f, (math.inf, 1.0)), code.n, code.seed)
+               for f in range(1, code.m2 + 1)]
+    return f_star, records
 
 
 # ---------------------------------------------------------------------------
@@ -513,21 +574,34 @@ class SweepConfig:
         return cls.from_dict(doc, os.path.dirname(os.path.abspath(path)))
 
 
-def _run_code(config: SweepConfig, source, n: int, index: int) -> ExperimentRecord:
+def _run_code(config: SweepConfig, source, n: int, index: int, rows) -> ExperimentRecord:
     code_seed = derive_seed(config.seed, f"wiretap:n={n}", index)
     code = build_code(source, config.r1, config.r2, code_seed)
-    f_star, records = select_f(code, config.main, config.eve, config.alpha)
+    f_star, records = select_f(code, config.main, config.eve, config.alpha, rows=rows)
     rec = records[f_star - 1]
     return ExperimentRecord(n, config.r1, config.r2, config.alpha,
                             config.encoder, code_seed, f_star,
                             rec.leakage, rec.error_prob, code.discards)
 
 
+def _run_codes(config: SweepConfig, source, n: int, workers: int) -> list[ExperimentRecord]:
+    """Every code of one n, sharing that n's eve and main likelihood rows
+    (the two built concurrently when ``workers`` allows)."""
+    channels = (config.eve, config.main)
+    rows = tuple(_map_indexed(lambda k: _likelihood_rows(source, channels[k]), 2, workers))
+    for r in rows:
+        r.setflags(write=False)
+    return _map_indexed(lambda i: _run_code(config, source, n, i, rows),
+                        config.codes, workers)
+
+
 def sweep_experiment(config: SweepConfig, threads: int | None = None) -> list[ExperimentRecord]:
     """Run the configured sweep: per n, build codes and select dithers.
 
-    Codes are evaluated concurrently; records come back ordered by
-    (n, code index) and depend only on the config, not the thread count.
+    The sweep goes n by n: an n's likelihood rows are built once, shared
+    by its codes and dropped before the next n, and the codes of one n are
+    evaluated concurrently.  Records come back ordered by (n, code index)
+    and depend only on the config, not the thread count.
     """
     sources = {}
     for n in config.n_values:
@@ -536,10 +610,8 @@ def sweep_experiment(config: SweepConfig, threads: int | None = None) -> list[Ex
                 sources[n] = typical_set(config.source, n, config.eps)
             else:
                 sources[n] = joint_typical_set(config.source, n, config.eps)
-    jobs = [(n, i) for n in config.n_values for i in range(config.codes)]
-
-    def job(k: int) -> ExperimentRecord:
-        n, i = jobs[k]
-        return _run_code(config, sources[n], n, i)
-
-    return _map_indexed(job, len(jobs), resolve_threads(threads))
+    workers = resolve_threads(threads)
+    records = []
+    for n in config.n_values:
+        records.extend(_run_codes(config, sources[n], n, workers))
+    return records

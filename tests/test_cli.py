@@ -66,6 +66,7 @@ class TestMeasure:
         ({"labels": ["a", "b"]}, "missing key 'probs'"),
         ([0.5, 0.5], "expected a JSON object"),
         ({"labels": 2, "probs": [1.0]}, "labels must be a list"),
+        ({"labels": "ab", "probs": [0.5, 0.5]}, "labels must be a list, not a string"),
         ({"labels": ["a", "b"], "probs": {"a": 1.0}}, "array of numbers"),
     ])
     def test_malformed_pmf_file_exits_2(self, files, capsys, doc, message):
@@ -290,6 +291,23 @@ class TestWiretapCommand:
         assert main(["wiretap", "--config", str(cfg), "--out", out]) == 0
         (rec,) = load_records(out)
         assert 0.0 <= rec["leakage"] < 1e-12
+
+    def test_exact_dither_tie_goes_to_lowest_f(self, files, capsys):
+        # with an independent eavesdropper and one message every dither
+        # scores 0 in exact arithmetic; float residue used to pick f* = 2
+        Channel.bsc(0.5, ("a", "b")).save(files / "flat.json")
+        doc = {"n": [4], "r1": 0, "r2": 0.25, "alpha": "inf",
+               "encoder": "deterministic", "codes": 1, "seed": 0, "eps": 0.9,
+               "source": "half.json", "main": "main.json", "eve": "flat.json"}
+        cfg = files / "tie-cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = path(files, "tie.csv")
+        assert main(["wiretap", "--config", str(cfg), "--out", out]) == 0
+        (rec,) = load_records(out)
+        assert rec["f_star"] == 1
+        assert rec["error_prob"] == 0.0
+        assert 0.0 <= rec["leakage"] < 1e-12
+        assert " f_star=1 " in capsys.readouterr().out
 
     @pytest.mark.parametrize("field,doc", [
         ("source", {"labels": ["a", "b"]}),

@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp as scipy_logsumexp
 
 from helpers import random_channel, random_joint, random_pmf
 from osrb_lab.measures import (
@@ -19,6 +23,7 @@ from osrb_lab.measures import (
     d_infinity,
     is_singleton,
     kl_divergence,
+    logsumexp,
     mutual_information,
     parse_alpha,
     renyi_divergence,
@@ -117,6 +122,17 @@ class TestTypes:
             cls.from_dict(doc)
         with pytest.raises(ValueError, match="JSON object"):
             cls.from_dict([doc])
+
+    @pytest.mark.parametrize("labels", ["ab", b"ab"])
+    def test_string_alphabet_rejected(self, labels):
+        with pytest.raises(ValueError, match="not a string"):
+            Pmf(labels, [0.5, 0.5])
+        if isinstance(labels, str):
+            with pytest.raises(ValueError, match="not a string"):
+                Pmf.from_dict({"labels": labels, "probs": [0.5, 0.5]})
+            with pytest.raises(ValueError, match="not a string"):
+                Channel.from_dict({"row_labels": ["a", "b"], "col_labels": labels,
+                                   "probs": [[1.0, 0.0], [0.0, 1.0]]})
 
     def test_joint_marginals(self, rng):
         j = random_joint(rng, 3, 2)
@@ -442,3 +458,58 @@ class TestInequalities:
             mean_prod = float(np.sum(p.probs * np.prod(fs, axis=0)))
             prod_means = float(np.prod(fs @ p.probs))
             assert mean_prod >= prod_means - 1e-12
+
+
+def _same_bits(ours, ref):
+    ours, ref = np.asarray(ours), np.asarray(ref)
+    return (ours.shape == ref.shape and ours.dtype == ref.dtype
+            and np.array_equal(ours.view(np.int64), ref.view(np.int64)))
+
+
+class TestLogSumExp:
+    """The numpy logsumexp against scipy.special.logsumexp, bit for bit."""
+
+    def test_one_dimensional_bits(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(3000):
+            size = int(rng.integers(1, 40))
+            a = rng.normal(scale=float(rng.choice([0.1, 1.0, 30.0, 800.0])), size=size)
+            if rng.random() < 0.3:
+                a[rng.random(size) < 0.3] = -np.inf
+            if rng.random() < 0.3:
+                a[rng.integers(0, size, size=3)] = a.max()
+            if rng.random() < 0.3:
+                a = np.round(a, 1)
+            ours, ref = logsumexp(a), scipy_logsumexp(a)
+            assert type(ours) is type(ref)
+            assert _same_bits(ours, ref), a
+
+    @pytest.mark.parametrize("a", [
+        [3.0], [-np.inf], [-np.inf, -np.inf, -np.inf], [1.0, 1.0],
+        [0.5, 0.5, -np.inf, 0.5], [np.inf, 1.0], [-745.0, -746.0],
+    ])
+    def test_edge_cases_bits(self, a):
+        ours, ref = logsumexp(np.array(a)), scipy_logsumexp(np.array(a))
+        assert type(ours) is type(ref)
+        assert _same_bits(ours, ref)
+
+    def test_axis_zero_bits(self):
+        rng = np.random.default_rng(7)
+        for _ in range(400):
+            a = rng.normal(scale=5.0, size=(int(rng.integers(1, 20)), int(rng.integers(1, 20))))
+            if rng.random() < 0.3:
+                a[rng.random(a.shape) < 0.3] = -np.inf
+            if rng.random() < 0.3:
+                a = np.round(a)
+            if rng.random() < 0.1:
+                a[:, 0] = -np.inf
+            assert _same_bits(logsumexp(a, axis=0), scipy_logsumexp(a, axis=0)), a
+            assert _same_bits(logsumexp(a), scipy_logsumexp(a))
+
+    def test_cli_import_leaves_scipy_out(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = "import sys, osrb_lab.cli; print('scipy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"

@@ -7,14 +7,24 @@ import pytest
 
 from osrb_lab.binning import derive_seed, m_from_rate
 from osrb_lab.measures import Channel, JointPmf, Pmf
-from osrb_lab.typicality import index_digits, joint_typical_set, s_kernel, typical_set
+from osrb_lab import wiretap
+from osrb_lab.typicality import (
+    _channel_log_likelihoods,
+    index_digits,
+    joint_typical_set,
+    s_kernel,
+    typical_set,
+)
 from osrb_lab.wiretap import (
     RECORD_FIELDS,
+    ROW_BLOCK_CELLS,
     EmptyBinError,
     ExperimentRecord,
     LeakageRecord,
     SweepConfig,
     WiretapCode,
+    _leakage_tables,
+    _likelihood_rows,
     build_code,
     decode,
     encode,
@@ -317,6 +327,49 @@ class TestCrossPath:
                 if code.f_positions(f).size:
                     assert error_prob(code, f, MAIN) == pytest.approx(
                         decoded_miss_mass(code, f, MAIN), abs=1e-12)
+
+
+class TestSharedRows:
+    @pytest.mark.parametrize("alpha", [1, 2, math.inf])
+    @pytest.mark.parametrize("kind", ["deterministic", "stochastic"])
+    def test_shared_rows_change_nothing(self, kind, alpha):
+        for code in cross_path_codes(kind):
+            rows = (_likelihood_rows(code.source, EVE), _likelihood_rows(code.source, MAIN))
+            assert select_f(code, MAIN, EVE, alpha, rows=rows) == \
+                select_f(code, MAIN, EVE, alpha)
+
+    def test_blocked_rows_match_one_shot_build(self):
+        n = 11
+        ts = typical_set(Pmf(("a", "b"), (0.6, 0.4)), n, 0.9)
+        rows = _likelihood_rows(ts, EVE)
+        assert ts.size > 2 * (ROW_BLOCK_CELLS // 2 ** n)
+        one_shot = np.exp(_channel_log_likelihoods(EVE, index_digits(ts.members, 2, n), 2 ** n, n))
+        assert np.array_equal(rows.view(np.int64), one_shot.view(np.int64))
+
+    @pytest.mark.parametrize("table_cells", [wiretap.TABLE_CELLS, 1])
+    def test_leakage_tables_match_per_dither_add_at(self, monkeypatch, table_cells):
+        monkeypatch.setattr(wiretap, "TABLE_CELLS", table_cells)
+        rng = np.random.default_rng(3)
+        for code in cross_path_codes("deterministic"):
+            rows = _likelihood_rows(code.source, EVE)
+            weights = rng.uniform(0.01, 1.0, size=code.member_count)
+            dithers = [f for f in range(1, code.m2 + 1) if code.f_positions(f).size]
+            tables = list(_leakage_tables(code, np.arange(code.member_count), weights,
+                                          rows, dithers))
+            assert [f for f, _ in tables] == dithers
+            for f, table in tables:
+                pos = code.f_positions(f)
+                ref = np.zeros((code.m1, rows.shape[1]))
+                np.add.at(ref, code.m_label[pos] - 1, weights[pos, None] * rows[pos])
+                assert np.array_equal(table.view(np.int64), ref.view(np.int64))
+
+    def test_sweep_repeated_n_and_thread_count(self, sweep_dir):
+        base, doc = sweep_dir
+        cfg = SweepConfig.from_dict(dict(doc, n=[3, 4, 3]), str(base))
+        records = sweep_experiment(cfg, threads=1)
+        assert records == sweep_experiment(cfg, threads=2)
+        assert records[6:] == records[:3]
+        assert records[:6] == sweep_experiment(SweepConfig.from_dict(doc, str(base)), threads=1)
 
 
 class TestRecords:
