@@ -322,15 +322,10 @@ def _leakage_tables(code: WiretapCode, pos: np.ndarray, weights: np.ndarray,
         tables = np.zeros((len(batch), m1, width))
         flat = tables.reshape(-1, width)
         members = by_rank[slot[f0[by_rank]] >= 0]
-        steps = np.split(members, np.flatnonzero(np.diff(rank[members])) + 1)
-        for k, step in enumerate(steps):
+        for step in np.split(members, np.flatnonzero(np.diff(rank[members])) + 1):
             contrib = eve_rows[step]
             contrib *= weights[step, None]
-            cells = slot[f0[step]] * m1 + m0[step]
-            if k == 0:      # the first member of every cell: 0.0 + x is x
-                flat[cells] = contrib
-            else:
-                flat[cells] += contrib
+            flat[slot[f0[step]] * m1 + m0[step]] += contrib
         yield from zip(batch, tables)
 
 
@@ -430,10 +425,7 @@ def select_f(code: WiretapCode, main: Channel, eve: Channel, alpha, *, rows=None
     if rows is None:
         rows = (_likelihood_rows(code.source, eve), _likelihood_rows(code.source, main))
     eve_rows, main_rows = rows
-    order = np.argsort(code.f_label, kind="stable")
-    bounds = np.searchsorted(code.f_label[order], np.arange(1, code.m2 + 2))
-    groups = {f: order[bounds[f - 1]:bounds[f]] for f in range(1, code.m2 + 1)
-              if bounds[f] > bounds[f - 1]}
+    groups = {f: pos for f in range(1, code.m2 + 1) if (pos := code.f_positions(f)).size}
     if not groups:
         raise ValueError("every dither value is empty")
     log_probs = code._labeled.log_probs
