@@ -48,7 +48,7 @@ MEMBER_GUARD = 2 ** 20
 OUTPUT_GUARD = 2 ** 20
 MATRIX_GUARD = 2 ** 26
 ROW_BLOCK_CELLS = 2 ** 20    # likelihood cells built per block of member rows
-TABLE_CELLS = 2 ** 22        # p(m, z^n | f) cells held per batch of dithers
+TABLE_CELLS = 2 ** 20        # p(m, z^n | f) cells held per batch of dithers
 RESIDUE = 1e-12              # float residue: leakage in (-RESIDUE, 0) is 0, and
                              # dither scores this close count as tied
 
