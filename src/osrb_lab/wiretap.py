@@ -47,8 +47,8 @@ from .typicality import (
 MEMBER_GUARD = 2 ** 20
 OUTPUT_GUARD = 2 ** 20
 MATRIX_GUARD = 2 ** 26
-ROW_BLOCK_CELLS = 2 ** 20    # likelihood cells built per block of member rows
-TABLE_CELLS = 2 ** 20        # p(m, z^n | f) cells held per batch of dithers
+BLOCK_CELLS = 2 ** 20        # cells per block of likelihood rows or batch of
+                             # leakage tables built at once
 RESIDUE = 1e-12              # float residue: leakage in (-RESIDUE, 0) is 0, and
                              # dither scores this close count as tied
 
@@ -260,7 +260,7 @@ def _likelihood_rows(source, ch: Channel, pos: np.ndarray | None = None) -> np.n
         return rows
     if ch.in_labels != labeled.base.labels:
         raise ValueError("channel input alphabet does not match the source")
-    step = max(1, ROW_BLOCK_CELLS // out_count)
+    step = max(1, BLOCK_CELLS // out_count)
     for lo in range(0, members.size, step):
         block = rows[lo:lo + step]
         digits = index_digits(members[lo:lo + step], labeled.base.size, n)
@@ -304,7 +304,7 @@ def _leakage_tables(code: WiretapCode, pos: np.ndarray, weights: np.ndarray,
     of ``pos``.  Each member's weighted row is added to its (f, m) cell in
     member order, one member per cell per step, so every cell is summed
     in the order ``np.add.at`` would sum it.  Tables are built for a batch
-    of dithers at a time, TABLE_CELLS cells at most (one dither at least).
+    of dithers at a time, BLOCK_CELLS cells at most (one dither at least).
     """
     m1, width = code.m1, eve_rows.shape[1]
     f0 = code.f_label[pos] - 1
@@ -314,7 +314,7 @@ def _leakage_tables(code: WiretapCode, pos: np.ndarray, weights: np.ndarray,
     rank = np.empty(order.size, dtype=np.int64)
     rank[order] = np.arange(order.size) - np.searchsorted(cell[order], cell[order])
     by_rank = np.argsort(rank, kind="stable")
-    per_batch = max(1, TABLE_CELLS // (m1 * width))
+    per_batch = max(1, BLOCK_CELLS // (m1 * width))
     for lo in range(0, len(dithers), per_batch):
         batch = dithers[lo:lo + per_batch]
         slot = np.full(code.m2, -1)
@@ -428,10 +428,9 @@ def select_f(code: WiretapCode, main: Channel, eve: Channel, alpha, *, rows=None
     groups = {f: pos for f in range(1, code.m2 + 1) if (pos := code.f_positions(f)).size}
     if not groups:
         raise ValueError("every dither value is empty")
-    log_probs = code._labeled.log_probs
     weights = np.empty(code.member_count)
     for pos in groups.values():
-        weights[pos] = _restricted_weights(log_probs[pos])
+        weights[pos] = _restricted_weights(code._labeled.log_probs[pos])
     target = _leakage_target(code, eve)
     scores = {}
     for f, p_mz in _leakage_tables(code, np.arange(code.member_count), weights,

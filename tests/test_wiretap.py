@@ -17,7 +17,7 @@ from osrb_lab.typicality import (
 )
 from osrb_lab.wiretap import (
     RECORD_FIELDS,
-    ROW_BLOCK_CELLS,
+    BLOCK_CELLS,
     EmptyBinError,
     ExperimentRecord,
     LeakageRecord,
@@ -342,13 +342,13 @@ class TestSharedRows:
         n = 11
         ts = typical_set(Pmf(("a", "b"), (0.6, 0.4)), n, 0.9)
         rows = _likelihood_rows(ts, EVE)
-        assert ts.size > 2 * (ROW_BLOCK_CELLS // 2 ** n)
+        assert ts.size > 2 * (BLOCK_CELLS // 2 ** n)
         one_shot = np.exp(_channel_log_likelihoods(EVE, index_digits(ts.members, 2, n), 2 ** n, n))
         assert np.array_equal(rows.view(np.int64), one_shot.view(np.int64))
 
-    @pytest.mark.parametrize("table_cells", [wiretap.TABLE_CELLS, 1])
-    def test_leakage_tables_match_per_dither_add_at(self, monkeypatch, table_cells):
-        monkeypatch.setattr(wiretap, "TABLE_CELLS", table_cells)
+    @pytest.mark.parametrize("block_cells", [BLOCK_CELLS, 1])
+    def test_leakage_tables_match_per_dither_add_at(self, monkeypatch, block_cells):
+        monkeypatch.setattr(wiretap, "BLOCK_CELLS", block_cells)
         rng = np.random.default_rng(3)
         for code in cross_path_codes("deterministic"):
             rows = _likelihood_rows(code.source, EVE)
