@@ -294,7 +294,8 @@ class TestWiretapCommand:
 
     def test_exact_dither_tie_goes_to_lowest_f(self, files, capsys):
         # with an independent eavesdropper and one message every dither
-        # scores 0 in exact arithmetic; float residue used to pick f* = 2
+        # scores 0 in exact arithmetic, so the lowest f must win whatever
+        # rounding residue the scores carry
         Channel.bsc(0.5, ("a", "b")).save(files / "flat.json")
         doc = {"n": [4], "r1": 0, "r2": 0.25, "alpha": "inf",
                "encoder": "deterministic", "codes": 1, "seed": 0, "eps": 0.9,

@@ -5,9 +5,9 @@ import os
 import numpy as np
 import pytest
 
+from osrb_lab import wiretap
 from osrb_lab.binning import derive_seed, m_from_rate
 from osrb_lab.measures import Channel, JointPmf, Pmf
-from osrb_lab import wiretap
 from osrb_lab.typicality import (
     _channel_log_likelihoods,
     index_digits,
@@ -16,8 +16,8 @@ from osrb_lab.typicality import (
     typical_set,
 )
 from osrb_lab.wiretap import (
-    RECORD_FIELDS,
     BLOCK_CELLS,
+    RECORD_FIELDS,
     EmptyBinError,
     ExperimentRecord,
     LeakageRecord,
