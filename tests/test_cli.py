@@ -66,8 +66,8 @@ class TestMeasure:
         ({"labels": ["a", "b"]}, "missing key 'probs'"),
         ([0.5, 0.5], "expected a JSON object"),
         ({"labels": 2, "probs": [1.0]}, "labels must be a list"),
-        ({"labels": "ab", "probs": [0.5, 0.5]}, "labels must be a list, not a string"),
         ({"labels": ["a", "b"], "probs": {"a": 1.0}}, "array of numbers"),
+        ({"labels": "ab", "probs": [0.5, 0.5]}, "labels must be a list, not a string"),
     ])
     def test_malformed_pmf_file_exits_2(self, files, capsys, doc, message):
         (files / "bad.json").write_text(json.dumps(doc))
