@@ -23,7 +23,6 @@ tree, which keeps results bit-identical at any thread count.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 from collections import Counter
@@ -36,8 +35,6 @@ import numpy as np
 from .measures import (
     GuardError,
     JointPmf,
-    Pmf,
-    _atomic_write_text,
     check_alpha,
     d_infinity_raw,
     tsallis_raw,
@@ -137,27 +134,6 @@ class BinningMap:
         arr.setflags(write=False)
         object.__setattr__(self, "assignment", arr)
 
-    def to_dict(self) -> dict:
-        return {
-            "n_items": self.n_items,
-            "m": self.m,
-            "seed": self.seed,
-            "assignment": [int(b) for b in self.assignment],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "BinningMap":
-        return cls(int(doc["n_items"]), int(doc["m"]),
-                   np.asarray(doc["assignment"], dtype=np.int64), doc.get("seed"))
-
-    def save(self, path) -> None:
-        _atomic_write_text(path, json.dumps(self.to_dict()) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "BinningMap":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
 
 def sample_binning(n_items: int, m: int, seed: int) -> BinningMap:
     """Draw one uniform binning; identical inputs give identical maps."""
@@ -178,7 +154,13 @@ def _aggregate(assignment: np.ndarray, probs: np.ndarray, m: int) -> np.ndarray:
 
 
 def _aggregate_fast(assignment: np.ndarray, probs: np.ndarray, m: int) -> np.ndarray:
-    """BLAS-backed aggregation used by the Monte Carlo inner loop."""
+    """BLAS-backed aggregation used by the Monte Carlo inner loop.
+
+    Not merged with :func:`_aggregate`: the matmul adds a bin's rows in
+    BLAS order and ``np.add.at`` in item order, so on non-dyadic joints
+    the two tables can differ in the low bits, and either caller switching
+    kernels would change recorded enum or Monte Carlo values.
+    """
     onehot = (assignment[:, None] == np.arange(1, m + 1)[None, :]).astype(float)
     return onehot.T @ probs
 
@@ -264,20 +246,6 @@ def bin_cumulant_coefficients(m: int, max_order: int) -> list[int]:
         c.append(m ** (s - 1) - sum(math.comb(s - 1, k - 1) * c[k] * m ** (s - k - 1)
                                     for k in range(1, s)))
     return c[1:]
-
-
-def expected_tsallis_exact(j: JointPmf, m: int, alpha: int) -> float:
-    """Exact ensemble average of the Tsallis divergence, integer order 2..5.
-
-    The single-letter case of :func:`expected_tsallis_exact_iid`.  At
-    order two it reduces to (m - 1) * sum_z p(z) S_2(z).
-    """
-    alpha = int(alpha)
-    if not 2 <= alpha <= 5:
-        raise ValueError("expected_tsallis_exact: order must be an integer in 2..5")
-    if m < 1:
-        raise ValueError("expected_tsallis_exact: m must be >= 1")
-    return expected_tsallis_exact_iid(j, 1, m, alpha)
 
 
 def expected_tsallis_exact_iid(j: JointPmf, n: int, m: int, alpha: int) -> float:

@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import binning, rates, wiretap
 from .measures import (
@@ -47,14 +46,6 @@ MEASURE_KINDS = ("tsallis", "renyi", "kl", "tv", "dinf")
 
 class ValidationError(ValueError):
     """A config or flag problem; maps to exit code 2."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: the subcommand plus its namespace of options."""
-
-    subcommand: str
-    options: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch a parsed invocation; returns the process exit code."""
+def run(subcommand: str, options: dict) -> int:
+    """Dispatch a subcommand with its options; returns the process exit code."""
     handlers = {
         "measure": _cmd_measure,
         "osrb": _cmd_osrb,
@@ -459,12 +450,12 @@ def run(config: RunConfig) -> int:
         "wiretap": _cmd_wiretap,
     }
     try:
-        handler = handlers[config.subcommand]
+        handler = handlers[subcommand]
     except KeyError:
-        print(f"error: unknown subcommand {config.subcommand!r}", file=sys.stderr)
+        print(f"error: unknown subcommand {subcommand!r}", file=sys.stderr)
         return 2
     try:
-        return handler(config.options)
+        return handler(options)
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -478,7 +469,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     opts = vars(args).copy()
     sub = opts.pop("subcommand")
-    return run(RunConfig(sub, opts))
+    return run(sub, opts)
 
 
 if __name__ == "__main__":

@@ -64,14 +64,6 @@ def parse_alpha(text) -> float:
     return check_alpha(float(text))
 
 
-def format_alpha(alpha: float) -> str:
-    if math.isinf(alpha):
-        return "inf"
-    if alpha == int(alpha):
-        return str(int(alpha))
-    return f"{alpha:.12g}"
-
-
 def logsumexp(a, axis=None):
     """log of the sum of exp(a), over all entries or along ``axis``.
 

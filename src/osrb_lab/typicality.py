@@ -11,14 +11,13 @@ unambiguous.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .measures import Channel, GuardError, JointPmf, Pmf, _atomic_write_text, logsumexp
+from .measures import Channel, GuardError, JointPmf, Pmf, logsumexp
 
 SEQ_GUARD = 2 ** 24
 
@@ -36,17 +35,6 @@ def index_digits(indices, k: int, n: int) -> np.ndarray:
         out[..., pos] = rem % k
         rem //= k
     return out
-
-
-def index_of_digits(digits, k: int) -> int:
-    """Inverse of index_digits for a single sequence."""
-    value = 0
-    for d in digits:
-        d = int(d)
-        if not 0 <= d < k:
-            raise ValueError(f"digit {d} outside alphabet of size {k}")
-        value = value * k + d
-    return value
 
 
 def _counts_matrix(count: int, k: int, n: int) -> np.ndarray:
@@ -112,29 +100,6 @@ class TypicalSet:
     def __contains__(self, seq) -> bool:
         return int(seq) in self._lookup
 
-    def to_dict(self) -> dict:
-        return {
-            "base": self.base.to_dict(),
-            "n": self.n,
-            "eps": self.eps,
-            "members": [int(s) for s in self.members],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TypicalSet":
-        ts = typical_set(Pmf.from_dict(doc["base"]), int(doc["n"]), float(doc["eps"]))
-        if [int(s) for s in ts.members] != [int(s) for s in doc["members"]]:
-            raise ValueError("stored members disagree with the reconstruction")
-        return ts
-
-    def save(self, path) -> None:
-        _atomic_write_text(path, json.dumps(self.to_dict()) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "TypicalSet":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
 
 def typical_set(p: Pmf, n: int, eps: float) -> TypicalSet:
     """Enumerate the strictly eps-typical sequences of p^n."""
@@ -167,11 +132,6 @@ def typical_set(p: Pmf, n: int, eps: float) -> TypicalSet:
     return TypicalSet(p, n, float(eps), members, log_probs, math.exp(log_mass))
 
 
-def tilted_log_prob(ts: TypicalSet, seq: int) -> float:
-    """Tilted log probability (nats) of a member sequence."""
-    return float(ts.log_probs[ts.position(seq)])
-
-
 @dataclass(frozen=True, eq=False)
 class JointTypicalSet:
     """Jointly typical (u, x) sequence pairs with the tilted product law.
@@ -189,24 +149,6 @@ class JointTypicalSet:
     u_set: TypicalSet
     x_members: tuple[np.ndarray, ...]
     x_log_probs: tuple[np.ndarray, ...]
-
-    @property
-    def members(self) -> np.ndarray:
-        pairs = [
-            (int(u), int(x))
-            for i, u in enumerate(self.u_set.members)
-            for x in self.x_members[i]
-        ]
-        return np.asarray(pairs, dtype=np.int64)
-
-    @property
-    def log_probs(self) -> np.ndarray:
-        out = [
-            float(self.u_set.log_probs[i]) + float(lx)
-            for i in range(self.u_set.size)
-            for lx in self.x_log_probs[i]
-        ]
-        return np.asarray(out)
 
     def conditional(self, u_seq: int) -> tuple[np.ndarray, np.ndarray]:
         """(x members, conditional tilted log probs) for one u member."""
@@ -292,8 +234,3 @@ def s_kernel_row(jts: JointTypicalSet, ch: Channel, u_seq: int,
     log_lik = _channel_log_likelihoods(ch, x_digits, kz ** n, n)
     return np.exp(logsumexp(log_lik + cond_log[:, None], axis=0))
 
-
-def s_kernel(jts: JointTypicalSet, ch: Channel, u_seq: int, z_seq: int) -> float:
-    """Single entry S(z, u) of the smoothed channel kernel."""
-    row = s_kernel_row(jts, ch, u_seq)
-    return float(row[int(z_seq)])

@@ -128,13 +128,6 @@ class WiretapCode:
         """Member positions whose dither label is f."""
         return np.nonzero(self.f_label == f)[0]
 
-    def label_masses(self) -> np.ndarray:
-        """Tilted probability mass of each (m, f) cell, shape (m1, m2)."""
-        out = np.zeros((self.m1, self.m2))
-        np.add.at(out, (self.m_label - 1, self.f_label - 1),
-                  np.exp(self._labeled.log_probs))
-        return out
-
 
 def build_code(source, r1: float, r2: float, seed: int, *,
                max_attempts: int = MAX_ATTEMPTS,
@@ -226,10 +219,13 @@ def decode(code: WiretapCode, f: int, y_seq: int, main: Channel):
     """
     if not 1 <= f <= code.m2:
         raise ValueError("dither label out of range")
+    y_seq = int(y_seq)
+    if not 0 <= y_seq < len(main.out_labels) ** code.n:
+        raise ValueError(f"receiver sequence {y_seq} out of range")
     pos = code.f_positions(f)
     if pos.size == 0:
         return None, None
-    rows = _likelihood_rows(code.source, main, pos)[:, [int(y_seq)]]
+    rows = _likelihood_rows(code.source, main, pos)[:, [y_seq]]
     best = int(pos[_decisions(code, pos, rows)[0]])
     return int(code.m_label[best]), int(code._labeled.members[best])
 
@@ -511,7 +507,8 @@ class SweepConfig:
             return full
 
         ns = doc.get("n")
-        if not isinstance(ns, list) or any(not isinstance(v, int) or v < 1 for v in ns):
+        if not isinstance(ns, list) or any(
+                not isinstance(v, int) or isinstance(v, bool) or v < 1 for v in ns):
             raise _config_error("n", "expected a list of integers >= 1")
         rates = {}
         for field in ("r1", "r2"):
@@ -519,8 +516,11 @@ class SweepConfig:
             if not isinstance(v, (int, float)) or isinstance(v, bool) or v < 0:
                 raise _config_error(field, "expected a nonnegative number")
             rates[field] = float(v)
+        alpha = doc.get("alpha")
+        if isinstance(alpha, bool):
+            raise _config_error("alpha", "expected a number or 'inf'")
         try:
-            a = check_alpha(parse_alpha(doc.get("alpha")))
+            a = check_alpha(parse_alpha(alpha))
         except (ValueError, TypeError) as exc:
             raise _config_error("alpha", str(exc))
         encoder = doc.get("encoder")

@@ -234,3 +234,12 @@ def joint_typical_oracle(joint, n, eps):
             return None
         result[u] = (xs, [float(w / total) for w in weights])
     return result or None
+
+
+def label_masses(code):
+    """Tilted probability mass of each (m, f) cell of a wiretap code,
+    shape (m1, m2)."""
+    labeled = code.source if code.kind == "deterministic" else code.source.u_set
+    out = np.zeros((code.m1, code.m2))
+    np.add.at(out, (code.m_label - 1, code.f_label - 1), np.exp(labeled.log_probs))
+    return out

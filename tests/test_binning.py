@@ -12,13 +12,11 @@ from helpers import (
 )
 from osrb_lab.measures import GuardError, JointPmf, cond_renyi_entropy
 from osrb_lab.binning import (
-    BinningMap,
     bin_cumulant_coefficients,
     derive_seed,
     divergence_for_binning,
     expected_divergence_enum,
     expected_divergence_mc,
-    expected_tsallis_exact,
     expected_tsallis_exact_iid,
     induced_joint,
     m_from_rate,
@@ -50,14 +48,6 @@ class TestSampling:
     def test_single_bin(self):
         b = sample_binning(10, 1, seed=5)
         assert set(b.assignment.tolist()) == {1}
-
-    def test_round_trip(self, tmp_path):
-        b = sample_binning(12, 3, seed=9)
-        path = tmp_path / "b.json"
-        b.save(path)
-        again = BinningMap.load(path)
-        assert again.m == b.m
-        assert np.array_equal(again.assignment, b.assignment)
 
     def test_label_frequencies_roughly_uniform(self):
         b = sample_binning(30000, 3, seed=0)
@@ -109,6 +99,18 @@ class TestInduced:
                       for m in range(2) for z in range(2) if ref[z] > 0) - 1.0)
         assert divergence_for_binning(b, j, 2.0) == pytest.approx(direct, rel=1e-12)
 
+    def test_table_is_item_order_sum_bit_for_bit(self):
+        # non-dyadic rows summed in another order (a one-hot matmul, say)
+        # round differently in the low bits of many cells
+        j = random_joint(np.random.default_rng(0), 3, 2).product_power(6)
+        b = sample_binning(j.shape[0], 132, seed=0)
+        agg = [[0.0] * j.shape[1] for _ in range(b.m)]
+        for row, lab in zip(j.probs.tolist(), b.assignment.tolist()):
+            for z, p in enumerate(row):
+                agg[lab - 1][z] += p
+        expected = np.array(agg) / math.fsum(sum(agg, []))
+        assert np.array_equal(induced_joint(b, j).probs, expected)
+
 
 class TestPartitionMachinery:
     def test_set_partition_bell_numbers(self):
@@ -132,7 +134,7 @@ class TestExactExpectation:
     def test_worked_four_binning_case(self):
         # two items, two bins: the four equally likely binnings average to
         # (M - 1) * 2^(-H2) = 0.625 at order two
-        assert expected_tsallis_exact(FLIP, 2, 2) == pytest.approx(0.625, abs=1e-12)
+        assert expected_tsallis_exact_iid(FLIP, 1, 2, 2) == pytest.approx(0.625, abs=1e-12)
         assert expected_divergence_enum(FLIP, 2, 2) == pytest.approx(0.625, abs=1e-12)
 
     def test_closed_form_order_two(self, rng):
@@ -140,14 +142,14 @@ class TestExactExpectation:
             j = random_joint(rng, 3, 3)
             for m in (2, 3):
                 closed = (m - 1) * 2.0 ** (-cond_renyi_entropy(j, 2))
-                assert expected_tsallis_exact(j, m, 2) == pytest.approx(closed, rel=1e-12)
+                assert expected_tsallis_exact_iid(j, 1, m, 2) == pytest.approx(closed, rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [2, 3, 5])
     def test_exact_matches_enumeration(self, rng, alpha):
         for _ in range(8):
             j = random_joint(rng, 3, 2)
             for m in (2, 3):
-                exact = expected_tsallis_exact(j, m, alpha)
+                exact = expected_tsallis_exact_iid(j, 1, m, alpha)
                 enum = expected_divergence_enum(j, m, alpha)
                 assert exact == pytest.approx(enum, rel=1e-10)
 
@@ -158,7 +160,7 @@ class TestExactExpectation:
                 jn = j.product_power(n)
                 for m in (2, 3):
                     fast = expected_tsallis_exact_iid(j, n, m, 2)
-                    slow = expected_tsallis_exact(jn, m, 2)
+                    slow = expected_tsallis_exact_iid(jn, 1, m, 2)
                     assert fast == pytest.approx(slow, rel=1e-10)
 
     @pytest.mark.parametrize("gap", [-0.2, 0.2])
@@ -192,7 +194,7 @@ class TestExactExpectation:
         joints = [FLIP] + [random_joint(rng, 3, 2) for _ in range(20)]
         for j in joints:
             for alpha in (2, 3, 4, 5):
-                assert expected_tsallis_exact(j, 1, alpha) == 0.0
+                assert expected_tsallis_exact_iid(j, 1, 1, alpha) == 0.0
                 assert expected_tsallis_exact_iid(j, 40, 1, alpha) == 0.0
 
     def test_beyond_float_range_raises_guard(self):
@@ -208,7 +210,7 @@ class TestExactExpectation:
         with pytest.raises(ValueError):
             expected_tsallis_exact_iid(FLIP, 2, 2, 6)
         with pytest.raises(ValueError):
-            expected_tsallis_exact(FLIP, 2, 1)
+            expected_tsallis_exact_iid(FLIP, 1, 2, 1)
 
     def test_enum_guard(self):
         big = JointPmf(tuple(f"x{i}" for i in range(8)), ("z",),
@@ -218,7 +220,7 @@ class TestExactExpectation:
 
     def test_large_order_stability(self):
         # the log-domain path keeps huge orders finite on the exact side
-        v = expected_tsallis_exact(FLIP, 2, 5)
+        v = expected_tsallis_exact_iid(FLIP, 1, 2, 5)
         assert math.isfinite(v)
         assert v > 0
 

@@ -8,14 +8,9 @@ from helpers import dyadic_joint, joint_typical_oracle, random_pmf
 from osrb_lab.measures import Channel, GuardError, JointPmf, Pmf
 from osrb_lab.typicality import (
     EmptyTypicalSetError,
-    JointTypicalSet,
-    TypicalSet,
     index_digits,
-    index_of_digits,
     joint_typical_set,
-    s_kernel,
     s_kernel_row,
-    tilted_log_prob,
     typical_set,
 )
 
@@ -29,7 +24,7 @@ class TestIndexing:
         for k, n in [(2, 5), (3, 4), (4, 3)]:
             idx = rng.integers(0, k ** n, size=20)
             digits = index_digits(idx, k, n)
-            back = [index_of_digits(row, k) for row in digits]
+            back = (digits @ k ** np.arange(n - 1, -1, -1)).tolist()
             assert back == idx.tolist()
 
 
@@ -46,7 +41,7 @@ class TestTypicalSet:
         assert ts.size == 8
         assert ts.mass == pytest.approx(1.0, abs=1e-12)
         # sequence "aab" has index 1 and iid probability 0.8*0.8*0.2
-        assert math.exp(tilted_log_prob(ts, 1)) == pytest.approx(0.128, abs=1e-12)
+        assert math.exp(ts.log_probs[ts.position(1)]) == pytest.approx(0.128, abs=1e-12)
 
     def test_point_mass_sequence_index(self):
         ts = typical_set(Pmf(("a", "b"), (0.05, 0.95)), 4, 0.1)
@@ -74,14 +69,6 @@ class TestTypicalSet:
         with pytest.raises(ValueError):
             ts.position(0)
 
-    def test_round_trip(self, tmp_path):
-        ts = typical_set(Pmf(("a", "b"), (0.7, 0.3)), 4, 0.3)
-        path = tmp_path / "ts.json"
-        ts.save(path)
-        again = TypicalSet.load(path)
-        assert again.members.tolist() == ts.members.tolist()
-        assert np.allclose(again.log_probs, ts.log_probs)
-
     def test_mass_grows_along_doubling_blocklengths(self):
         # the window is fixed; over n in {4, 8, 16} the captured mass rises
         p = Pmf(("a", "b"), (0.8, 0.2))
@@ -100,9 +87,14 @@ def diag_joint():
 class TestJointTypicalSet:
     def test_copy_channel_diagonal_pairs(self):
         jts = joint_typical_set(diag_joint(), 2, 0.2)
-        pairs = {(int(u), int(x)) for u, x in jts.members}
+        assert [xs.size for xs in jts.x_members] == [1, 1]
+        pairs, log_probs = set(), []
+        for u, lu in zip(jts.u_set.members, jts.u_set.log_probs):
+            xs, lx = jts.conditional(int(u))
+            pairs.update((int(u), int(x)) for x in xs)
+            log_probs.extend(lu + lx)
         assert pairs == {(1, 1), (2, 2)}
-        assert logsumexp(jts.log_probs) == pytest.approx(0.0, abs=1e-12)
+        assert logsumexp(log_probs) == pytest.approx(0.0, abs=1e-12)
 
     def test_conditional_laws_normalized(self):
         j = JointPmf(("u0", "u1"), ("x0", "x1"),
@@ -177,7 +169,7 @@ class TestSmoothedKernel:
         pu, cond_rows = j.row_conditionals()
         expected = cond_rows @ ch.rows
         for u in range(2):
-            got = [s_kernel(jts, ch, u, z) for z in range(2)]
+            got = [s_kernel_row(jts, ch, u)[z] for z in range(2)]
             assert np.allclose(got, expected[u], atol=1e-12)
 
     def test_output_alphabet_guard(self):

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from helpers import label_masses
 from osrb_lab import wiretap
 from osrb_lab.binning import derive_seed, m_from_rate
 from osrb_lab.measures import Channel, JointPmf, Pmf
@@ -12,7 +13,7 @@ from osrb_lab.typicality import (
     _channel_log_likelihoods,
     index_digits,
     joint_typical_set,
-    s_kernel,
+    s_kernel_row,
     typical_set,
 )
 from osrb_lab.wiretap import (
@@ -88,7 +89,7 @@ class TestBuildCode:
         assert (code.m1, code.m2) == (4, 4)
         assert code.discards == 5
         assert code.empty_bins >= 12
-        assert code.empty_bins == int(np.sum(code.label_masses() == 0.0))
+        assert code.empty_bins == int(np.sum(label_masses(code) == 0.0))
 
     def test_rejects_bad_source_and_rates(self):
         ts = typical_set(UNIFORM2, 3, 0.9)
@@ -137,6 +138,12 @@ class TestEncodeDecode:
         ts = typical_set(UNIFORM2, 1, 0.9)
         code = hand_code(ts, [1, 1], [1, 1], 1, 2)
         assert decode(code, 2, 0, Channel.identity(("a", "b"))) == (None, None)
+
+    @pytest.mark.parametrize("y_seq", [-1, 2 ** 4])
+    def test_decode_rejects_receiver_sequence_out_of_range(self, y_seq):
+        code = build_code(typical_set(UNIFORM2, 4, 0.9), 0.25, 0.25, 0)
+        with pytest.raises(ValueError, match="receiver sequence"):
+            decode(code, 1, y_seq, MAIN)
 
     def test_stochastic_copy_joint_reduces_to_deterministic(self):
         # diagonal p(u, x) forces x = u at encoding and an identity-like
@@ -265,7 +272,7 @@ class TestErrorAndSelection:
         def tv(n, seed):
             ts = typical_set(p, n, 0.1)
             code = build_code(ts, 1.0 / n, 1.0 / n, seed)
-            masses = code.label_masses().ravel()
+            masses = label_masses(code).ravel()
             return 0.5 * float(np.abs(masses - 0.25).sum())
 
         worst10 = max(tv(10, s) for s in range(8))
@@ -303,7 +310,7 @@ def decoded_miss_mass(code, f, main):
                 x_digits = index_digits([member], len(main.in_labels), code.n)[0]
                 lik = math.prod(main.rows[x, z] for x, z in zip(x_digits, y_digits))
             else:
-                lik = s_kernel(code.source, main, member, y)
+                lik = s_kernel_row(code.source, main, member)[y]
             miss += w * lik
     return miss
 
@@ -436,11 +443,13 @@ class TestSweep:
         ("eps", 0),
         ("source", "missing.json"),
         ("main", "missing.json"),
+        ("n", [True, 4]),
+        ("alpha", True),
     ])
     def test_config_validation_names_the_field(self, sweep_dir, field, value):
         base, doc = sweep_dir
         doc = dict(doc, **{field: value})
-        with pytest.raises(ValueError, match="config field"):
+        with pytest.raises(ValueError, match=f"config field '{field}'"):
             SweepConfig.from_dict(doc, str(base))
 
     def test_alphabet_mismatch_rejected(self, sweep_dir):
