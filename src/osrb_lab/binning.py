@@ -1,4 +1,4 @@
-"""Random binning maps and divergence statistics of the induced law.
+"""Divergence statistics of the law a random binning induces.
 
 A binning assigns each of ``n_items`` alphabet symbols (or sequences) an
 independent uniform bin index in ``1..m``.  The induced joint over
@@ -27,12 +27,12 @@ import math
 import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from itertools import product as iter_product
 
 import numpy as np
 
 from .measures import (
+    SEQ_GUARD,
     GuardError,
     JointPmf,
     check_alpha,
@@ -41,7 +41,6 @@ from .measures import (
 )
 
 ENUM_GUARD = 10 ** 6     # max number of binnings an enumeration may visit
-SEQ_GUARD = 2 ** 24      # max number of source sequences
 
 
 def _mask64(value: int) -> int:
@@ -106,44 +105,11 @@ def m_from_rate(n: int, rate: float) -> int:
     Raises GuardError once n * rate >= 1024, beyond float range."""
     if n < 1:
         raise ValueError("blocklength must be >= 1")
-    if rate < 0.0:
+    if not rate >= 0.0:  # also rejects NaN
         raise ValueError("rate must be >= 0")
     if n * rate >= 1024:
         raise GuardError(f"bin count m = ceil(2^({n} * {rate})) exceeds float range")
     return int(math.ceil(2.0 ** (n * rate)))
-
-
-@dataclass(frozen=True, eq=False)
-class BinningMap:
-    """Assignment of item index -> bin index in 1..m."""
-
-    n_items: int
-    m: int
-    assignment: np.ndarray
-    seed: int | None = None
-
-    def __post_init__(self):
-        arr = np.asarray(self.assignment, dtype=np.int64)
-        if arr.shape != (self.n_items,):
-            raise ValueError("BinningMap: assignment length must equal n_items")
-        if self.m < 1:
-            raise ValueError("BinningMap: m must be >= 1")
-        if arr.size and (arr.min() < 1 or arr.max() > self.m):
-            raise ValueError("BinningMap: bin indices must lie in 1..m")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "assignment", arr)
-
-
-def sample_binning(n_items: int, m: int, seed: int) -> BinningMap:
-    """Draw one uniform binning; identical inputs give identical maps."""
-    if n_items < 1:
-        raise ValueError("sample_binning: n_items must be >= 1")
-    if m < 1:
-        raise ValueError("sample_binning: m must be >= 1")
-    rng = philox_rng(seed, 0)
-    assignment = rng.integers(1, m + 1, size=n_items, dtype=np.int64)
-    return BinningMap(n_items, m, assignment, seed)
 
 
 def _aggregate(assignment: np.ndarray, probs: np.ndarray, m: int) -> np.ndarray:
@@ -165,31 +131,12 @@ def _aggregate_fast(assignment: np.ndarray, probs: np.ndarray, m: int) -> np.nda
     return onehot.T @ probs
 
 
-def induced_joint(b: BinningMap, j: JointPmf) -> JointPmf:
-    """Joint law of (bin index, Z) induced by a binning of the X alphabet."""
-    if b.n_items != j.shape[0]:
-        raise ValueError("binning size does not match joint's X alphabet")
-    agg = _aggregate(b.assignment, j.probs, b.m)
-    return JointPmf(tuple(str(i) for i in range(1, b.m + 1)), j.col_labels, agg)
-
-
 def _divergence_of_induced(agg: np.ndarray, pz: np.ndarray, m: int, alpha: float) -> float:
     """Divergence of P(b, z) from the uniform-bin reference (1/m) p(z)."""
     ref = np.broadcast_to(pz / m, agg.shape)
     if math.isinf(alpha):
         return d_infinity_raw(agg, ref, bits=True)
     return tsallis_raw(agg, ref, alpha)
-
-
-def divergence_for_binning(b: BinningMap, j: JointPmf, alpha) -> float:
-    """Tsallis divergence (or max-log-ratio in bits at INFINITY) between the
-    induced (bin, Z) law and the uniform-bin product reference."""
-    a = check_alpha(alpha)
-    if b.n_items != j.shape[0]:
-        raise ValueError("binning size does not match joint's X alphabet")
-    agg = _aggregate(b.assignment, j.probs, b.m)
-    pz = j.probs.sum(axis=0)
-    return _divergence_of_induced(agg, pz, b.m, a)
 
 
 def expected_divergence_enum(j: JointPmf, m: int, alpha) -> float:

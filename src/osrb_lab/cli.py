@@ -68,14 +68,12 @@ def _jsonable(v):
     return v
 
 
-def emit_records(records: list[dict], fmt: str, path) -> None:
-    """Write records as CSV (stable column order) or a JSON array.
+def emit_records_with_header(records: list[dict], fmt: str, path, fieldnames) -> None:
+    """Write records as CSV under the header ``fieldnames`` or as a JSON array.
 
-    The CSV column order follows the first record's key order, so an
-    empty list yields a headerless file; use emit_records_with_header
-    when the field names must survive an empty run.  Floats use 12
-    significant digits in CSV and native JSON numbers otherwise;
-    infinities render as "inf"/"-inf" in both.
+    CSV columns follow ``fieldnames``, so an empty run still writes its
+    header.  Floats use 12 significant digits in CSV and native JSON
+    numbers otherwise; infinities render as "inf"/"-inf" in both.
     """
     if fmt == "json":
         doc = [{k: _jsonable(v) for k, v in rec.items()} for rec in records]
@@ -83,74 +81,12 @@ def emit_records(records: list[dict], fmt: str, path) -> None:
         return
     if fmt != "csv":
         raise ValidationError(f"unknown output format {fmt!r}")
-    if records:
-        fieldnames = list(records[0].keys())
-    else:
-        fieldnames = []
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fieldnames)
     for rec in records:
         writer.writerow([_format_value(rec[k]) for k in fieldnames])
     _atomic_write_text(path, buf.getvalue())
-
-
-def emit_records_with_header(records: list[dict], fmt: str, path, fieldnames) -> None:
-    """Like emit_records but with an explicit header for empty CSV files."""
-    if fmt == "csv" and not records:
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow(list(fieldnames))
-        _atomic_write_text(path, buf.getvalue())
-        return
-    emit_records(records, fmt, path)
-
-
-def _parse_cell(text: str):
-    if text == "inf":
-        return math.inf
-    if text == "-inf":
-        return -math.inf
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def load_records(path, fmt: str | None = None) -> list[dict]:
-    """Read a record file back; JSON round-trips exactly, CSV by parsing.
-
-    CSV cells are recovered as int when possible, then float ("inf" and
-    "-inf" map to infinities), then string; 12-digit rendering makes CSV
-    loading lossy for floats, which is why the round-trip contract is
-    stated for JSON.
-    """
-    if fmt is None:
-        fmt = "json" if str(path).endswith(".json") else "csv"
-    with open(path) as fh:
-        if fmt == "json":
-            doc = json.load(fh)
-            out = []
-            for rec in doc:
-                fixed = {}
-                for k, v in rec.items():
-                    if v == "inf":
-                        fixed[k] = math.inf
-                    elif v == "-inf":
-                        fixed[k] = -math.inf
-                    else:
-                        fixed[k] = v
-                out.append(fixed)
-            return out
-        reader = csv.reader(fh)
-        rows = list(reader)
-    if not rows:
-        return []
-    header = rows[0]
-    return [dict(zip(header, map(_parse_cell, row))) for row in rows[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +185,7 @@ def _cmd_osrb(opts: dict) -> int:
     j = _load_joint(opts["joint"])
     alpha = opts["alpha"]
     rate = opts["rate"]
-    if rate < 0.0:
+    if not rate >= 0.0:  # also rejects NaN
         raise ValidationError("--rate must be nonnegative")
     ns = opts["n"]
     mode = opts["mode"]

@@ -49,6 +49,11 @@ class GuardError(ValueError):
     """A feasibility guard on problem size was exceeded."""
 
 
+SEQ_GUARD = 2 ** 24      # max number of source (or pair) sequences
+OUTPUT_GUARD = 2 ** 20   # max number of channel output sequences
+MATRIX_GUARD = 2 ** 26   # max entries of a product joint or likelihood matrix
+
+
 def check_alpha(alpha) -> float:
     """Validate a divergence/entropy order: positive real or ``math.inf``."""
     a = float(alpha)
@@ -278,7 +283,7 @@ class JointPmf:
     def swapped(self) -> "JointPmf":
         return JointPmf(self.col_labels, self.row_labels, self.probs.T)
 
-    def product_power(self, n: int, guard: int = 2 ** 26) -> "JointPmf":
+    def product_power(self, n: int) -> "JointPmf":
         """The n-fold i.i.d. extension over sequence alphabets.
 
         Sequence labels join the per-letter labels with commas, most
@@ -288,7 +293,7 @@ class JointPmf:
         if n < 1:
             raise ValueError("product_power: n must be >= 1")
         nr, nc = self.shape
-        if (nr * nc) ** n > guard:
+        if (nr * nc) ** n > MATRIX_GUARD:
             raise GuardError(f"product_power: {(nr * nc)}^{n} entries exceed guard")
         probs = self.probs
         rows = list(self.row_labels)

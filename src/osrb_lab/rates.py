@@ -44,6 +44,8 @@ TYPICAL_DETERMINISTIC = "typical_deterministic"
 STOCHASTIC = "stochastic"
 
 ALPHABET_GUARD = 8  # optimizer problems are desk-scale
+MAX_ITER = 500      # r' ascent steps before the solve is flagged unconverged
+TOL = 1e-9          # certified gap (bits) at which the r' ascent stops
 
 
 @dataclass(frozen=True)
@@ -237,13 +239,13 @@ def _over_relax(log_r: np.ndarray, log_rho: np.ndarray, eta) -> np.ndarray:
     return step - (top + np.log(np.exp(step - top).sum(axis=1, keepdims=True)))
 
 
-def _optimize_r_prime(p_u, ch_xu, ch_zx, a, max_iter, tol):
+def _optimize_r_prime(p_u, ch_xu, ch_zx, a):
     """Over-relaxed Blahut-Arimoto ascent on G(r) from r = p(z|u).
 
     A step takes r(.|u) to r rho^eta, renormalized.  Each u doubles its eta
     after each step, up to 64; a step that would lower its term of G is
     replaced by the eta = 1 step, which never does.  Stops once the gap is
-    at most ``tol`` or after ``max_iter`` steps.
+    at most ``TOL`` or after ``MAX_ITER`` steps.
     """
     problem = _RPrimeProblem(p_u, ch_xu, ch_zx, a)
     log_r = problem.start()
@@ -251,7 +253,7 @@ def _optimize_r_prime(p_u, ch_xu, ch_zx, a, max_iter, tol):
     eta = np.ones((log_r.shape[0], 1))
     iterations = 0
     gap = problem.gap(log_rho)
-    while gap > tol and iterations < max_iter:
+    while gap > TOL and iterations < MAX_ITER:
         cand = _over_relax(log_r, log_rho, eta)
         cand_value, cand_rho = problem.score(cand)
         back = ~(cand_value >= value)
@@ -268,25 +270,24 @@ def _optimize_r_prime(p_u, ch_xu, ch_zx, a, max_iter, tol):
     feas = problem.feasible_value()
     if best < feas:  # never report below the feasible point t = p(z|x)
         best, t = feas, np.array(problem.p_zx, dtype=float)
-    trace = {"iterations": iterations, "gap": gap, "converged": gap <= tol,
+    trace = {"iterations": iterations, "gap": gap, "converged": gap <= TOL,
              "feasible_value": feas}
     return best, TiltChannel(t), trace
 
 
-def r_prime(p_u: Pmf, ch_xu: Channel, ch_zx: Channel, alpha, *,
-            max_iter: int = 500, tol: float = 1e-9) -> tuple[float, TiltChannel]:
+def r_prime(p_u: Pmf, ch_xu: Channel, ch_zx: Channel, alpha) -> tuple[float, TiltChannel]:
     """Best value of the smoothing-channel objective and its argmax.
 
     Maximizes ``-c D(t(z|u,x) || p(z|x) | p(u,x)) + D(t(z|u) || p(z) | p(u))``
     over channels t, where c = alpha/(alpha-1) for finite orders above one
     and c = 1 at INFINITY.  The maximum is that of a concave function of
     r(z|u) (see ``_RPrimeProblem``), so one deterministic ascent reaches it;
-    it stops once its certified gap to the maximum is at most ``tol`` bits,
-    or after ``max_iter`` steps.  The returned channel scores the returned
+    it stops once its certified gap to the maximum is at most ``TOL`` bits,
+    or after ``MAX_ITER`` steps.  The returned channel scores the returned
     value, which is never below I(U;Z).
     """
     a = check_alpha(alpha)
-    value, tilt, _ = _optimize_r_prime(p_u, ch_xu, ch_zx, a, max_iter, tol)
+    value, tilt, _ = _optimize_r_prime(p_u, ch_xu, ch_zx, a)
     return value, tilt
 
 
@@ -332,13 +333,12 @@ def r_prime_grid_oracle(p_u: Pmf, ch_xu: Channel, ch_zx: Channel, alpha,
     return total
 
 
-def osrb_threshold_stochastic(p_u: Pmf, ch_xu: Channel, ch_zx: Channel, alpha, *,
-                              max_iter: int = 500, tol: float = 1e-9) -> RateReport:
+def osrb_threshold_stochastic(p_u: Pmf, ch_xu: Channel, ch_zx: Channel, alpha) -> RateReport:
     """Stochastic-encoder binning threshold H(U) - r_prime; flagged
-    ``optimizer_not_converged`` when r_prime's gap is above ``tol`` at ``max_iter``."""
+    ``optimizer_not_converged`` when r_prime's gap is above ``TOL`` at ``MAX_ITER``."""
     a = check_alpha(alpha)
     hu = shannon_entropy(p_u)
-    value, _, trace = _optimize_r_prime(p_u, ch_xu, ch_zx, a, max_iter, tol)
+    value, _, trace = _optimize_r_prime(p_u, ch_xu, ch_zx, a)
     flags = () if trace["converged"] else ("optimizer_not_converged",)
     return RateReport(a, STOCHASTIC, hu - value,
                       {"H(U)": hu, "r_prime": value,
@@ -351,8 +351,7 @@ def osrb_threshold_stochastic(p_u: Pmf, ch_xu: Channel, ch_zx: Channel, alpha, *
 
 
 def secrecy_rate(main: Channel, eve: Channel, source, alpha,
-                 encoder: str = "deterministic", *, max_iter: int = 500,
-                 tol: float = 1e-9) -> RateReport:
+                 encoder: str = "deterministic") -> RateReport:
     """Achievable secrecy rate of a wiretap pair under a leakage order.
 
     ``source`` is the input Pmf for the deterministic encoder, or a
@@ -360,8 +359,8 @@ def secrecy_rate(main: Channel, eve: Channel, source, alpha,
     order one gives I(X;Y) - I(X;Z); orders in (0,1) give H(X|Z) - H(X|Y);
     orders above one (and INFINITY) give I(X;Y) minus the mean output
     divergence of the eavesdropper channel.  The stochastic branch gives
-    I(U;Y) - r_prime and needs order > 1 or INFINITY; ``max_iter`` and
-    ``tol`` go to the r_prime solve as in ``osrb_threshold_stochastic``.
+    I(U;Y) - r_prime and needs order > 1 or INFINITY; its r_prime solve
+    is flagged as in ``osrb_threshold_stochastic``.
     """
     a = check_alpha(alpha)
     if encoder == "deterministic":
@@ -402,7 +401,7 @@ def secrecy_rate(main: Channel, eve: Channel, source, alpha,
             raise GuardError("auxiliary alphabet larger than |X| + 1")
         ch_uy = ch_xu.then(main)
         iuy = mutual_information(ch_uy.joint(p_u).swapped())
-        value, _, trace = _optimize_r_prime(p_u, ch_xu, eve, a, max_iter, tol)
+        value, _, trace = _optimize_r_prime(p_u, ch_xu, eve, a)
         flags = [] if trace["converged"] else ["optimizer_not_converged"]
         rate = iuy - value
         if rate < 0.0:

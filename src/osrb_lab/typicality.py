@@ -17,9 +17,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .measures import Channel, GuardError, JointPmf, Pmf, logsumexp
-
-SEQ_GUARD = 2 ** 24
+from .measures import (
+    OUTPUT_GUARD,
+    SEQ_GUARD,
+    Channel,
+    GuardError,
+    JointPmf,
+    Pmf,
+    logsumexp,
+)
 
 
 class EmptyTypicalSetError(ValueError):
@@ -214,8 +220,7 @@ def _channel_log_likelihoods(ch: Channel, in_digits: np.ndarray, out_count: int,
     return out
 
 
-def s_kernel_row(jts: JointTypicalSet, ch: Channel, u_seq: int,
-                 guard: int = 2 ** 20) -> np.ndarray:
+def s_kernel_row(jts: JointTypicalSet, ch: Channel, u_seq: int) -> np.ndarray:
     """S(z, u) over every output sequence z, as a probability vector.
 
     S averages the memoryless channel likelihood over the conditionally
@@ -225,7 +230,7 @@ def s_kernel_row(jts: JointTypicalSet, ch: Channel, u_seq: int,
     n = jts.n
     kx = jts.base.shape[1]
     kz = len(ch.out_labels)
-    if kz ** n > guard:
+    if kz ** n > OUTPUT_GUARD:
         raise GuardError(f"output alphabet {kz}^{n} exceeds guard")
     if jts.base.col_labels != ch.in_labels:
         raise ValueError("channel input must match the joint's X alphabet")

@@ -18,12 +18,15 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .binning import derive_seed, m_from_rate, philox_rng, resolve_threads, _map_indexed
 from .measures import (
+    MATRIX_GUARD,
+    OUTPUT_GUARD,
     Channel,
     GuardError,
     JointPmf,
@@ -45,8 +48,6 @@ from .typicality import (
 )
 
 MEMBER_GUARD = 2 ** 20
-OUTPUT_GUARD = 2 ** 20
-MATRIX_GUARD = 2 ** 26
 BLOCK_CELLS = 2 ** 20        # cells per block of likelihood rows or batch of
                              # leakage tables built at once
 RESIDUE = 1e-12              # float residue: leakage in (-RESIDUE, 0) is 0, and
@@ -129,16 +130,14 @@ class WiretapCode:
         return np.nonzero(self.f_label == f)[0]
 
 
-def build_code(source, r1: float, r2: float, seed: int, *,
-               max_attempts: int = MAX_ATTEMPTS,
-               max_empty_frac: float = MAX_EMPTY_FRAC) -> WiretapCode:
+def build_code(source, r1: float, r2: float, seed: int) -> WiretapCode:
     """Draw a two-index binning of the given typical set.
 
     ``source`` is a TypicalSet (deterministic encoding over x sequences)
     or a JointTypicalSet (stochastic encoding; the binning acts on u
     sequences).  Bin counts follow the ceiling convention m = ceil(2^(n
-    r)).  An attempt is rejected when more than ``max_empty_frac`` of the
-    m1*m2 grid cells are empty; after ``max_attempts`` rejections the
+    r)).  An attempt is rejected when more than ``MAX_EMPTY_FRAC`` of the
+    m1*m2 grid cells are empty; after ``MAX_ATTEMPTS`` rejections the
     attempt with the fewest empty cells (earliest on ties) is kept and
     ``discards`` records the full attempt budget.
     """
@@ -158,9 +157,9 @@ def build_code(source, r1: float, r2: float, seed: int, *,
         raise GuardError(f"member count {count} exceeds guard {MEMBER_GUARD}")
     m1 = m_from_rate(n, r1)
     m2 = m_from_rate(n, r2)
-    budget = max_empty_frac * m1 * m2
+    budget = MAX_EMPTY_FRAC * m1 * m2
     best = None
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         rng = philox_rng(seed, attempt)
         m_label = rng.integers(1, m1 + 1, size=count)
         f_label = rng.integers(1, m2 + 1, size=count)
@@ -174,7 +173,7 @@ def build_code(source, r1: float, r2: float, seed: int, *,
             best = (empty, m_label, f_label)
     empty, m_label, f_label = best
     return WiretapCode(kind, n, r1, r2, m1, m2, source,
-                       m_label, f_label, seed, max_attempts, empty)
+                       m_label, f_label, seed, MAX_ATTEMPTS, empty)
 
 
 def _restricted_weights(log_probs: np.ndarray) -> np.ndarray:
@@ -513,8 +512,9 @@ class SweepConfig:
         rates = {}
         for field in ("r1", "r2"):
             v = doc.get(field)
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or v < 0:
-                raise _config_error(field, "expected a nonnegative number")
+            if (not isinstance(v, (int, float)) or isinstance(v, bool)
+                    or not 0 <= v <= sys.float_info.max):  # also rejects NaN
+                raise _config_error(field, "expected a finite nonnegative number")
             rates[field] = float(v)
         alpha = doc.get("alpha")
         if isinstance(alpha, bool):
@@ -533,8 +533,9 @@ class SweepConfig:
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise _config_error("seed", "expected a nonnegative integer")
         eps = doc.get("eps")
-        if not isinstance(eps, (int, float)) or isinstance(eps, bool) or eps <= 0:
-            raise _config_error("eps", "expected a positive number")
+        if (not isinstance(eps, (int, float)) or isinstance(eps, bool)
+                or not 0 < eps <= sys.float_info.max):
+            raise _config_error("eps", "expected a finite positive number")
         try:
             if encoder == DETERMINISTIC:
                 source = Pmf.load(resolve("source"))
@@ -576,23 +577,23 @@ def _run_code(config: SweepConfig, source, n: int, index: int, rows) -> Experime
 
 
 def _run_codes(config: SweepConfig, source, n: int, workers: int) -> list[ExperimentRecord]:
-    """Every code of one n, sharing that n's eve and main likelihood rows
-    (the two built concurrently when ``workers`` allows)."""
+    """Every code of one n, in code order, sharing that n's eve and main
+    likelihood rows (the two built concurrently when ``workers`` allows)."""
     channels = (config.eve, config.main)
     rows = tuple(_map_indexed(lambda k: _likelihood_rows(source, channels[k]), 2, workers))
     for r in rows:
         r.setflags(write=False)
-    return _map_indexed(lambda i: _run_code(config, source, n, i, rows),
-                        config.codes, workers)
+    return [_run_code(config, source, n, i, rows) for i in range(config.codes)]
 
 
 def sweep_experiment(config: SweepConfig, threads: int | None = None) -> list[ExperimentRecord]:
     """Run the configured sweep: per n, build codes and select dithers.
 
-    The sweep goes n by n: an n's likelihood rows are built once, shared
-    by its codes and dropped before the next n, and the codes of one n are
-    evaluated concurrently.  Records come back ordered by (n, code index)
-    and depend only on the config, not the thread count.
+    The sweep goes n by n: an n's eve and main likelihood rows are built
+    once (side by side on ``threads`` workers), shared by its codes and
+    dropped before the next n; the codes of one n run in order.  Records
+    come back ordered by (n, code index) and depend only on the config,
+    not the thread count.
     """
     sources = {}
     for n in config.n_values:

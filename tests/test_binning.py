@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,16 +13,14 @@ from helpers import (
 )
 from osrb_lab.measures import GuardError, JointPmf, cond_renyi_entropy
 from osrb_lab.binning import (
+    _aggregate,
     bin_cumulant_coefficients,
     derive_seed,
-    divergence_for_binning,
     expected_divergence_enum,
     expected_divergence_mc,
     expected_tsallis_exact_iid,
-    induced_joint,
     m_from_rate,
     philox_rng,
-    sample_binning,
     set_partitions,
 )
 
@@ -30,32 +29,6 @@ FLIP = JointPmf(("x0", "x1"), ("z0", "z1"),
 
 
 class TestSampling:
-    def test_assignment_range_and_determinism(self):
-        b1 = sample_binning(100, 7, seed=42)
-        b2 = sample_binning(100, 7, seed=42)
-        assert b1.assignment.min() >= 1
-        assert b1.assignment.max() <= 7
-        assert np.array_equal(b1.assignment, b2.assignment)
-        b3 = sample_binning(100, 7, seed=43)
-        assert not np.array_equal(b1.assignment, b3.assignment)
-
-    def test_rejects_zero_counts(self):
-        with pytest.raises(ValueError):
-            sample_binning(0, 2, seed=1)
-        with pytest.raises(ValueError):
-            sample_binning(2, 0, seed=1)
-
-    def test_single_bin(self):
-        b = sample_binning(10, 1, seed=5)
-        assert set(b.assignment.tolist()) == {1}
-
-    def test_label_frequencies_roughly_uniform(self):
-        b = sample_binning(30000, 3, seed=0)
-        counts = np.bincount(b.assignment, minlength=4)[1:]
-        expected = 10000.0
-        chi2 = float(np.sum((counts - expected) ** 2 / expected))
-        assert chi2 < 13.8  # df=2, far tail
-
     def test_derive_seed_distinct_labels(self):
         seeds = {derive_seed(1, "a", i) for i in range(10)}
         seeds |= {derive_seed(1, "b", i) for i in range(10)}
@@ -71,45 +44,42 @@ class TestSampling:
         assert m_from_rate(4, 0.5) == 4
         assert m_from_rate(3, 0.5) == 3  # ceil(2^1.5)
         assert m_from_rate(5, 0.0) == 1
+        with pytest.raises(ValueError, match="rate must be >= 0"):
+            m_from_rate(3, math.nan)
 
 
 class TestInduced:
-    def test_mass_conserved(self, rng):
-        j = random_joint(rng, 4, 3)
-        b = sample_binning(4, 2, seed=3)
-        ind = induced_joint(b, j)
-        assert math.isclose(ind.probs.sum(), 1.0, abs_tol=1e-12)
-        assert np.allclose(ind.col_marginal().probs, j.col_marginal().probs)
-
     def test_single_bin_divergence_zero(self, rng):
         j = random_joint(rng, 3, 2)
-        b = sample_binning(3, 1, seed=1)
-        assert divergence_for_binning(b, j, 2.0) == 0.0
-        assert divergence_for_binning(b, j, math.inf) == 0.0
+        assert expected_divergence_enum(j, 1, 2.0) == 0.0
+        assert expected_divergence_enum(j, 1, math.inf) == 0.0
 
     def test_matches_direct_formula(self, rng):
+        # order 2, three items in two bins: the mean of the direct sum
+        # over all 2^3 binnings
         j = random_joint(rng, 3, 2)
-        b = sample_binning(3, 2, seed=8)
-        agg = np.zeros((2, 2))
-        for i, lab in enumerate(b.assignment):
-            agg[lab - 1] += j.probs[i]
-        pz = j.probs.sum(axis=0)
-        ref = pz / 2.0
-        direct = (sum(agg[m, z] ** 2 / ref[z]
-                      for m in range(2) for z in range(2) if ref[z] > 0) - 1.0)
-        assert divergence_for_binning(b, j, 2.0) == pytest.approx(direct, rel=1e-12)
+        ref = j.probs.sum(axis=0) / 2.0
+        direct = []
+        for labels in itertools.product(range(2), repeat=3):
+            agg = np.zeros((2, 2))
+            for i, lab in enumerate(labels):
+                agg[lab] += j.probs[i]
+            direct.append(sum(agg[m, z] ** 2 / ref[z]
+                              for m in range(2) for z in range(2) if ref[z] > 0) - 1.0)
+        mean = math.fsum(direct) / len(direct)
+        assert expected_divergence_enum(j, 2, 2.0) == pytest.approx(mean, rel=1e-12)
 
     def test_table_is_item_order_sum_bit_for_bit(self):
         # non-dyadic rows summed in another order (a one-hot matmul, say)
         # round differently in the low bits of many cells
         j = random_joint(np.random.default_rng(0), 3, 2).product_power(6)
-        b = sample_binning(j.shape[0], 132, seed=0)
-        agg = [[0.0] * j.shape[1] for _ in range(b.m)]
-        for row, lab in zip(j.probs.tolist(), b.assignment.tolist()):
+        m = 132
+        assignment = philox_rng(0, 0).integers(1, m + 1, size=j.shape[0], dtype=np.int64)
+        agg = [[0.0] * j.shape[1] for _ in range(m)]
+        for row, lab in zip(j.probs.tolist(), assignment.tolist()):
             for z, p in enumerate(row):
                 agg[lab - 1][z] += p
-        expected = np.array(agg) / math.fsum(sum(agg, []))
-        assert np.array_equal(induced_joint(b, j).probs, expected)
+        assert np.array_equal(_aggregate(assignment, j.probs, m), np.array(agg))
 
 
 class TestPartitionMachinery:

@@ -1,6 +1,9 @@
+import csv
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -11,9 +14,7 @@ import osrb_lab
 from osrb_lab.cli import (
     OSRB_FIELDS,
     ValidationError,
-    emit_records,
     emit_records_with_header,
-    load_records,
     main,
     parse_n_range,
 )
@@ -29,11 +30,44 @@ def files(tmp_path):
              np.array([[0.75, 0.25], [0.25, 0.75]]) * 0.5).save(tmp_path / "flip.json")
     Channel.bsc(0.1, ("a", "b")).save(tmp_path / "main.json")
     Channel.bsc(0.3, ("a", "b")).save(tmp_path / "eve.json")
+    Pmf.uniform(["a", "b"]).save(tmp_path / "uniform.json")
     return tmp_path
 
 
 def path(base, name):
     return str(base / name)
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def readme_transcript(subcommand):
+    """(argv, stdout) of the README's ``$ osrb-lab <subcommand>`` example."""
+    with open(README) as fh:
+        text = fh.read()
+    for block in re.findall(r"```sh\n\$ osrb-lab (.*?)```", text, re.S):
+        lines = block.splitlines(keepends=True)
+        command = lines.pop(0)
+        while command.rstrip().endswith("\\"):
+            command = command.rstrip()[:-1] + lines.pop(0)
+        argv = shlex.split(command)
+        if argv[0] == subcommand:
+            return argv, "".join(lines)
+    raise AssertionError(f"README has no transcript for {subcommand!r}")
+
+
+class TestReadmeTranscripts:
+    @pytest.mark.parametrize("subcommand", ["measure", "osrb", "rates"])
+    def test_stdout_matches_readme(self, files, capsys, monkeypatch, subcommand):
+        argv, stdout = readme_transcript(subcommand)
+        monkeypatch.chdir(files)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == stdout
 
 
 class TestMeasure:
@@ -147,10 +181,11 @@ class TestOsrb:
         out_b = path(files, "b.csv")
         assert main(args + ["--mode", "exact", "--out", out_a]) == 0
         assert main(args + ["--mode", "enum", "--out", out_b]) == 0
-        rows_a = load_records(out_a)
-        rows_b = load_records(out_b)
+        rows_a = read_csv(out_a)
+        rows_b = read_csv(out_b)
+        assert len(rows_a) == len(rows_b) == 2
         for ra, rb in zip(rows_a, rows_b):
-            assert ra["mean"] == pytest.approx(rb["mean"], rel=1e-9)
+            assert float(ra["mean"]) == pytest.approx(float(rb["mean"]), rel=1e-9)
 
     def test_mc_reports_spread_and_thread_invariance(self, files, capsys, monkeypatch):
         args = ["osrb", "--joint", path(files, "flip.json"), "--alpha", "2",
@@ -162,9 +197,9 @@ class TestOsrb:
         assert main(args + ["--threads", "3", "--out", out3]) == 0
         with open(out1) as fa, open(out3) as fb:
             assert fa.read() == fb.read()
-        rec = load_records(out1)[0]
-        assert rec["stderr"] > 0.0
-        assert rec["trials"] == 64
+        (rec,) = read_csv(out1)
+        assert float(rec["stderr"]) > 0.0
+        assert rec["trials"] == "64"
         monkeypatch.setenv("OSRB_LAB_THREADS", "2")
         out_env = path(files, "mcenv.csv")
         assert main(args + ["--out", out_env]) == 0
@@ -176,6 +211,12 @@ class TestOsrb:
                    "--alpha", "2.5", "--rate", "0.5", "--n", "3",
                    "--mode", "exact"])
         assert rc == 2
+
+    def test_nan_rate_rejected(self, files, capsys):
+        rc = main(["osrb", "--joint", path(files, "flip.json"),
+                   "--alpha", "2", "--rate", "nan", "--n", "3", "--mode", "exact"])
+        assert rc == 2
+        assert "--rate" in capsys.readouterr().err
 
     def test_bad_trials_rejected(self, files, capsys):
         rc = main(["osrb", "--joint", path(files, "flip.json"),
@@ -254,6 +295,29 @@ class TestRates:
         assert rc == 3
 
 
+WIRETAP_STDOUT = {
+    "deterministic": (
+        "n=3 code_seed=15476879416711232510 f_star=1 leakage=0.2112 error=0.14 discards=1\n"
+        "n=3 code_seed=10963955955182814549 f_star=2 leakage=0.2704 error=0.11 discards=2\n"
+        "n=3 code_seed=1518456133078490432 f_star=2 leakage=0.2479744 error=0.1126 discards=2\n"
+        "n=4 code_seed=14357266950977562564 f_star=1 leakage=0.231174948571 "
+        "error=0.134285714286 discards=0\n"
+        "n=4 code_seed=3962987195635214537 f_star=1 leakage=0.123584512 error=0.14 discards=0\n"
+        "n=4 code_seed=9448182812297920148 f_star=2 leakage=0.14448384 error=0.184 discards=0\n"
+    ),
+    "stochastic": (
+        "n=3 code_seed=6133937576094328181 f_star=1 leakage=0.39113420257 "
+        "error=0.3224 discards=3\n"
+        "n=3 code_seed=973833627706693418 f_star=2 leakage=0.92273980404 "
+        "error=0.2093 discards=3\n"
+        "n=4 code_seed=9193015089428196706 f_star=1 leakage=1.18019095647 "
+        "error=0.147553199631 discards=0\n"
+        "n=4 code_seed=14784408498195538204 f_star=2 leakage=0.450707257303 "
+        "error=0.390072344086 discards=0\n"
+    ),
+}
+
+
 class TestWiretapCommand:
     def test_sweep_csv_and_thread_invariance(self, files, capsys):
         Pmf(("a", "b"), (0.6, 0.4)).save(files / "wsrc.json")
@@ -289,8 +353,8 @@ class TestWiretapCommand:
         cfg.write_text(json.dumps(doc))
         out = path(files, "flat.csv")
         assert main(["wiretap", "--config", str(cfg), "--out", out]) == 0
-        (rec,) = load_records(out)
-        assert 0.0 <= rec["leakage"] < 1e-12
+        (rec,) = read_csv(out)
+        assert 0.0 <= float(rec["leakage"]) < 1e-12
 
     def test_exact_dither_tie_goes_to_lowest_f(self, files, capsys):
         # with an independent eavesdropper and one message every dither
@@ -304,11 +368,24 @@ class TestWiretapCommand:
         cfg.write_text(json.dumps(doc))
         out = path(files, "tie.csv")
         assert main(["wiretap", "--config", str(cfg), "--out", out]) == 0
-        (rec,) = load_records(out)
-        assert rec["f_star"] == 1
-        assert rec["error_prob"] == 0.0
-        assert 0.0 <= rec["leakage"] < 1e-12
+        (rec,) = read_csv(out)
+        assert rec["f_star"] == "1"
+        assert float(rec["error_prob"]) == 0.0
+        assert 0.0 <= float(rec["leakage"]) < 1e-12
         assert " f_star=1 " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("encoder", ["deterministic", "stochastic"])
+    def test_stdout_is_pinned(self, files, capsys, encoder):
+        JointPmf(("u0", "u1"), ("a", "b"), [[0.4, 0.1], [0.1, 0.4]]).save(files / "ux.json")
+        doc = {"n": [3, 4], "r1": 0.25, "r2": 0.25, "alpha": 2,
+               "encoder": encoder, "codes": 3, "seed": 5, "eps": 0.9,
+               "source": "half.json", "main": "main.json", "eve": "eve.json"}
+        if encoder == "stochastic":
+            doc.update(alpha="inf", codes=2, seed=3, eps=0.3, source="ux.json")
+        cfg = files / "pin-cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["wiretap", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == WIRETAP_STDOUT[encoder]
 
     @pytest.mark.parametrize("field,doc", [
         ("source", {"labels": ["a", "b"]}),
@@ -347,29 +424,36 @@ class TestRecordFiles:
             {"n": 6, "value": 0.25, "note": "mid"},
         ]
         out = tmp_path / "records.json"
-        emit_records(records, "json", out)
-        assert load_records(out) == records
+        emit_records_with_header(records, "json", out, ("n", "value", "note"))
+        with open(out) as fh:
+            text = fh.read()
+        assert text == (
+            '[\n  {\n    "n": 4,\n    "value": "inf",\n    "note": "top"\n  },\n'
+            '  {\n    "n": 5,\n    "value": "-inf",\n    "note": "bottom"\n  },\n'
+            '  {\n    "n": 6,\n    "value": 0.25,\n    "note": "mid"\n  }\n]\n')
+        assert [rec["value"] for rec in json.loads(text)] == ["inf", "-inf", 0.25]
 
     def test_empty_csv_keeps_header(self, tmp_path):
         out = tmp_path / "empty.csv"
         emit_records_with_header([], "csv", out, OSRB_FIELDS)
         with open(out) as fh:
             assert fh.read() == "n,rate,alpha,m,trials,mean,stderr,seed\n"
-        assert load_records(out) == []
 
     def test_csv_cells_recover_types(self, tmp_path):
         out = tmp_path / "cells.csv"
-        emit_records([{"a": 3, "b": math.inf, "c": 0.5, "d": "x"}], "csv", out)
-        rec = load_records(out)[0]
-        assert rec == {"a": 3, "b": math.inf, "c": 0.5, "d": "x"}
+        emit_records_with_header([{"a": 3, "b": math.inf, "c": 1 / 3, "d": "x"}],
+                                 "csv", out, ("a", "b", "c", "d"))
+        with open(out) as fh:
+            assert fh.read() == "a,b,c,d\n3,inf,0.333333333333,x\n"
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         out = tmp_path / "rec.csv"
-        emit_records([{"a": 1}], "csv", out)
-        emit_records([{"a": 2}], "csv", out)
+        emit_records_with_header([{"a": 1}], "csv", out, ("a",))
+        emit_records_with_header([{"a": 2}], "csv", out, ("a",))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["rec.csv"]
-        assert load_records(out) == [{"a": 2}]
+        with open(out) as fh:
+            assert fh.read() == "a\n2\n"
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
-            emit_records([{"a": 1}], "tsv", tmp_path / "x.tsv")
+            emit_records_with_header([{"a": 1}], "tsv", tmp_path / "x.tsv", ("a",))

@@ -144,7 +144,8 @@ class TestRPrime:
                 r_prime(UNIFORM2, COPY, BSC03, a)
 
     def test_rejects_removed_start_options(self):
-        for stale in ({"starts": 4}, {"seed": 0}, {"ftol": 1e-12}):
+        for stale in ({"starts": 4}, {"seed": 0}, {"ftol": 1e-12},
+                      {"max_iter": 10}, {"tol": 1e-6}):
             with pytest.raises(TypeError):
                 r_prime(UNIFORM2, COPY, BSC03, 2, **stale)
             with pytest.raises(TypeError):

@@ -173,7 +173,8 @@ class TestSmoothedKernel:
             assert np.allclose(got, expected[u], atol=1e-12)
 
     def test_output_alphabet_guard(self):
-        jts = joint_typical_set(diag_joint(), 2, 0.6)
-        ch = Channel(("x0", "x1"), ("z0", "z1"), [[0.5, 0.5], [0.5, 0.5]])
+        # 4^11 output sequences exceed the 2^20 guard
+        jts = joint_typical_set(JointPmf(("u0",), ("x0", "x1"), [[0.5, 0.5]]), 11, 0.9)
+        ch = Channel(("x0", "x1"), ("z0", "z1", "z2", "z3"), np.full((2, 4), 0.25))
         with pytest.raises(GuardError):
-            s_kernel_row(jts, ch, int(jts.u_set.members[0]), guard=1)
+            s_kernel_row(jts, ch, int(jts.u_set.members[0]))

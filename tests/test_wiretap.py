@@ -18,6 +18,7 @@ from osrb_lab.typicality import (
 )
 from osrb_lab.wiretap import (
     BLOCK_CELLS,
+    MAX_ATTEMPTS,
     RECORD_FIELDS,
     EmptyBinError,
     ExperimentRecord,
@@ -85,11 +86,13 @@ class TestBuildCode:
         # four members cannot fill a 4 x 4 grid, so every attempt is
         # rejected and the best one is kept with the full discard budget
         ts = typical_set(UNIFORM2, 2, 0.9)
-        code = build_code(ts, 1.0, 1.0, 0, max_attempts=5)
+        code = build_code(ts, 1.0, 1.0, 0)
         assert (code.m1, code.m2) == (4, 4)
-        assert code.discards == 5
+        assert code.discards == MAX_ATTEMPTS
         assert code.empty_bins >= 12
         assert code.empty_bins == int(np.sum(label_masses(code) == 0.0))
+        with pytest.raises(TypeError):
+            build_code(ts, 1.0, 1.0, 0, max_attempts=5)
 
     def test_rejects_bad_source_and_rates(self):
         ts = typical_set(UNIFORM2, 3, 0.9)
@@ -445,6 +448,12 @@ class TestSweep:
         ("main", "missing.json"),
         ("n", [True, 4]),
         ("alpha", True),
+        ("eps", math.inf),
+        ("eps", math.nan),
+        ("r1", math.nan),
+        ("r1", math.inf),
+        ("r2", math.inf),
+        pytest.param("r2", 10 ** 400, id="r2-int-beyond-float-range"),
     ])
     def test_config_validation_names_the_field(self, sweep_dir, field, value):
         base, doc = sweep_dir
