@@ -185,8 +185,8 @@ def _cmd_osrb(opts: dict) -> int:
     j = _load_joint(opts["joint"])
     alpha = opts["alpha"]
     rate = opts["rate"]
-    if not rate >= 0.0:  # also rejects NaN
-        raise ValidationError("--rate must be nonnegative")
+    if not 0.0 <= rate <= sys.float_info.max:  # also rejects NaN
+        raise ValidationError("--rate must be a finite nonnegative number")
     ns = opts["n"]
     mode = opts["mode"]
     trials = opts["trials"]

@@ -56,21 +56,16 @@ def _counts_matrix(count: int, k: int, n: int) -> np.ndarray:
 
 
 def _typical_count_rows(counts: np.ndarray, probs: np.ndarray, n: int, eps: float) -> np.ndarray:
-    """Boolean mask of count rows within the strict eps frequency window."""
-    uniq, inverse = np.unique(counts, axis=0, return_inverse=True)
-    n_frac = Fraction(n)
-    eps_frac = Fraction(float(eps))
-    p_fracs = [Fraction(float(p)) for p in probs]
-    bound = n_frac * eps_frac
-    row_ok = np.zeros(uniq.shape[0], dtype=bool)
-    for r, row in enumerate(uniq):
-        ok = True
-        for c, p in zip(row.tolist(), p_fracs):
-            if abs(Fraction(c) - n_frac * p) >= bound:
-                ok = False
-                break
-        row_ok[r] = ok
-    return row_ok[inverse]
+    """Boolean mask of count rows within the strict eps frequency window.
+
+    The window is a conjunction over symbols and a count takes the values
+    0..n, so ``allowed[s, c]`` tabulates |c - n p_s| < n eps once per
+    (symbol, count) and each row looks its counts up.
+    """
+    bound = n * Fraction(float(eps))
+    centers = [n * Fraction(float(p)) for p in probs]
+    allowed = np.array([[abs(c - center) < bound for c in range(n + 1)] for center in centers])
+    return np.all(allowed[np.arange(len(centers)), counts], axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,14 +204,24 @@ def joint_typical_set(j: JointPmf, n: int, eps: float) -> JointTypicalSet:
 
 
 def _channel_log_likelihoods(ch: Channel, in_digits: np.ndarray, out_count: int, n: int) -> np.ndarray:
-    """log prod_i p(z_i | x_i) for given input digit rows x all outputs z."""
+    """log prod_i p(z_i | x_i) for given input digit rows x all outputs z.
+
+    The output prefix grows one symbol at a time: level pos adds
+    log p(z_pos | x_pos) to every prefix of length pos, and since z_pos is
+    the next less significant digit the (prefix, z_pos) pairs come out in
+    sequence order.  Each cell sums its n terms from 0.0 in position
+    order, so the value is that of the per-position sum bit for bit.
+    """
     kz = len(ch.out_labels)
-    z_digits = index_digits(np.arange(out_count), kz, n)
+    if kz ** n != out_count:
+        raise ValueError(f"output count {out_count} is not {kz}^{n}")
     with np.errstate(divide="ignore"):
         log_rows = np.log(ch.rows)
-    out = np.zeros((in_digits.shape[0], out_count))
+    rows = in_digits.shape[0]
+    out = np.zeros((rows, 1))
     for pos in range(n):
-        out += log_rows[in_digits[:, pos]][:, z_digits[:, pos]]
+        step = log_rows[in_digits[:, pos]]
+        out = (out[:, :, None] + step[:, None, :]).reshape(rows, kz ** (pos + 1))
     return out
 
 

@@ -50,7 +50,7 @@ from .typicality import (
 MEMBER_GUARD = 2 ** 20
 BLOCK_CELLS = 2 ** 20        # cells per block of likelihood rows or batch of
                              # leakage tables built at once
-RESIDUE = 1e-12              # float residue: leakage in (-RESIDUE, 0) is 0, and
+RESIDUE = 1e-12              # float residue: leakage within RESIDUE of 0 is 0, and
                              # dither scores this close count as tied
 
 DETERMINISTIC = "deterministic"
@@ -235,8 +235,8 @@ def _likelihood_rows(source, ch: Channel, pos: np.ndarray | None = None) -> np.n
     ``source`` is a code's TypicalSet or JointTypicalSet and ``pos`` the
     labeled member positions (all members when None).  Deterministic rows
     are exp of ``_channel_log_likelihoods``, built a block of members at a
-    time with the exp in place; stochastic rows are ``s_kernel_row`` of
-    each u member.
+    time with the exp written straight into the block; stochastic rows are
+    ``s_kernel_row`` of each u member.
     """
     stochastic = isinstance(source, JointTypicalSet)
     labeled = source.u_set if stochastic else source
@@ -257,10 +257,8 @@ def _likelihood_rows(source, ch: Channel, pos: np.ndarray | None = None) -> np.n
         raise ValueError("channel input alphabet does not match the source")
     step = max(1, BLOCK_CELLS // out_count)
     for lo in range(0, members.size, step):
-        block = rows[lo:lo + step]
         digits = index_digits(members[lo:lo + step], labeled.base.size, n)
-        block[...] = _channel_log_likelihoods(ch, digits, out_count, n)
-        np.exp(block, out=block)
+        np.exp(_channel_log_likelihoods(ch, digits, out_count, n), out=rows[lo:lo + step])
     return rows
 
 
@@ -327,12 +325,14 @@ def _leakage_tables(code: WiretapCode, pos: np.ndarray, weights: np.ndarray,
 def _leakage_value(p_mz: np.ndarray, target: np.ndarray, a: float) -> float:
     """Divergence of p(m, z^n | f) from the product reference ``target``,
     uniform messages times the i.i.d. output law, shaped like ``p_mz``.
-    Float residue in (-RESIDUE, 0) is reported as 0.0 at every order."""
+    RESIDUE is the absolute tolerance of a reported leakage: any value
+    with |value| < RESIDUE is float residue and is reported as 0.0, at
+    every order."""
     if math.isinf(a):
         value = d_infinity_raw(p_mz, target)
     else:
         value = tsallis_raw(p_mz, target, a)
-    return 0.0 if -RESIDUE < value < 0.0 else value
+    return 0.0 if abs(value) < RESIDUE else value
 
 
 def _leakage_target(code: WiretapCode, eve: Channel) -> np.ndarray:

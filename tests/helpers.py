@@ -7,6 +7,7 @@ import numpy as np
 
 from osrb_lab.binning import expected_tsallis_exact_iid, m_from_rate
 from osrb_lab.measures import Channel, JointPmf, Pmf, cond_renyi_entropy
+from osrb_lab.typicality import index_digits
 
 
 def random_joint(rng, nx, nz, marginal_floor=1e-3):
@@ -89,6 +90,21 @@ def random_pmf(rng, k, floor=0.0, prefix="s"):
         v /= v.sum()
         if v.min() >= floor:
             return Pmf(tuple(f"{prefix}{i}" for i in range(k)), v)
+
+
+def channel_log_likelihoods_reference(ch, in_digits, out_count, n):
+    """log prod_i p(z_i | x_i) for input digit rows x all outputs z, one
+    pass per position over the full matrix, gathering the position's
+    output digit of every z: the per-position sum the prefix-extension
+    kernel must reproduce bit for bit."""
+    kz = len(ch.out_labels)
+    z_digits = index_digits(np.arange(out_count), kz, n)
+    with np.errstate(divide="ignore"):
+        log_rows = np.log(ch.rows)
+    out = np.zeros((in_digits.shape[0], out_count))
+    for pos in range(n):
+        out += log_rows[in_digits[:, pos]][:, z_digits[:, pos]]
+    return out
 
 
 def random_channel(rng, in_labels, out_labels, floor=0.0):

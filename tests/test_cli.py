@@ -218,6 +218,13 @@ class TestOsrb:
         assert rc == 2
         assert "--rate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rate", ["inf", "1e309"])
+    def test_infinite_rate_rejected(self, files, capsys, rate):
+        rc = main(["osrb", "--joint", path(files, "flip.json"),
+                   "--alpha", "2", "--rate", rate, "--n", "3"])
+        assert rc == 2
+        assert "--rate" in capsys.readouterr().err
+
     def test_bad_trials_rejected(self, files, capsys):
         rc = main(["osrb", "--joint", path(files, "flip.json"),
                    "--alpha", "2", "--rate", "0.5", "--n", "3",
@@ -372,7 +379,9 @@ class TestWiretapCommand:
         assert rec["f_star"] == "1"
         assert float(rec["error_prob"]) == 0.0
         assert 0.0 <= float(rec["leakage"]) < 1e-12
-        assert " f_star=1 " in capsys.readouterr().out
+        # residue within RESIDUE of zero is reported as exactly zero
+        assert capsys.readouterr().out == (
+            "n=4 code_seed=10202600533580206555 f_star=1 leakage=0 error=0 discards=0\n")
 
     @pytest.mark.parametrize("encoder", ["deterministic", "stochastic"])
     def test_stdout_is_pinned(self, files, capsys, encoder):

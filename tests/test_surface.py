@@ -1,10 +1,15 @@
-"""The names the benchmark's span tracer wraps from outside the package, and
-the package's public names, stay importable."""
+"""The names the benchmark's span tracer wraps from outside the package
+stay importable and its attribute extractors keep working on them, and the
+package's public names stay importable."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import osrb_lab
+from osrb_lab import cli
+from osrb_lab.measures import Channel, JointPmf, Pmf
+from osrb_lab.typicality import joint_typical_set, typical_set
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -22,6 +27,46 @@ def test_traced_names_resolve():
     assert names
     missing = [name for name in names if spans._resolve(*name) is None]
     assert missing == []
+
+
+def test_tracer_extractors_run_on_small_sweeps(tmp_path, capsys):
+    # one deterministic and one stochastic sweep through the CLI under the
+    # tracer: no wrapped name is missing, no extractor fails, and every
+    # likelihood span counts rows x 2^n cells, the rows being the typical
+    # members (deterministic) or the x set of one u member (stochastic)
+    spans = load_spans()
+    source = Pmf(("a", "b"), (0.6, 0.4))
+    joint = JointPmf(("u0", "u1"), ("a", "b"), [[0.4, 0.1], [0.1, 0.4]])
+    source.save(tmp_path / "src.json")
+    joint.save(tmp_path / "ux.json")
+    Channel.bsc(0.1, ("a", "b")).save(tmp_path / "main.json")
+    Channel.bsc(0.3, ("a", "b")).save(tmp_path / "eve.json")
+    sweeps = [("deterministic", "src.json", 0.9), ("stochastic", "ux.json", 0.3)]
+    ns = [3, 4]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for encoder, path, eps in sweeps:
+            doc = {"n": ns, "r1": 0.25, "r2": 0.25, "alpha": 2, "encoder": encoder,
+                   "codes": 2, "seed": 5, "eps": eps, "source": path,
+                   "main": "main.json", "eve": "eve.json"}
+            (tmp_path / "cfg.json").write_text(json.dumps(doc))
+            assert cli.main(["wiretap", "--config", str(tmp_path / "cfg.json"),
+                             "--threads", "1"]) == 0
+    finally:
+        restored = tracer.uninstall()
+    capsys.readouterr()
+    assert restored
+    assert tracer.missing == []
+    assert tracer.attr_errors == []
+    want = []
+    for n in ns:
+        # eve and main rows, each built once per n
+        want += [typical_set(source, n, 0.9).size * 2 ** n] * 2
+        want += [xs.size * 2 ** n for xs in joint_typical_set(joint, n, 0.3).x_members] * 2
+    cells = [s["cells"] for s in tracer.spans if s["name"] == "typicality.likelihood"]
+    assert sorted(cells) == sorted(want)
+    assert spans.layer_metrics(tracer.spans)["typicality.likelihood.calls"] == len(want)
 
 
 def test_public_names_importable():

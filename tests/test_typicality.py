@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from helpers import dyadic_joint, joint_typical_oracle, random_pmf
+from helpers import (
+    channel_log_likelihoods_reference,
+    dyadic_joint,
+    joint_typical_oracle,
+    random_pmf,
+)
 from osrb_lab.measures import Channel, GuardError, JointPmf, Pmf
 from osrb_lab.typicality import (
     EmptyTypicalSetError,
+    _channel_log_likelihoods,
     index_digits,
     joint_typical_set,
     s_kernel_row,
@@ -34,6 +40,8 @@ class TestTypicalSet:
         assert ts.members.tolist() == [1, 2]  # "ab" and "ba"
         assert np.allclose(np.exp(ts.log_probs), 0.5)
         assert ts.mass == pytest.approx(0.5, abs=1e-12)
+        # at eps = 0.5 the counts 0 and 2 sit exactly on the strict bound
+        assert typical_set(Pmf.uniform(["a", "b"]), 2, 0.5).members.tolist() == [1, 2]
 
     def test_vacuous_window_recovers_iid_law(self):
         p = Pmf(("a", "b"), (0.8, 0.2))
@@ -178,3 +186,36 @@ class TestSmoothedKernel:
         ch = Channel(("x0", "x1"), ("z0", "z1", "z2", "z3"), np.full((2, 4), 0.25))
         with pytest.raises(GuardError):
             s_kernel_row(jts, ch, int(jts.u_set.members[0]))
+
+
+class TestChannelLikelihoods:
+    def test_prefix_extension_matches_per_position_reference(self):
+        # seeded channels with k_in != k_out and zeroed entries (log -inf),
+        # for 0, 1 and many input rows; compared as int64 bit patterns
+        rng = np.random.default_rng(909)
+        compared = 0
+        for k_in, k_out in [(2, 3), (3, 2), (4, 5), (2, 2)]:
+            for n in range(1, 9):
+                out_count = k_out ** n
+                if out_count > 7000:
+                    continue
+                rows = rng.dirichlet(np.ones(k_out), size=k_in)
+                zero = rng.random(rows.shape) < 0.3
+                zero[np.arange(k_in), rng.integers(k_out, size=k_in)] = False
+                rows = np.where(zero, 0.0, rows)
+                ch = Channel(tuple(f"x{i}" for i in range(k_in)),
+                             tuple(f"z{i}" for i in range(k_out)),
+                             rows / rows.sum(axis=1, keepdims=True))
+                for count in (0, 1, 40):
+                    digits = rng.integers(0, k_in, size=(count, n))
+                    got = _channel_log_likelihoods(ch, digits, out_count, n)
+                    want = channel_log_likelihoods_reference(ch, digits, out_count, n)
+                    assert got.shape == (count, out_count)
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                    compared += 1
+        assert compared == 3 * 29
+
+    def test_rejects_output_count_of_another_blocklength(self):
+        ch = Channel(("x0", "x1"), ("z0", "z1", "z2"), np.full((2, 3), 1 / 3))
+        with pytest.raises(ValueError, match="output count"):
+            _channel_log_likelihoods(ch, np.zeros((2, 3), dtype=np.int64), 3 ** 4, 3)

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from helpers import label_masses
+from helpers import channel_log_likelihoods_reference, label_masses
 from osrb_lab import wiretap
 from osrb_lab.binning import derive_seed, m_from_rate
 from osrb_lab.measures import Channel, JointPmf, Pmf
@@ -355,6 +355,21 @@ class TestSharedRows:
         assert ts.size > 2 * (BLOCK_CELLS // 2 ** n)
         one_shot = np.exp(_channel_log_likelihoods(EVE, index_digits(ts.members, 2, n), 2 ** n, n))
         assert np.array_equal(rows.view(np.int64), one_shot.view(np.int64))
+
+    @pytest.mark.parametrize("block_rows", [7, None])
+    def test_blocked_rows_match_reference_exp(self, monkeypatch, block_rows):
+        # a ternary source through a 3-in, 2-out channel with a zero entry;
+        # 7-row blocks leave a ragged last block, None keeps one block
+        n = 6
+        ts = typical_set(Pmf(("a", "b", "c"), (0.5, 0.3, 0.2)), n, 0.9)
+        ch = Channel(("a", "b", "c"), ("y", "z"), [[0.9, 0.1], [0.0, 1.0], [0.35, 0.65]])
+        if block_rows is not None:
+            monkeypatch.setattr(wiretap, "BLOCK_CELLS", block_rows * 2 ** n)
+            assert ts.size % block_rows
+        rows = _likelihood_rows(ts, ch)
+        want = np.exp(channel_log_likelihoods_reference(
+            ch, index_digits(ts.members, 3, n), 2 ** n, n))
+        assert np.array_equal(rows.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("block_cells", [BLOCK_CELLS, 1])
     def test_leakage_tables_match_per_dither_add_at(self, monkeypatch, block_cells):
