@@ -25,7 +25,6 @@ from . import binning, rates, wiretap
 from .measures import (
     Channel,
     GuardError,
-    InfiniteOrderError,
     JointPmf,
     Pmf,
     _atomic_write_text,
@@ -44,8 +43,9 @@ RATES_FIELDS = ("task", "encoder", "alpha", "value_bits", "flags")
 MEASURE_KINDS = ("tsallis", "renyi", "kl", "tv", "dinf")
 
 
-class ValidationError(ValueError):
-    """A config or flag problem; maps to exit code 2."""
+class ValidationError(ValueError, argparse.ArgumentTypeError):
+    """A config or flag problem; maps to exit code 2.  Raised in a
+    ``type=`` function, argparse prints its message after the flag name."""
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +117,7 @@ def _parse_alpha_flag(text: str) -> float:
     try:
         return check_alpha(parse_alpha(text))
     except ValueError as exc:
-        raise ValidationError(f"--alpha: {exc}")
+        raise ValidationError(str(exc))
 
 
 def _parse_alpha_list(text: str) -> list[float]:
@@ -127,7 +127,7 @@ def _parse_alpha_list(text: str) -> list[float]:
         if piece:
             vals.append(_parse_alpha_flag(piece))
     if not vals:
-        raise ValidationError("--alpha: expected at least one order")
+        raise ValidationError("expected at least one order")
     return vals
 
 
@@ -151,7 +151,7 @@ def parse_n_range(text: str) -> list[int]:
             raise ValueError
         return [v]
     except ValueError:
-        raise ValidationError(f"--n: cannot parse blocklength range {text!r}")
+        raise ValidationError(f"cannot parse blocklength range {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -197,19 +197,11 @@ def _cmd_osrb(opts: dict) -> int:
     for n in ns:
         m = binning.m_from_rate(n, rate)
         if mode == "exact":
-            try:
-                mean = binning.expected_tsallis_exact_iid(j, n, m, alpha)
-            except GuardError:
-                raise
-            except ValueError as exc:
-                raise ValidationError(str(exc))
+            mean = binning.expected_tsallis_exact_iid(j, n, m, alpha)
             stderr, used_trials = 0.0, 0
         elif mode == "enum":
             jn = j if n == 1 else j.product_power(n)
-            try:
-                mean = binning.expected_divergence_enum(jn, m, alpha)
-            except InfiniteOrderError as exc:
-                raise ValidationError(str(exc))
+            mean = binning.expected_divergence_enum(jn, m, alpha)
             stderr, used_trials = 0.0, 0
         elif mode == "mc":
             mean, stderr = binning.expected_divergence_mc(
@@ -269,17 +261,12 @@ def _cmd_rates(opts: dict) -> int:
     task = opts["task"]
     records = []
     for alpha in opts["alphas"]:
-        try:
-            if task == "threshold":
-                report = _threshold_report(opts, alpha)
-            elif task == "secrecy":
-                report = _secrecy_report(opts, alpha)
-            else:
-                raise ValidationError(f"unknown task {task!r}")
-        except ValueError as exc:
-            if isinstance(exc, (ValidationError, GuardError)):
-                raise
-            raise ValidationError(str(exc))
+        if task == "threshold":
+            report = _threshold_report(opts, alpha)
+        elif task == "secrecy":
+            report = _secrecy_report(opts, alpha)
+        else:
+            raise ValidationError(f"unknown task {task!r}")
         flags = "|".join(report.flags)
         records.append({
             "task": task, "encoder": report.encoder,
@@ -299,10 +286,7 @@ def _cmd_rates(opts: dict) -> int:
 
 def _cmd_wiretap(opts: dict) -> int:
     _require_file(opts["config"])
-    try:
-        config = wiretap.SweepConfig.from_json(opts["config"])
-    except ValueError as exc:
-        raise ValidationError(str(exc))
+    config = wiretap.SweepConfig.from_json(opts["config"])
     records = wiretap.sweep_experiment(config, opts.get("threads"))
     rows = [rec.to_row() for rec in records]
     for rec in rows:

@@ -49,8 +49,8 @@ def _counts_matrix(count: int, k: int, n: int) -> np.ndarray:
     idx = np.arange(count, dtype=np.int64)
     rem = idx.copy()
     for _ in range(n):
-        sym = rem % k
-        np.add.at(counts, (idx, sym), 1)
+        # one increment per row, so no (row, symbol) index repeats
+        counts[idx, rem % k] += 1
         rem //= k
     return counts
 
@@ -84,22 +84,22 @@ class TypicalSet:
     log_probs: np.ndarray
     mass: float
 
-    def __post_init__(self):
-        lookup = {int(s): i for i, s in enumerate(self.members)}
-        object.__setattr__(self, "_lookup", lookup)
-
     @property
     def size(self) -> int:
         return int(self.members.shape[0])
 
     def position(self, seq: int) -> int:
-        try:
-            return self._lookup[int(seq)]
-        except KeyError:
-            raise ValueError(f"sequence {seq} is not in the typical set")
+        i = int(np.searchsorted(self.members, int(seq)))
+        if i < self.size and self.members[i] == int(seq):
+            return i
+        raise ValueError(f"sequence {seq} is not in the typical set")
 
     def __contains__(self, seq) -> bool:
-        return int(seq) in self._lookup
+        try:
+            self.position(seq)
+        except ValueError:
+            return False
+        return True
 
 
 def typical_set(p: Pmf, n: int, eps: float) -> TypicalSet:
@@ -138,7 +138,7 @@ class JointTypicalSet:
     """Jointly typical (u, x) sequence pairs with the tilted product law.
 
     A pair qualifies when u is strictly eps-typical for the U marginal and
-    the joint (u, x) pair frequencies sit within a 2*eps window of p(u, x).
+    its pair sequence (u_i, x_i) is strictly 2*eps-typical for p(u, x).
     The tilted law factorizes: the u factor is the tilted marginal law, and
     for each u the x factor is the i.i.d. conditional law renormalized over
     the conditional set of that u.
@@ -164,11 +164,19 @@ def joint_typical_set(j: JointPmf, n: int, eps: float) -> JointTypicalSet:
     if eps <= 0.0:
         raise ValueError("joint_typical_set: eps must be > 0")
     ku, kx = j.shape
-    if (ku * kx) ** n > SEQ_GUARD:
+    k = ku * kx
+    if k ** n > SEQ_GUARD:
         raise GuardError(f"pair alphabet ({ku}*{kx})^{n} exceeds guard")
     u_set = typical_set(j.row_marginal(), n, eps)
-    x_count = kx ** n
-    x_digits = index_digits(np.arange(x_count), kx, n)
+    # letter i of the pair sequence is u_i * kx + x_i, so the pair index
+    # of (u, x) is base(u) + offset(x) in radix k; 2 * eps is exact in
+    # binary floating point, so the window is the rational n * 2 * eps
+    pair_typical = _typical_count_rows(_counts_matrix(k ** n, k, n), j.probs.ravel(), n, 2 * eps)
+    weights = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    x_digits = index_digits(np.arange(kx ** n), kx, n)
+    offset = x_digits @ weights
+    u_digits = index_digits(u_set.members, ku, n)
+    bases = (u_digits * kx) @ weights
 
     _, cond_xu = j.row_conditionals()
     with np.errstate(divide="ignore"):
@@ -176,21 +184,12 @@ def joint_typical_set(j: JointPmf, n: int, eps: float) -> JointTypicalSet:
 
     x_members = []
     x_log_probs = []
-    for u in u_set.members:
-        u_digits = index_digits(np.array([u]), ku, n)[0]
-        pair_counts = np.zeros((x_count, ku * kx), dtype=np.int16)
-        rows = np.arange(x_count)
-        for pos in range(n):
-            cell = u_digits[pos] * kx + x_digits[:, pos]
-            np.add.at(pair_counts, (rows, cell), 1)
-        # 2 * eps is exact in binary floating point, so the window is the
-        # rational n * 2 * eps
-        mask = _typical_count_rows(pair_counts, j.probs.ravel(), n, 2 * eps)
-        xs = np.nonzero(mask)[0].astype(np.int64)
+    for u, ud, base in zip(u_set.members, u_digits, bases):
+        xs = np.nonzero(pair_typical[base + offset])[0]
         if xs.size == 0:
             raise EmptyTypicalSetError(
                 f"u member {int(u)} has no conditionally typical x at n={n}")
-        cond_log = np.sum(log_cond[u_digits, x_digits[xs]], axis=1)
+        cond_log = np.sum(log_cond[ud, x_digits[xs]], axis=1)
         cond_mass = float(logsumexp(cond_log))
         if not math.isfinite(cond_mass):
             raise EmptyTypicalSetError(

@@ -6,8 +6,14 @@ from fractions import Fraction
 import numpy as np
 
 from osrb_lab.binning import expected_tsallis_exact_iid, m_from_rate
-from osrb_lab.measures import Channel, JointPmf, Pmf, cond_renyi_entropy
-from osrb_lab.typicality import index_digits
+from osrb_lab.measures import Channel, JointPmf, Pmf, cond_renyi_entropy, logsumexp
+from osrb_lab.typicality import (
+    EmptyTypicalSetError,
+    JointTypicalSet,
+    _typical_count_rows,
+    index_digits,
+    typical_set,
+)
 
 
 def random_joint(rng, nx, nz, marginal_floor=1e-3):
@@ -250,6 +256,37 @@ def joint_typical_oracle(joint, n, eps):
             return None
         result[u] = (xs, [float(w / total) for w in weights])
     return result or None
+
+
+def joint_typical_reference(j, n, eps):
+    """Jointly typical set built one u member at a time: for each typical
+    u, count the (u_i, x_i) pair cells of every x with ``np.add.at`` and
+    apply the 2 * eps pair window to those counts.  The pair-sequence
+    build must reproduce its members and conditional laws bit for bit."""
+    ku, kx = j.shape
+    u_set = typical_set(j.row_marginal(), n, eps)
+    x_count = kx ** n
+    x_digits = index_digits(np.arange(x_count), kx, n)
+    with np.errstate(divide="ignore"):
+        log_cond = np.log(j.row_conditionals()[1])
+    x_members, x_log_probs = [], []
+    for u in u_set.members:
+        u_digits = index_digits(np.array([u]), ku, n)[0]
+        pair_counts = np.zeros((x_count, ku * kx), dtype=np.int16)
+        rows = np.arange(x_count)
+        for pos in range(n):
+            np.add.at(pair_counts, (rows, u_digits[pos] * kx + x_digits[:, pos]), 1)
+        mask = _typical_count_rows(pair_counts, j.probs.ravel(), n, 2 * eps)
+        xs = np.nonzero(mask)[0].astype(np.int64)
+        if xs.size == 0:
+            raise EmptyTypicalSetError(f"u member {int(u)} has no conditionally typical x")
+        cond_log = np.sum(log_cond[u_digits, x_digits[xs]], axis=1)
+        cond_mass = float(logsumexp(cond_log))
+        if not math.isfinite(cond_mass):
+            raise EmptyTypicalSetError(f"conditional set of u member {int(u)} carries zero mass")
+        x_members.append(xs)
+        x_log_probs.append(cond_log - cond_mass)
+    return JointTypicalSet(j, n, float(eps), u_set, tuple(x_members), tuple(x_log_probs))
 
 
 def label_masses(code):

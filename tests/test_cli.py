@@ -247,6 +247,32 @@ class TestOsrb:
                 parse_n_range(bad)
 
 
+class TestFlagParseErrors:
+    @pytest.mark.parametrize("argv, flag, reason", [
+        (["osrb", "--alpha", "-1", "--rate", "0.5", "--n", "3"],
+         "--alpha", "order must be a positive real or inf, got -1.0"),
+        (["osrb", "--alpha", "2", "--rate", "0.5", "--n", "3..1"],
+         "--n", "cannot parse blocklength range '3..1'"),
+        (["rates", "--task", "threshold", "--alpha", "2,x"],
+         "--alpha", "could not convert string to float: 'x'"),
+        (["rates", "--task", "threshold", "--alpha", ","],
+         "--alpha", "expected at least one order"),
+    ], ids=["osrb-alpha-negative", "osrb-n-reversed", "rates-alpha-not-a-number",
+            "rates-alpha-empty-list"])
+    def test_rejected_flag_reports_reason(self, files, capsys, argv, flag, reason):
+        # argparse prints "argument <flag>: <reason>" on the last stderr
+        # line, above it only the usage text
+        argv = argv[:1] + ["--joint", path(files, "flip.json")] + argv[1:]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        last = err.strip().splitlines()[-1]
+        assert last.endswith(f"error: argument {flag}: {reason}")
+        assert last.count(flag) == 1
+        assert "_parse_" not in err and "parse_n_range" not in err
+
+
 RATES_CSV = (
     "task,encoder,alpha,value_bits,flags\n"
     "secrecy,deterministic,1,0.412295305641,\n"

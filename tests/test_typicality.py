@@ -8,6 +8,7 @@ from helpers import (
     channel_log_likelihoods_reference,
     dyadic_joint,
     joint_typical_oracle,
+    joint_typical_reference,
     random_pmf,
 )
 from osrb_lab.measures import Channel, GuardError, JointPmf, Pmf
@@ -76,6 +77,15 @@ class TestTypicalSet:
         assert ts.position(2) == 1
         with pytest.raises(ValueError):
             ts.position(0)
+        # first and last member, a non-member between two members, and
+        # values below, at and far beyond the index range 0..k^n - 1
+        ts = typical_set(Pmf.uniform(["a", "b"]), 4, 0.2)
+        assert ts.members.tolist() == [3, 5, 6, 9, 10, 12]
+        assert ts.position(3) == 0 and ts.position(12) == 5
+        for outside in (7, -1, 2 ** 4, 2 ** 70):
+            assert outside not in ts
+            with pytest.raises(ValueError):
+                ts.position(outside)
 
     def test_mass_grows_along_doubling_blocklengths(self):
         # the window is fixed; over n in {4, 8, 16} the captured mass rises
@@ -152,6 +162,39 @@ class TestJointTypicalOracle:
                         assert xs.tolist() == want_xs
                         for got, expect in zip(np.exp(logs).tolist(), want_law):
                             assert math.isclose(got, expect, rel_tol=1e-12)
+                    built += 1
+        assert built > 0
+
+
+class TestJointTypicalReference:
+    @pytest.mark.parametrize("eps", [0.05, 0.15, 0.3, 0.6])
+    def test_pair_sequence_build_matches_per_u_loop(self, eps):
+        # seeded joints, the second of each shape with a zero cell, at
+        # blocklengths past the Fraction oracle's; log laws as bit patterns
+        rng = np.random.default_rng(77)
+        built = 0
+        for (ku, kx), n_max in [((2, 2), 8), ((2, 3), 6), ((3, 2), 6), ((3, 3), 5)]:
+            for zero_cell in (False, True):
+                probs = rng.dirichlet(np.ones(ku * kx)).reshape(ku, kx)
+                if zero_cell:
+                    probs[0, 1] += probs[0, 0]
+                    probs[0, 0] = 0.0
+                j = JointPmf(tuple(f"u{i}" for i in range(ku)),
+                             tuple(f"x{i}" for i in range(kx)), probs)
+                for n in range(1, n_max + 1):
+                    try:
+                        want = joint_typical_reference(j, n, eps)
+                    except EmptyTypicalSetError:
+                        with pytest.raises(EmptyTypicalSetError):
+                            joint_typical_set(j, n, eps)
+                        continue
+                    got = joint_typical_set(j, n, eps)
+                    assert np.array_equal(got.u_set.members, want.u_set.members)
+                    assert len(got.x_members) == len(want.x_members)
+                    for a, b in zip(got.x_members, want.x_members):
+                        assert np.array_equal(a, b)
+                    for a, b in zip(got.x_log_probs, want.x_log_probs):
+                        assert np.array_equal(a.view(np.int64), b.view(np.int64))
                     built += 1
         assert built > 0
 
