@@ -139,17 +139,22 @@ def _divergence_of_induced(agg: np.ndarray, pz: np.ndarray, m: int, alpha: float
     return tsallis_raw(agg, ref, alpha)
 
 
-def expected_divergence_enum(j: JointPmf, m: int, alpha) -> float:
-    """Ensemble average by enumerating all m^(n_items) binnings."""
+def expected_divergence_enum(j: JointPmf, n: int, m: int, alpha) -> float:
+    """Ensemble average over all m^(k^n) binnings of the n-fold extension of
+    ``j`` (k source letters).  The guard is checked before the extension is
+    built, and m^(k^n) is not formed once k^n alone puts any m >= 2 over it."""
     a = check_alpha(alpha)
-    n_items = j.shape[0]
-    count = m ** n_items
-    if count > ENUM_GUARD:
+    if n < 1:
+        raise ValueError("expected_divergence_enum: n must be >= 1")
+    n_items = j.shape[0] ** n
+    if m > 1 and (n_items >= ENUM_GUARD.bit_length() or m ** n_items > ENUM_GUARD):
         raise GuardError(f"enumeration of {m}^{n_items} binnings exceeds guard")
-    pz = j.probs.sum(axis=0)
+    count = m ** n_items
+    jn = j if n == 1 else j.product_power(n)
+    pz = jn.probs.sum(axis=0)
     values = []
     for combo in iter_product(range(1, m + 1), repeat=n_items):
-        agg = _aggregate(np.asarray(combo, dtype=np.int64), j.probs, m)
+        agg = _aggregate(np.asarray(combo, dtype=np.int64), jn.probs, m)
         values.append(_divergence_of_induced(agg, pz, m, a))
     return math.fsum(values) / count
 

@@ -200,8 +200,7 @@ def _cmd_osrb(opts: dict) -> int:
             mean = binning.expected_tsallis_exact_iid(j, n, m, alpha)
             stderr, used_trials = 0.0, 0
         elif mode == "enum":
-            jn = j if n == 1 else j.product_power(n)
-            mean = binning.expected_divergence_enum(jn, m, alpha)
+            mean = binning.expected_divergence_enum(j, n, m, alpha)
             stderr, used_trials = 0.0, 0
         elif mode == "mc":
             mean, stderr = binning.expected_divergence_mc(

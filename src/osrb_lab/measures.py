@@ -24,6 +24,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -52,6 +53,7 @@ class GuardError(ValueError):
 SEQ_GUARD = 2 ** 24      # max number of source (or pair) sequences
 OUTPUT_GUARD = 2 ** 20   # max number of channel output sequences
 MATRIX_GUARD = 2 ** 26   # max entries of a product joint or likelihood matrix
+FSUM_CHUNK = 2 ** 16     # entries per Python-float chunk of an exact array sum
 
 
 def check_alpha(alpha) -> float:
@@ -127,6 +129,17 @@ def _check_labels(labels, name: str) -> tuple[str, ...]:
     return labs
 
 
+def _exact_sum(values: np.ndarray) -> float:
+    """Correctly rounded sum of a float array (``math.fsum``).
+
+    The entries reach ``fsum`` as Python floats one chunk of ``FSUM_CHUNK``
+    at a time, so no list of every entry is ever held.
+    """
+    flat = np.ravel(values)
+    return math.fsum(chain.from_iterable(
+        flat[i:i + FSUM_CHUNK].tolist() for i in range(0, flat.size, FSUM_CHUNK)))
+
+
 def _renormalized(values, name: str, atol: float, per_row: bool = False) -> np.ndarray:
     """Probabilities divided by their mass, as a read-only array.
 
@@ -138,12 +151,12 @@ def _renormalized(values, name: str, atol: float, per_row: bool = False) -> np.n
     rows = arr.reshape(-1, arr.shape[-1]) if per_row and arr.ndim else arr.reshape(1, -1)
     out = np.empty_like(rows)
     for i, row in enumerate(rows):
-        total = math.fsum(row.tolist())
+        total = _exact_sum(row)
         if abs(total - 1.0) > atol:
             where = f"row {i} " if per_row else ""
             raise NormalizationError(
                 f"{name}: {where}mass {total!r} deviates from 1 by more than {atol}")
-        out[i] = row / total
+        np.divide(row, total, out=out[i])
     out = out.reshape(arr.shape)
     out.setflags(write=False)
     return out
@@ -494,7 +507,7 @@ def _kl_nats_raw(p: np.ndarray, q: np.ndarray) -> float:
         return math.inf
     pp = p[pos]
     qq = q[pos]
-    return math.fsum((pp * np.log(pp / qq)).tolist())
+    return _exact_sum(pp * np.log(pp / qq))
 
 
 def _phi_log_raw(p: np.ndarray, q: np.ndarray, alpha: float) -> float:
@@ -570,7 +583,7 @@ def kl_divergence(p: Pmf, q: Pmf, bits: bool = True) -> float:
 def total_variation(p: Pmf, q: Pmf) -> float:
     """Total variation distance, half the L1 difference."""
     _require_same_alphabet(p, q)
-    return 0.5 * math.fsum(np.abs(p.probs - q.probs).tolist())
+    return 0.5 * _exact_sum(np.abs(p.probs - q.probs))
 
 
 def tsallis_divergence(p: Pmf, q: Pmf, alpha) -> float:

@@ -27,7 +27,6 @@ import numpy as np
 from .measures import (
     Channel,
     GuardError,
-    InfiniteOrderError,
     JointPmf,
     LN2,
     Pmf,
@@ -291,48 +290,6 @@ def r_prime(p_u: Pmf, ch_xu: Channel, ch_zx: Channel, alpha) -> tuple[float, Til
     return value, tilt
 
 
-def _binary_kl_bits_grid(t: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Vectorized KL((t,1-t) || (p,1-p)) in bits with 0 log 0 = 0."""
-    def xlog(a, b):
-        out = np.zeros_like(a)
-        pos = a > 0
-        out[pos] = a[pos] * np.log2(a[pos] / b)
-        return out
-    return xlog(t, p[0]) + xlog(1.0 - t, p[1])
-
-
-def r_prime_grid_oracle(p_u: Pmf, ch_xu: Channel, ch_zx: Channel, alpha,
-                        step: float = 0.01) -> float:
-    """Exhaustive grid evaluation of the smoothing objective, binary only.
-
-    The objective decomposes as a sum of independent per-u terms, so the
-    exhaustive grid over the four free parameters t(z=0|u,x) equals the
-    sum over u of a 2-D grid maximum.  Used as an independent check of
-    ``r_prime``; never calls the ascent path.
-    """
-    a = check_alpha(alpha)
-    c = _alpha_coeff(a)
-    if not (0.005 <= step <= 0.05):
-        raise ValueError("grid step must lie in [0.005, 0.05]")
-    if p_u.size != 2 or len(ch_xu.out_labels) != 2 or len(ch_zx.out_labels) != 2:
-        raise ValueError("grid oracle supports binary U, X, Z only")
-    n_pts = int(round(1.0 / step)) + 1
-    grid = np.linspace(0.0, 1.0, n_pts)
-    t0, t1 = np.meshgrid(grid, grid, indexing="ij")  # t(z=0|u,x=0), t(z=0|u,x=1)
-    w = p_u.probs[:, None] * ch_xu.rows
-    p_x = w.sum(axis=0)
-    p_z = p_x @ ch_zx.rows
-    total = 0.0
-    for u in range(2):
-        pen = (w[u, 0] * _binary_kl_bits_grid(t0, ch_zx.rows[0])
-               + w[u, 1] * _binary_kl_bits_grid(t1, ch_zx.rows[1]))
-        mix = ch_xu.rows[u, 0] * t0 + ch_xu.rows[u, 1] * t1
-        gain = p_u.probs[u] * _binary_kl_bits_grid(mix, p_z)
-        surface = -c * pen + gain
-        total += float(np.max(np.where(np.isnan(surface), -np.inf, surface)))
-    return total
-
-
 def osrb_threshold_stochastic(p_u: Pmf, ch_xu: Channel, ch_zx: Channel, alpha) -> RateReport:
     """Stochastic-encoder binning threshold H(U) - r_prime; flagged
     ``optimizer_not_converged`` when r_prime's gap is above ``TOL`` at ``MAX_ITER``."""
@@ -412,22 +369,6 @@ def secrecy_rate(main: Channel, eve: Channel, source, alpha,
                           tuple(flags), trace)
 
     raise ValueError(f"unknown encoder kind {encoder!r}")
-
-
-def secrecy_rate_iid_variant(j: JointPmf, main: Channel, alpha) -> RateReport:
-    """Secrecy rate from the i.i.d. binning bound: H-tilde(X|Z) - H(X|Y).
-
-    Weaker than the typical-set route in general; equal for symmetric
-    uniform-input pairs.
-    """
-    a = check_alpha(alpha)
-    p_x = j.row_marginal()
-    hxz = cond_renyi_entropy(j, a) if (math.isinf(a) or a > 1.0) else conditional_entropy(j)
-    hxy = conditional_entropy(main.joint(p_x))
-    value = hxz - hxy
-    flags = ("negative_rate",) if value < 0.0 else ()
-    return RateReport(a, "deterministic", value,
-                      {"cond_renyi_entropy": hxz, "H(X|Y)": hxy}, flags)
 
 
 def dinf_one_shot_bound(j: JointPmf, m: int) -> tuple[float, bool]:

@@ -6,7 +6,15 @@ from fractions import Fraction
 import numpy as np
 
 from osrb_lab.binning import expected_tsallis_exact_iid, m_from_rate
-from osrb_lab.measures import Channel, JointPmf, Pmf, cond_renyi_entropy, logsumexp
+from osrb_lab.measures import (
+    Channel,
+    JointPmf,
+    Pmf,
+    check_alpha,
+    cond_renyi_entropy,
+    logsumexp,
+)
+from osrb_lab.rates import _alpha_coeff
 from osrb_lab.typicality import (
     EmptyTypicalSetError,
     JointTypicalSet,
@@ -38,6 +46,15 @@ def dyadic_joint(rng, nx, nz, scale=2 ** 10):
     rows = tuple(f"x{i}" for i in range(nx))
     cols = tuple(f"z{i}" for i in range(nz))
     return JointPmf(rows, cols, counts.reshape(nx, nz) / scale)
+
+
+def product_power_oracle(j, n):
+    """Probabilities of the n-fold product joint the direct way: the Kronecker
+    power divided by the math.fsum of a list of all its entries."""
+    kron = j.probs
+    for _ in range(n - 1):
+        kron = np.kron(kron, j.probs)
+    return kron / math.fsum(kron.ravel().tolist())
 
 
 def _restricted_growth_partitions(k):
@@ -160,6 +177,47 @@ def order_two_transition_problems(joint, below_gap):
         problems.append("above-threshold means are not strictly increasing: "
                         + ", ".join("%.4f" % v for v in above))
     return problems
+
+
+def _binary_kl_bits_grid(t: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Vectorized KL((t,1-t) || (p,1-p)) in bits with 0 log 0 = 0."""
+    def xlog(a, b):
+        out = np.zeros_like(a)
+        pos = a > 0
+        out[pos] = a[pos] * np.log2(a[pos] / b)
+        return out
+    return xlog(t, p[0]) + xlog(1.0 - t, p[1])
+
+
+def r_prime_grid_oracle(p_u: Pmf, ch_xu: Channel, ch_zx: Channel, alpha,
+                        step: float = 0.01) -> float:
+    """Exhaustive grid evaluation of the smoothing objective, binary only.
+
+    The objective decomposes as a sum of independent per-u terms, so the
+    exhaustive grid over the four free parameters t(z=0|u,x) equals the
+    sum over u of a 2-D grid maximum.  Used as an independent check of
+    ``r_prime``; never calls the ascent path.
+    """
+    c = _alpha_coeff(check_alpha(alpha))
+    if not (0.005 <= step <= 0.05):
+        raise ValueError("grid step must lie in [0.005, 0.05]")
+    if p_u.size != 2 or len(ch_xu.out_labels) != 2 or len(ch_zx.out_labels) != 2:
+        raise ValueError("grid oracle supports binary U, X, Z only")
+    n_pts = int(round(1.0 / step)) + 1
+    grid = np.linspace(0.0, 1.0, n_pts)
+    t0, t1 = np.meshgrid(grid, grid, indexing="ij")  # t(z=0|u,x=0), t(z=0|u,x=1)
+    w = p_u.probs[:, None] * ch_xu.rows
+    p_x = w.sum(axis=0)
+    p_z = p_x @ ch_zx.rows
+    total = 0.0
+    for u in range(2):
+        pen = (w[u, 0] * _binary_kl_bits_grid(t0, ch_zx.rows[0])
+               + w[u, 1] * _binary_kl_bits_grid(t1, ch_zx.rows[1]))
+        mix = ch_xu.rows[u, 0] * t0 + ch_xu.rows[u, 1] * t1
+        gain = p_u.probs[u] * _binary_kl_bits_grid(mix, p_z)
+        surface = -c * pen + gain
+        total += float(np.max(np.where(np.isnan(surface), -np.inf, surface)))
+    return total
 
 
 def criterion_six_instances():

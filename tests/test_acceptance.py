@@ -14,7 +14,12 @@ import time
 import numpy as np
 import pytest
 
-from helpers import order_two_transition_problems, random_joint, random_pmf
+from helpers import (
+    order_two_transition_problems,
+    r_prime_grid_oracle,
+    random_joint,
+    random_pmf,
+)
 from osrb_lab import binning, cli, rates
 from osrb_lab.binning import derive_seed
 from osrb_lab.measures import (
@@ -70,7 +75,7 @@ def test_criterion_01(capsys):
         for m in (2, 3):
             for a in (2, 3, 4):
                 exact = binning.expected_tsallis_exact_iid(j, 1, m, a)
-                enum = binning.expected_divergence_enum(j, m, a)
+                enum = binning.expected_divergence_enum(j, 1, m, a)
                 if abs(exact - enum) > 1e-10 * max(1.0, abs(enum)):
                     problems.append(
                         f"joint {i} m={m} a={a}: {exact!r} vs {enum!r}")
@@ -85,13 +90,13 @@ def test_criterion_02(capsys):
         h2 = cond_renyi_entropy(j, 2)
         for m in (2, 3):
             closed = (m - 1) * 2.0 ** (-h2)
-            enum = binning.expected_divergence_enum(j, m, 2)
+            enum = binning.expected_divergence_enum(j, 1, m, 2)
             if abs(closed - enum) > 1e-12:
                 problems.append(f"joint {i} m={m}: {closed!r} vs {enum!r}")
     worked = (2 - 1) * 2.0 ** (-cond_renyi_entropy(FLIP, 2))
     if abs(worked - 0.625) > 1e-12:
         problems.append(f"worked instance gave {worked!r}, not 0.625")
-    if abs(binning.expected_divergence_enum(FLIP, 2, 2) - 0.625) > 1e-12:
+    if abs(binning.expected_divergence_enum(FLIP, 1, 2, 2) - 0.625) > 1e-12:
         problems.append("worked instance enumeration missed 0.625")
     verdict(capsys, 2, "order-2 closed form (M-1) 2^(-H2) matches enumeration",
             problems, time.time() - t0, 1.0)
@@ -292,7 +297,7 @@ def test_criterion_06(capsys):
         iuz = mutual_information(cxu.then(czx).joint(pu))
         for a in (1.5, 2.0, 4.0, math.inf):
             val, _ = rates.r_prime(pu, cxu, czx, a)
-            grid = rates.r_prime_grid_oracle(pu, cxu, czx, a, step=0.01)
+            grid = r_prime_grid_oracle(pu, cxu, czx, a, step=0.01)
             if val < grid - (1e-3 + 0.01):
                 fails += 1
             if val < iuz - 1e-9:
@@ -391,7 +396,7 @@ def test_criterion_09(capsys):
         bound, ok = rates.dinf_one_shot_bound(j, 2)
         if ok:
             qualified += 1
-            if binning.expected_divergence_enum(j, 2, math.inf) > bound:
+            if binning.expected_divergence_enum(j, 1, 2, math.inf) > bound:
                 violations += 1
     if qualified < 30:
         problems.append(f"only {qualified} instances met the side condition")

@@ -51,8 +51,8 @@ class TestSampling:
 class TestInduced:
     def test_single_bin_divergence_zero(self, rng):
         j = random_joint(rng, 3, 2)
-        assert expected_divergence_enum(j, 1, 2.0) == 0.0
-        assert expected_divergence_enum(j, 1, math.inf) == 0.0
+        assert expected_divergence_enum(j, 1, 1, 2.0) == 0.0
+        assert expected_divergence_enum(j, 1, 1, math.inf) == 0.0
 
     def test_matches_direct_formula(self, rng):
         # order 2, three items in two bins: the mean of the direct sum
@@ -67,7 +67,7 @@ class TestInduced:
             direct.append(sum(agg[m, z] ** 2 / ref[z]
                               for m in range(2) for z in range(2) if ref[z] > 0) - 1.0)
         mean = math.fsum(direct) / len(direct)
-        assert expected_divergence_enum(j, 2, 2.0) == pytest.approx(mean, rel=1e-12)
+        assert expected_divergence_enum(j, 1, 2, 2.0) == pytest.approx(mean, rel=1e-12)
 
     def test_table_is_item_order_sum_bit_for_bit(self):
         # non-dyadic rows summed in another order (a one-hot matmul, say)
@@ -105,7 +105,7 @@ class TestExactExpectation:
         # two items, two bins: the four equally likely binnings average to
         # (M - 1) * 2^(-H2) = 0.625 at order two
         assert expected_tsallis_exact_iid(FLIP, 1, 2, 2) == pytest.approx(0.625, abs=1e-12)
-        assert expected_divergence_enum(FLIP, 2, 2) == pytest.approx(0.625, abs=1e-12)
+        assert expected_divergence_enum(FLIP, 1, 2, 2) == pytest.approx(0.625, abs=1e-12)
 
     def test_closed_form_order_two(self, rng):
         for _ in range(20):
@@ -120,7 +120,7 @@ class TestExactExpectation:
             j = random_joint(rng, 3, 2)
             for m in (2, 3):
                 exact = expected_tsallis_exact_iid(j, 1, m, alpha)
-                enum = expected_divergence_enum(j, m, alpha)
+                enum = expected_divergence_enum(j, 1, m, alpha)
                 assert exact == pytest.approx(enum, rel=1e-10)
 
     def test_iid_matches_materialized_product(self, rng):
@@ -186,7 +186,24 @@ class TestExactExpectation:
         big = JointPmf(tuple(f"x{i}" for i in range(8)), ("z",),
                        np.full((8, 1), 0.125))
         with pytest.raises(GuardError):
-            expected_divergence_enum(big, 10, 2)
+            expected_divergence_enum(big, 1, 10, 2)
+
+    @pytest.mark.parametrize("k,n,m,guarded", [
+        (2, 4, 2, False), (2, 4, 3, True),   # 2^16 <= 10^6 < 3^16
+        (3, 2, 4, False), (3, 2, 5, True),   # 4^9 <= 10^6 < 5^9
+        (2, 5, 1, False), (2, 5, 2, True),   # 32 items: any m >= 2 is over
+        (2, 40, 2, True),                    # 2^(2^40) is never formed
+    ])
+    def test_enum_guard_before_product(self, monkeypatch, k, n, m, guarded):
+        class Built(Exception):
+            pass
+
+        def built(self, n):
+            raise Built
+        monkeypatch.setattr(JointPmf, "product_power", built)
+        j = JointPmf(tuple(f"x{i}" for i in range(k)), ("z",), np.full((k, 1), 1.0 / k))
+        with pytest.raises(GuardError if guarded else Built):
+            expected_divergence_enum(j, n, m, 2)
 
     def test_large_order_stability(self):
         # the log-domain path keeps huge orders finite on the exact side

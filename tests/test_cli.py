@@ -238,6 +238,16 @@ class TestOsrb:
                    "--mode", "enum"])
         assert rc == 3
 
+    def test_enum_guard_checked_before_product_is_built(self, files, capsys, monkeypatch):
+        # 13^4096 binnings: the guard fires without building the 2^24-entry product
+        def refuse(self, n):
+            raise AssertionError("product_power called")
+        monkeypatch.setattr(JointPmf, "product_power", refuse)
+        rc = main(["osrb", "--joint", path(files, "flip.json"),
+                   "--alpha", "2", "--rate", "0.3", "--n", "12", "--mode", "enum"])
+        assert rc == 3
+        assert "enumeration of 13^4096 binnings exceeds guard" in capsys.readouterr().err
+
     def test_n_range_parsing(self):
         assert parse_n_range("4") == [4]
         assert parse_n_range("2..5") == [2, 3, 4, 5]

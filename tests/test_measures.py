@@ -3,13 +3,15 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
-from helpers import random_channel, random_joint, random_pmf
+from helpers import product_power_oracle, random_channel, random_joint, random_pmf
 from osrb_lab.measures import (
+    FSUM_CHUNK,
     AlphabetMismatchError,
     Channel,
     InfiniteOrderError,
@@ -30,6 +32,7 @@ from osrb_lab.measures import (
     renyi_entropy,
     shannon_entropy,
     sibson_mi,
+    _exact_sum,
     total_variation,
     tsallis_divergence,
 )
@@ -161,6 +164,50 @@ class TestTypes:
         idx = j2.row_labels.index("a,b")
         cdx = j2.col_labels.index("u,v")
         assert math.isclose(j2.probs[idx, cdx], 0.4 * 0.3, rel_tol=1e-12)
+
+    def test_product_power_matches_kron_oracle_bit_for_bit(self):
+        # non-dyadic joints, up to 2^18 entries (several exact-sum chunks)
+        rng = np.random.default_rng(2024)
+        for kx in (2, 3, 4):
+            for kz in (2, 3, 4):
+                j = random_joint(rng, kx, kz)
+                n = 1
+                while (kx * kz) ** n <= 2 ** 18:
+                    got = j.product_power(n).probs
+                    assert got.tobytes() == product_power_oracle(j, n).tobytes(), (kx, kz, n)
+                    n += 1
+
+    def test_product_power_peak_memory(self):
+        # the product array, its normalized copy and small temporaries; a
+        # list of one Python float per entry would read about 6x
+        flip = JointPmf(("0", "1"), ("0", "1"), [[0.375, 0.125], [0.125, 0.375]])
+        tracemalloc.start()
+        try:
+            result = flip.product_power(10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * result.probs.nbytes
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: Pmf(("a", "b"), (0.6, 0.6)),
+         "Pmf: mass 1.2 deviates from 1 by more than 1e-12"),
+        (lambda: Pmf.from_dict({"labels": ["a", "b"], "probs": [0.5, 0.51]}),
+         "Pmf: mass 1.01 deviates from 1 by more than 1e-09"),
+        (lambda: JointPmf(tuple(f"x{i}" for i in range(2 ** 9)),
+                          tuple(f"z{i}" for i in range(2 ** 8)),
+                          np.full((2 ** 9, 2 ** 8), 2.0 ** -16)),
+         "JointPmf: mass 2.0 deviates from 1 by more than 1e-12"),
+        (lambda: Channel(("a", "b"), ("x", "y"), [[0.5, 0.5], [0.3, 0.71]]),
+         "Channel: row 1 mass 1.01 deviates from 1 by more than 1e-12"),
+        (lambda: Channel.from_dict({"row_labels": ["a", "b"], "col_labels": ["x", "y"],
+                                    "probs": [[0.5, 0.5], [0.3, 0.71]]}),
+         "Channel: row 1 mass 1.01 deviates from 1 by more than 1e-09"),
+    ], ids=["pmf", "pmf-load", "joint-multi-chunk", "channel-row", "channel-row-load"])
+    def test_normalization_error_messages(self, make, message):
+        with pytest.raises(NormalizationError) as err:
+            make()
+        assert str(err.value) == message
 
     def test_alpha_parsing(self):
         assert parse_alpha("inf") == math.inf
@@ -513,3 +560,24 @@ class TestLogSumExp:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "False"
+
+
+class TestExactSum:
+    @pytest.mark.parametrize("size", [0, 1, FSUM_CHUNK - 1, FSUM_CHUNK, FSUM_CHUNK + 1,
+                                      3 * FSUM_CHUNK + 7])
+    def test_equals_fsum_of_list(self, rng, size):
+        # magnitudes spread over 40 decades, so rounding order would show
+        values = rng.standard_normal(size) * 10.0 ** rng.integers(-20, 20, size=size)
+        assert _exact_sum(values) == math.fsum(values.tolist())
+        grid = values[: size - size % 7].reshape(7, -1).T  # a non-contiguous view
+        assert _exact_sum(grid) == math.fsum(grid.ravel().tolist())
+
+    def test_kl_and_total_variation_bits(self, rng):
+        size = 3 * FSUM_CHUNK + 5
+        labels = tuple(str(i) for i in range(size))
+        p = Pmf(labels, rng.dirichlet(np.full(size, 0.5)))
+        q = Pmf(labels, rng.dirichlet(np.full(size, 0.5)))
+        pos = p.probs > 0.0
+        pp, qq = p.probs[pos], q.probs[pos]
+        assert kl_divergence(p, q, bits=False) == math.fsum((pp * np.log(pp / qq)).tolist())
+        assert total_variation(p, q) == 0.5 * math.fsum(np.abs(p.probs - q.probs).tolist())

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     criterion_six_instances,
+    r_prime_grid_oracle,
     random_joint,
     smoothing_objective,
     sparse_smoothing_instance,
@@ -26,9 +27,7 @@ from osrb_lab.rates import (
     osrb_threshold_stochastic,
     osrb_threshold_typical,
     r_prime,
-    r_prime_grid_oracle,
     secrecy_rate,
-    secrecy_rate_iid_variant,
 )
 
 UNIFORM2 = Pmf.uniform(["0", "1"])
@@ -277,23 +276,6 @@ class TestSecrecy:
     def test_unknown_encoder(self):
         with pytest.raises(ValueError):
             secrecy_rate(BSC01, BSC03, UNIFORM2, 2, encoder="typical")
-
-    def test_iid_variant_skewed_input(self):
-        # Z from input (0.8, 0.2) through BSC(0.3); main channel BSC(0.1):
-        # P(Y=0) = 0.74, so H(X|Y) = h(0.2) + h(0.1) - h(0.74) = 0.3642
-        p_x = Pmf(("0", "1"), (0.8, 0.2))
-        rep = secrecy_rate_iid_variant(BSC03.joint(p_x), BSC01, 2)
-        hxy = h2(0.2) + h2(0.1) - h2(0.74)
-        assert rep.components["H(X|Y)"] == pytest.approx(hxy, abs=1e-12)
-        assert rep.components["H(X|Y)"] == pytest.approx(0.3642, abs=1e-4)
-        assert rep.rate_bits == pytest.approx(
-            cond_renyi_entropy(BSC03.joint(p_x), 2) - hxy, abs=1e-12)
-
-    def test_iid_variant_equals_typical_for_symmetric_pair(self):
-        j = BSC03.joint(UNIFORM2)
-        weak = secrecy_rate_iid_variant(j, BSC01, 2).rate_bits
-        strong = secrecy_rate(BSC01, BSC03, UNIFORM2, 2).rate_bits
-        assert weak == pytest.approx(strong, abs=1e-9)
 
     def test_report_serialization(self):
         doc = secrecy_rate(BSC01, BSC03, UNIFORM2, math.inf).to_dict()
