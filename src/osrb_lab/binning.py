@@ -32,9 +32,11 @@ from itertools import product as iter_product
 import numpy as np
 
 from .measures import (
+    MATRIX_GUARD,
     SEQ_GUARD,
     GuardError,
     JointPmf,
+    _kron_power,
     check_alpha,
     d_infinity_raw,
     tsallis_raw,
@@ -119,16 +121,15 @@ def _aggregate(assignment: np.ndarray, probs: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _aggregate_fast(assignment: np.ndarray, probs: np.ndarray, m: int) -> np.ndarray:
-    """BLAS-backed aggregation used by the Monte Carlo inner loop.
-
-    Not merged with :func:`_aggregate`: the matmul adds a bin's rows in
-    BLAS order and ``np.add.at`` in item order, so on non-dyadic joints
-    the two tables can differ in the low bits, and either caller switching
-    kernels would change recorded enum or Monte Carlo values.
-    """
-    onehot = (assignment[:, None] == np.arange(1, m + 1)[None, :]).astype(float)
-    return onehot.T @ probs
+def _aggregate_kron(assignment: np.ndarray, high: np.ndarray, low: np.ndarray,
+                    m: int) -> np.ndarray:
+    """Bin table of the joint ``high (x) low``, never formed: a GEMM of the bin
+    one-hot against ``low``, then one against ``high``.  On non-dyadic joints
+    BLAS's order of addition moves the last bits against :func:`_aggregate`."""
+    onehot = np.zeros((m, assignment.size))
+    onehot[assignment - 1, np.arange(assignment.size)] = 1.0
+    t = (onehot.reshape(-1, low.shape[0]) @ low).reshape(m, high.shape[0], -1)
+    return np.matmul(high.T, t).reshape(m, -1)
 
 
 def _divergence_of_induced(agg: np.ndarray, pz: np.ndarray, m: int, alpha: float) -> float:
@@ -262,24 +263,29 @@ def expected_divergence_mc(
     """Monte Carlo mean and standard error of the binning divergence.
 
     Bins the n-fold sequence extension of ``j`` at ``m = ceil(2^(n rate))``
-    bins.  Trial t draws its binning from the Philox substream keyed by
-    (seed, t), so the estimate does not depend on thread scheduling.
+    bins, without building it: the per-trial one-hot and bin table are
+    checked against MATRIX_GUARD before the first trial.  Trial t draws its
+    binning from the Philox substream keyed by (seed, t), so the estimate
+    does not depend on thread scheduling.
     """
     a = check_alpha(alpha)
     if trials < 1:
         raise ValueError("expected_divergence_mc: trials must be >= 1")
-    nx = j.shape[0] ** n
+    kx, kz = j.shape
+    nx, nz = kx ** n, kz ** n
     if nx > SEQ_GUARD:
-        raise GuardError(f"sequence alphabet {j.shape[0]}^{n} exceeds guard")
-    prod = j.product_power(n)
+        raise GuardError(f"sequence alphabet {kx}^{n} exceeds guard")
     m = m_from_rate(n, rate)
-    probs = prod.probs
-    pz = probs.sum(axis=0)
+    if m * max(nx, nz) > MATRIX_GUARD:
+        raise GuardError(f"mc at m = {m}: arrays {m} x {kx}^{n} and {m} x {kz}^{n} exceed guard")
+    high = _kron_power(j.probs, n // 2)
+    low = _kron_power(j.probs, n - n // 2)
+    pz = _kron_power(j.probs.sum(axis=0), n)
 
     def one_trial(t: int) -> float:
         rng = philox_rng(seed, t)
         assignment = rng.integers(1, m + 1, size=nx, dtype=np.int64)
-        agg = _aggregate_fast(assignment, probs, m)
+        agg = _aggregate_kron(assignment, high, low, m)
         return _divergence_of_induced(agg, pz, m, a)
 
     values = _map_indexed(one_trial, trials, resolve_threads(threads))

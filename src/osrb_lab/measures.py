@@ -24,7 +24,8 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import reduce
+from itertools import chain, product
 
 import numpy as np
 
@@ -138,6 +139,12 @@ def _exact_sum(values: np.ndarray) -> float:
     flat = np.ravel(values)
     return math.fsum(chain.from_iterable(
         flat[i:i + FSUM_CHUNK].tolist() for i in range(0, flat.size, FSUM_CHUNK)))
+
+
+def _kron_power(a: np.ndarray, k: int) -> np.ndarray:
+    """k-fold Kronecker power of ``a``, most significant factor first, as
+    sequences are indexed; k = 0 gives the size-one array of 1."""
+    return reduce(np.kron, [a] * k, np.ones((1,) * a.ndim))
 
 
 def _renormalized(values, name: str, atol: float, per_row: bool = False) -> np.ndarray:
@@ -305,17 +312,11 @@ class JointPmf:
         """
         if n < 1:
             raise ValueError("product_power: n must be >= 1")
-        nr, nc = self.shape
-        if (nr * nc) ** n > MATRIX_GUARD:
-            raise GuardError(f"product_power: {(nr * nc)}^{n} entries exceed guard")
-        probs = self.probs
-        rows = list(self.row_labels)
-        cols = list(self.col_labels)
-        for _ in range(n - 1):
-            probs = np.kron(probs, self.probs)
-            rows = [f"{a},{b}" for a in rows for b in self.row_labels]
-            cols = [f"{a},{b}" for a in cols for b in self.col_labels]
-        return JointPmf(tuple(rows), tuple(cols), probs)
+        if self.probs.size ** n > MATRIX_GUARD:
+            raise GuardError(f"product_power: {self.probs.size}^{n} entries exceed guard")
+        rows = tuple(",".join(s) for s in product(self.row_labels, repeat=n))
+        cols = tuple(",".join(s) for s in product(self.col_labels, repeat=n))
+        return JointPmf(rows, cols, _kron_power(self.probs, n))
 
     def to_dict(self) -> dict:
         return {

@@ -31,6 +31,7 @@ from .measures import (
     GuardError,
     JointPmf,
     Pmf,
+    _kron_power,
     check_alpha,
     d_infinity_raw,
     logsumexp,
@@ -262,20 +263,6 @@ def _likelihood_rows(source, ch: Channel, pos: np.ndarray | None = None) -> np.n
     return rows
 
 
-def _iid_output_vector(code: WiretapCode, ch: Channel) -> np.ndarray:
-    """i.i.d. output law of the single-letter X marginal, over z sequences."""
-    x_law = code.source.base
-    if code.kind == STOCHASTIC:
-        # Pmf() renormalizes the marginal once more; recorded leakages
-        # depend on those last bits
-        x_law = Pmf(x_law.col_labels, x_law.col_marginal().probs)
-    q = ch.output(x_law).probs
-    vec = np.ones(1)
-    for _ in range(code.n):
-        vec = np.kron(vec, q)
-    return vec
-
-
 def _decisions(code: WiretapCode, pos: np.ndarray, main_rows: np.ndarray) -> np.ndarray:
     """Posterior-mode decision for every receiver column of ``main_rows``.
 
@@ -336,8 +323,14 @@ def _leakage_value(p_mz: np.ndarray, target: np.ndarray, a: float) -> float:
 
 
 def _leakage_target(code: WiretapCode, eve: Channel) -> np.ndarray:
-    """Uniform messages times the i.i.d. output law, shape (m1, k^n)."""
-    q = _iid_output_vector(code, eve) / code.m1
+    """Uniform messages times the i.i.d. output law of the single-letter X
+    marginal, shape (m1, k^n)."""
+    x_law = code.source.base
+    if code.kind == STOCHASTIC:
+        # Pmf() renormalizes the marginal once more; recorded leakages
+        # depend on those last bits
+        x_law = Pmf(x_law.col_labels, x_law.col_marginal().probs)
+    q = _kron_power(eve.output(x_law).probs, code.n) / code.m1
     return np.broadcast_to(q, (code.m1, q.size)).copy()
 
 

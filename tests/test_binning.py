@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,8 @@ from helpers import (
 from osrb_lab.measures import GuardError, JointPmf, cond_renyi_entropy
 from osrb_lab.binning import (
     _aggregate,
+    _aggregate_kron,
+    _kron_power,
     bin_cumulant_coefficients,
     derive_seed,
     expected_divergence_enum,
@@ -255,3 +258,85 @@ class TestMonteCarlo:
         assert all(later >= earlier for earlier, later in zip(above, above[1:]))
         assert all(later < earlier for earlier, later in zip(below, below[1:]))
         assert below[-1] < 0.5 * below[0]
+
+
+class TestMonteCarloKernel:
+    """The factored per-trial table against the item-order sum over the
+    materialized product joint."""
+
+    @staticmethod
+    def tables(j, n, m, seed):
+        assignment = philox_rng(seed, m).integers(1, m + 1, size=j.shape[0] ** n,
+                                                  dtype=np.int64)
+        high = _kron_power(j.probs, n // 2)
+        low = _kron_power(j.probs, n - n // 2)
+        return (_aggregate_kron(assignment, high, low, m),
+                _aggregate(assignment, j.product_power(n).probs, m))
+
+    @pytest.mark.parametrize("m", [1, 2, 8, 132])
+    def test_flip_tables_bit_for_bit(self, m):
+        # every partial sum is a multiple of 8^-n below 1, so exact in float64
+        for n in range(1, 11):
+            got, ref = self.tables(FLIP, n, m, n)
+            assert got.tobytes() == ref.tobytes(), n
+
+    def test_non_dyadic_tables_within_relative_tolerance(self):
+        # 40 laws x 4 bin counts; BLAS sums in its own order, so only the
+        # last bits may move, and a cell is 0 exactly where the sum is 0
+        rng = np.random.default_rng(2023)
+        for case in range(40):
+            kx, kz = (int(v) for v in rng.integers(2, 4, size=2))
+            n = int(rng.integers(2, 7))
+            j = random_joint(rng, kx, kz)
+            for m in (2, 8, 132, 1783):
+                got, ref = self.tables(j, n, m, case)
+                assert np.array_equal(got == 0.0, ref == 0.0), (case, m)
+                pos = ref > 0.0
+                assert np.all(np.abs(got[pos] - ref[pos]) <= 1e-13 * ref[pos]), (case, m)
+
+    def test_never_builds_product_joint(self, monkeypatch, rng):
+        def refuse(self, n):
+            raise AssertionError("product_power called")
+        j = random_joint(rng, 3, 2)
+        monkeypatch.setattr(JointPmf, "product_power", refuse)
+        for n in (1, 2, 5):
+            mean, se = expected_divergence_mc(j, n, 0.4, 2, trials=8, seed=0)
+            assert mean > 0.0 and se > 0.0
+
+    @pytest.mark.parametrize("alpha,expected", [
+        (2, (0.06376225112580801, 0.0005779823772955073)),
+        (math.inf, (1.1001788935111678, 0.008526587688328147)),
+    ])
+    def test_flip_values_pinned(self, alpha, expected):
+        # the values of the product-joint kernel this one replaced
+        for threads in (1, 2):
+            assert expected_divergence_mc(FLIP, 10, 0.3, alpha, 64, 0,
+                                          threads=threads) == expected
+
+    def test_peak_memory(self):
+        # the 2^24-entry product joint alone would be 128 MiB
+        tracemalloc.start()
+        try:
+            expected_divergence_mc(FLIP, 12, 0.3, 2, 4, 0, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20
+
+    @pytest.mark.parametrize("n,rate,guarded", [
+        (4, 10.0, True),     # m = 2^40
+        (12, 1.5, True),     # m = 2^18: 2^30 one-hot entries
+        (12, 1.16, False),   # m = 15,501 < 2^26 / 2^12 = 16,384
+        (12, 1.17, True),    # m = 16,845
+    ])
+    def test_trial_arrays_guarded_before_first_trial(self, monkeypatch, n, rate, guarded):
+        class Drawn(Exception):
+            pass
+
+        def drawn(seed, stream=0):
+            raise Drawn
+        monkeypatch.setattr("osrb_lab.binning.philox_rng", drawn)
+        with pytest.raises(GuardError if guarded else Drawn) as err:
+            expected_divergence_mc(FLIP, n, rate, 2, trials=4, seed=0, threads=1)
+        if guarded:
+            assert f"mc at m = {m_from_rate(n, rate)}: " in str(err.value)

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -247,6 +248,31 @@ class TestOsrb:
                    "--alpha", "2", "--rate", "0.3", "--n", "12", "--mode", "enum"])
         assert rc == 3
         assert "enumeration of 13^4096 binnings exceeds guard" in capsys.readouterr().err
+
+    def test_mc_trial_arrays_guard_exits_3(self, files):
+        # m = 2^40 bins: the one-hot alone would be 2^44 floats (128 TiB);
+        # the address-space cap keeps a missing guard from touching memory
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(osrb_lab.__file__)))
+        cap = 4 * 2 ** 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "osrb_lab.cli", "osrb", "--joint", path(files, "flip.json"),
+             "--alpha", "2", "--rate", "10", "--n", "4", "--mode", "mc"],
+            capture_output=True, text=True, env=env, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert proc.returncode == 3
+        assert (f"mc at m = {2 ** 40}: arrays {2 ** 40} x 2^4 "
+                f"and {2 ** 40} x 2^4 exceed guard") in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_mc_runs_beyond_product_joint_guard(self, files, capsys):
+        # (2 x 2)^14 = 2^28 product entries exceed MATRIX_GUARD; the
+        # per-trial arrays are 19 x 2^14
+        rc = main(["osrb", "--joint", path(files, "flip.json"), "--alpha", "2",
+                   "--rate", "0.3", "--n", "14", "--mode", "mc", "--trials", "4",
+                   "--seed", "0", "--threads", "1"])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("n=14 m=19 mean=")
 
     def test_n_range_parsing(self):
         assert parse_n_range("4") == [4]
