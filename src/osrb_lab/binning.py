@@ -15,9 +15,9 @@ reference's unit mass and is dropped analytically, so small means are not
 formed as a difference against 1; each term is built in the log domain.
 
 Randomness: all draws use numpy's Philox counter-based generator keyed by
-``(seed, stream)``, so trial substreams are reproducible and independent
-of execution order.  Monte Carlo reductions use a fixed-shape pairwise
-tree, which keeps results bit-identical at any thread count.
+``(seed, stream)``, so trial substreams are reproducible.  Monte Carlo runs
+its trials in order on one thread and reduces them with a fixed-shape
+pairwise tree, so its means and standard errors stay bit-identical.
 """
 
 from __future__ import annotations
@@ -66,17 +66,11 @@ def philox_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def resolve_threads(explicit=None) -> int:
-    """Thread budget: explicit argument, else OSRB_LAB_THREADS (0 = auto)."""
-    if explicit is None:
-        raw = os.environ.get("OSRB_LAB_THREADS", "0")
-        try:
-            explicit = int(raw)
-        except ValueError:
-            raise ValueError(f"OSRB_LAB_THREADS must be an integer, got {raw!r}")
+    """Thread budget: the explicit count, or (None or 0) the CPU count, at most 8."""
+    if not explicit:
+        return min(os.cpu_count() or 1, 8)
     if explicit < 0:
         raise ValueError("thread count must be >= 0")
-    if explicit == 0:
-        return min(os.cpu_count() or 1, 8)
     return explicit
 
 
@@ -258,15 +252,14 @@ def expected_divergence_mc(
     alpha,
     trials: int,
     seed: int,
-    threads: int | None = None,
 ) -> tuple[float, float]:
     """Monte Carlo mean and standard error of the binning divergence.
 
     Bins the n-fold sequence extension of ``j`` at ``m = ceil(2^(n rate))``
     bins, without building it: the per-trial one-hot and bin table are
     checked against MATRIX_GUARD before the first trial.  Trial t draws its
-    binning from the Philox substream keyed by (seed, t), so the estimate
-    does not depend on thread scheduling.
+    binning from the Philox substream keyed by (seed, t); trials run in
+    index order.
     """
     a = check_alpha(alpha)
     if trials < 1:
@@ -282,13 +275,11 @@ def expected_divergence_mc(
     low = _kron_power(j.probs, n - n // 2)
     pz = _kron_power(j.probs.sum(axis=0), n)
 
-    def one_trial(t: int) -> float:
-        rng = philox_rng(seed, t)
-        assignment = rng.integers(1, m + 1, size=nx, dtype=np.int64)
+    values = []
+    for t in range(trials):
+        assignment = philox_rng(seed, t).integers(1, m + 1, size=nx, dtype=np.int64)
         agg = _aggregate_kron(assignment, high, low, m)
-        return _divergence_of_induced(agg, pz, m, a)
-
-    values = _map_indexed(one_trial, trials, resolve_threads(threads))
+        values.append(_divergence_of_induced(agg, pz, m, a))
     mean = pairwise_sum(values) / trials
     if trials == 1:
         return mean, 0.0

@@ -131,6 +131,16 @@ def _parse_alpha_list(text: str) -> list[float]:
     return vals
 
 
+def _parse_threads(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValidationError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise ValidationError(f"thread count must be >= 0, got {value}")
+    return value
+
+
 def parse_n_range(text: str) -> list[int]:
     """Blocklength flag: "4", "2..12", or a comma list "2,4,8"."""
     text = text.strip()
@@ -203,8 +213,7 @@ def _cmd_osrb(opts: dict) -> int:
             mean = binning.expected_divergence_enum(j, n, m, alpha)
             stderr, used_trials = 0.0, 0
         elif mode == "mc":
-            mean, stderr = binning.expected_divergence_mc(
-                j, n, rate, alpha, trials, seed, opts.get("threads"))
+            mean, stderr = binning.expected_divergence_mc(j, n, rate, alpha, trials, seed)
             used_trials = trials
         else:
             raise ValidationError(f"unknown mode {mode!r}")
@@ -330,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--mode", choices=("exact", "mc", "enum"), default="exact")
     o.add_argument("--trials", type=int, default=256)
     o.add_argument("--seed", type=int, default=0)
-    o.add_argument("--threads", type=int, default=None)
+    o.add_argument("--threads", type=_parse_threads, default=None,
+                   help="accepted for compatibility; no osrb value depends on it")
     o.add_argument("--out", default=None)
     o.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -354,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     w = sub.add_parser("wiretap", help="wiretap coding sweep from a JSON config")
     w.add_argument("--config", required=True)
-    w.add_argument("--threads", type=int, default=None)
+    w.add_argument("--threads", type=_parse_threads, default=None)
     w.add_argument("--out", default=None)
     w.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser

@@ -420,15 +420,6 @@ def shannon_entropy(p: Pmf) -> float:
     return -math.fsum(x * math.log2(x) for x in probs.tolist())
 
 
-def binary_entropy(p: float) -> float:
-    """Entropy in bits of a (p, 1-p) coin."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("binary_entropy: p must lie in [0, 1]")
-    if p in (0.0, 1.0):
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
-
-
 def renyi_entropy(p: Pmf, alpha) -> float:
     """Renyi entropy of order alpha, in bits."""
     a = check_alpha(alpha)

@@ -71,23 +71,6 @@ class RateReport:
         return doc
 
 
-@dataclass(frozen=True, eq=False)
-class TiltChannel:
-    """Smoothing channel t(z | u, x), row-stochastic over z."""
-
-    t: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.t, dtype=float)
-        if arr.ndim != 3:
-            raise ValueError("TiltChannel: expected shape (|U|, |X|, |Z|)")
-        if np.any(arr < 0.0) or np.any(np.abs(arr.sum(axis=2) - 1.0) > 1e-9):
-            raise ValueError("TiltChannel: rows must be distributions over z")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "t", arr)
-
-
 def osrb_threshold_iid(j: JointPmf, alpha) -> RateReport:
     """Max binning rate with vanishing divergence, i.i.d. encoder."""
     a = check_alpha(alpha)
@@ -269,12 +252,13 @@ def _optimize_r_prime(p_u, ch_xu, ch_zx, a):
     feas = problem.feasible_value()
     if best < feas:  # never report below the feasible point t = p(z|x)
         best, t = feas, np.array(problem.p_zx, dtype=float)
+    t.setflags(write=False)
     trace = {"iterations": iterations, "gap": gap, "converged": gap <= TOL,
              "feasible_value": feas}
-    return best, TiltChannel(t), trace
+    return best, t, trace
 
 
-def r_prime(p_u: Pmf, ch_xu: Channel, ch_zx: Channel, alpha) -> tuple[float, TiltChannel]:
+def r_prime(p_u: Pmf, ch_xu: Channel, ch_zx: Channel, alpha) -> tuple[float, np.ndarray]:
     """Best value of the smoothing-channel objective and its argmax.
 
     Maximizes ``-c D(t(z|u,x) || p(z|x) | p(u,x)) + D(t(z|u) || p(z) | p(u))``
@@ -282,8 +266,9 @@ def r_prime(p_u: Pmf, ch_xu: Channel, ch_zx: Channel, alpha) -> tuple[float, Til
     and c = 1 at INFINITY.  The maximum is that of a concave function of
     r(z|u) (see ``_RPrimeProblem``), so one deterministic ascent reaches it;
     it stops once its certified gap to the maximum is at most ``TOL`` bits,
-    or after ``MAX_ITER`` steps.  The returned channel scores the returned
-    value, which is never below I(U;Z).
+    or after ``MAX_ITER`` steps.  The argmax comes back as a read-only
+    (|U|, |X|, |Z|) array t[u, x, z]; it scores the returned value, which is
+    never below I(U;Z).
     """
     a = check_alpha(alpha)
     value, tilt, _ = _optimize_r_prime(p_u, ch_xu, ch_zx, a)

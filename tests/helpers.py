@@ -179,6 +179,11 @@ def order_two_transition_problems(joint, below_gap):
     return problems
 
 
+def binary_entropy(p: float) -> float:
+    """Closed-form entropy in bits of a (p, 1-p) coin, 0 < p < 1."""
+    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+
+
 def _binary_kl_bits_grid(t: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Vectorized KL((t,1-t) || (p,1-p)) in bits with 0 log 0 = 0."""
     def xlog(a, b):

@@ -414,7 +414,7 @@ def test_criterion_09(capsys):
             problems, time.time() - t0, 120.0)
 
 
-def test_criterion_10(capsys, tmp_path, monkeypatch):
+def test_criterion_10(capsys, tmp_path):
     t0 = time.time()
     problems = []
     Pmf(("a", "b"), (0.6, 0.4)).save(tmp_path / "src.json")
@@ -428,32 +428,25 @@ def test_criterion_10(capsys, tmp_path, monkeypatch):
         "encoder": "deterministic", "codes": 3, "seed": 5, "eps": 0.9,
         "source": "src.json", "main": "main.json", "eve": "eve.json"}))
 
-    def run(args, out, env_threads=None, flag_threads=None):
-        if env_threads is None:
-            monkeypatch.delenv("OSRB_LAB_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("OSRB_LAB_THREADS", str(env_threads))
-        full = list(args) + ["--out", str(out)]
-        if flag_threads is not None:
-            full += ["--threads", str(flag_threads)]
-        assert cli.main(full) == 0
+    def run(args, out, threads):
+        assert cli.main(list(args) + ["--out", str(out), "--threads", str(threads)]) == 0
         with open(out) as fh:
             return fh.read()
 
     wargs = ["wiretap", "--config", str(cfg)]
-    base = run(wargs, tmp_path / "w_a.csv", env_threads=1)
+    base = run(wargs, tmp_path / "w_a.csv", 1)
     for k, variant in enumerate((
-            run(wargs, tmp_path / "w_b.csv", env_threads=4),
-            run(wargs, tmp_path / "w_c.csv", flag_threads=2))):
+            run(wargs, tmp_path / "w_b.csv", 4),
+            run(wargs, tmp_path / "w_c.csv", 2))):
         if variant != base:
             problems.append(f"wiretap sweep bytes differ in variant {k}")
 
     oargs = ["osrb", "--joint", str(flip_path), "--alpha", "2", "--rate", "0.5",
              "--n", "4,6", "--mode", "mc", "--trials", "64", "--seed", "9"]
-    base = run(oargs, tmp_path / "o_a.csv", env_threads=1)
+    base = run(oargs, tmp_path / "o_a.csv", 1)
     for k, variant in enumerate((
-            run(oargs, tmp_path / "o_b.csv", env_threads=4),
-            run(oargs, tmp_path / "o_c.csv", flag_threads=3))):
+            run(oargs, tmp_path / "o_b.csv", 4),
+            run(oargs, tmp_path / "o_c.csv", 3))):
         if variant != base:
             problems.append(f"sampling sweep bytes differ in variant {k}")
     verdict(capsys, 10, "sweep outputs byte-identical at any thread count",

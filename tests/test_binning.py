@@ -229,12 +229,6 @@ class TestMonteCarlo:
         mean, se = expected_divergence_mc(j, 2, 0.5, 2, trials=400, seed=3)
         assert abs(mean - exact) < 5 * max(se, 1e-6)
 
-    def test_thread_count_invariance(self, rng):
-        j = random_joint(rng, 2, 2)
-        runs = [expected_divergence_mc(j, 3, 0.6, 2, trials=64, seed=11, threads=t)
-                for t in (1, 2, 7)]
-        assert runs[0] == runs[1] == runs[2]
-
     def test_seed_sensitivity(self, rng):
         j = random_joint(rng, 2, 2)
         a = expected_divergence_mc(j, 3, 0.6, 2, trials=64, seed=1)
@@ -309,15 +303,13 @@ class TestMonteCarloKernel:
     ])
     def test_flip_values_pinned(self, alpha, expected):
         # the values of the product-joint kernel this one replaced
-        for threads in (1, 2):
-            assert expected_divergence_mc(FLIP, 10, 0.3, alpha, 64, 0,
-                                          threads=threads) == expected
+        assert expected_divergence_mc(FLIP, 10, 0.3, alpha, 64, 0) == expected
 
     def test_peak_memory(self):
         # the 2^24-entry product joint alone would be 128 MiB
         tracemalloc.start()
         try:
-            expected_divergence_mc(FLIP, 12, 0.3, 2, 4, 0, threads=1)
+            expected_divergence_mc(FLIP, 12, 0.3, 2, 4, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -337,6 +329,6 @@ class TestMonteCarloKernel:
             raise Drawn
         monkeypatch.setattr("osrb_lab.binning.philox_rng", drawn)
         with pytest.raises(GuardError if guarded else Drawn) as err:
-            expected_divergence_mc(FLIP, n, rate, 2, trials=4, seed=0, threads=1)
+            expected_divergence_mc(FLIP, n, rate, 2, trials=4, seed=0)
         if guarded:
             assert f"mc at m = {m_from_rate(n, rate)}: " in str(err.value)

@@ -188,24 +188,20 @@ class TestOsrb:
         for ra, rb in zip(rows_a, rows_b):
             assert float(ra["mean"]) == pytest.approx(float(rb["mean"]), rel=1e-9)
 
-    def test_mc_reports_spread_and_thread_invariance(self, files, capsys, monkeypatch):
+    def test_mc_reports_spread_and_thread_invariance(self, files, capsys):
         args = ["osrb", "--joint", path(files, "flip.json"), "--alpha", "2",
                 "--rate", "0.5", "--n", "4", "--mode", "mc",
                 "--trials", "64", "--seed", "9"]
         out1 = path(files, "mc1.csv")
-        out3 = path(files, "mc3.csv")
         assert main(args + ["--threads", "1", "--out", out1]) == 0
-        assert main(args + ["--threads", "3", "--out", out3]) == 0
-        with open(out1) as fa, open(out3) as fb:
-            assert fa.read() == fb.read()
+        for threads in ("3", "4"):
+            out = path(files, f"mc{threads}.csv")
+            assert main(args + ["--threads", threads, "--out", out]) == 0
+            with open(out1) as fa, open(out) as fb:
+                assert fa.read() == fb.read()
         (rec,) = read_csv(out1)
         assert float(rec["stderr"]) > 0.0
         assert rec["trials"] == "64"
-        monkeypatch.setenv("OSRB_LAB_THREADS", "2")
-        out_env = path(files, "mcenv.csv")
-        assert main(args + ["--out", out_env]) == 0
-        with open(out1) as fa, open(out_env) as fb:
-            assert fa.read() == fb.read()
 
     def test_fractional_order_rejected_for_exact_mode(self, files, capsys):
         rc = main(["osrb", "--joint", path(files, "flip.json"),
@@ -293,12 +289,21 @@ class TestFlagParseErrors:
          "--alpha", "could not convert string to float: 'x'"),
         (["rates", "--task", "threshold", "--alpha", ","],
          "--alpha", "expected at least one order"),
+        (["osrb", "--alpha", "2", "--rate", "0.5", "--n", "3", "--threads", "-1"],
+         "--threads", "thread count must be >= 0, got -1"),
+        (["osrb", "--alpha", "2", "--rate", "0.5", "--n", "3", "--mode", "mc",
+          "--threads", "-2"],
+         "--threads", "thread count must be >= 0, got -2"),
+        (["wiretap", "--threads", "-1"],
+         "--threads", "thread count must be >= 0, got -1"),
     ], ids=["osrb-alpha-negative", "osrb-n-reversed", "rates-alpha-not-a-number",
-            "rates-alpha-empty-list"])
+            "rates-alpha-empty-list", "osrb-exact-threads-negative",
+            "osrb-mc-threads-negative", "wiretap-threads-negative"])
     def test_rejected_flag_reports_reason(self, files, capsys, argv, flag, reason):
         # argparse prints "argument <flag>: <reason>" on the last stderr
         # line, above it only the usage text
-        argv = argv[:1] + ["--joint", path(files, "flip.json")] + argv[1:]
+        source = "--config" if argv[0] == "wiretap" else "--joint"
+        argv = argv[:1] + [source, path(files, "flip.json")] + argv[1:]
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
-from helpers import product_power_oracle, random_channel, random_joint, random_pmf
+from helpers import (
+    binary_entropy,
+    product_power_oracle,
+    random_channel,
+    random_joint,
+    random_pmf,
+)
 from osrb_lab.measures import (
     FSUM_CHUNK,
     AlphabetMismatchError,
@@ -18,7 +24,6 @@ from osrb_lab.measures import (
     JointPmf,
     NormalizationError,
     Pmf,
-    binary_entropy,
     check_alpha,
     cond_renyi_entropy,
     conditional_entropy,

@@ -105,7 +105,8 @@ class TestRPrime:
                 0.5 * renyi_divergence(Pmf(("0", "1"), BSC03.rows[i]), out, a, bits=True)
                 for i in range(2))
             assert val == pytest.approx(mean, abs=1e-6)
-            assert np.allclose(tilt.t.sum(axis=2), 1.0, atol=1e-9)
+            assert np.allclose(tilt.sum(axis=2), 1.0, atol=1e-9)
+            assert tilt.shape == (2, 2, 2) and not tilt.flags.writeable
 
     def test_point_mass_u_gives_zero(self):
         pu = Pmf(("u",), (1.0,))
@@ -176,7 +177,7 @@ class TestRPrime:
                 assert rep.components["r_prime"] == val
                 assert rep.optimizer_trace["converged"] == (rep.optimizer_trace["gap"] <= 1e-9)
                 assert val >= iuz - 1e-9
-                t = tilt.t.copy()
+                t = tilt.copy()
                 best = smoothing_objective(pu, cxu, czx, a, t)
                 assert best == pytest.approx(val, abs=1e-9)
                 noise = rng.dirichlet(np.ones(czx.rows.shape[1]), size=t.shape[:2]) * (czx.rows > 0.0)

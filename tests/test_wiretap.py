@@ -435,13 +435,12 @@ class TestSweep:
         assert all(r.leakage >= 0.0 and 0.0 <= r.error_prob <= 1.0
                    for r in records)
 
-    def test_thread_count_does_not_change_records(self, sweep_dir, monkeypatch):
+    def test_thread_count_does_not_change_records(self, sweep_dir):
         base, _ = sweep_dir
         cfg = SweepConfig.from_json(base / "cfg.json")
         first = sweep_experiment(cfg, threads=1)
-        monkeypatch.setenv("OSRB_LAB_THREADS", "3")
-        second = sweep_experiment(cfg)
-        assert first == second
+        assert sweep_experiment(cfg, threads=3) == first
+        assert sweep_experiment(cfg) == first
 
     def test_empty_n_list_gives_no_records(self, sweep_dir):
         base, doc = sweep_dir
