@@ -36,6 +36,7 @@ from .measures import (
     SEQ_GUARD,
     GuardError,
     JointPmf,
+    _DivergenceKernel,
     _kron_power,
     check_alpha,
     d_infinity_raw,
@@ -115,15 +116,31 @@ def _aggregate(assignment: np.ndarray, probs: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _aggregate_kron(assignment: np.ndarray, high: np.ndarray, low: np.ndarray,
-                    m: int) -> np.ndarray:
-    """Bin table of the joint ``high (x) low``, never formed: a GEMM of the bin
-    one-hot against ``low``, then one against ``high``.  On non-dyadic joints
-    BLAS's order of addition moves the last bits against :func:`_aggregate`."""
-    onehot = np.zeros((m, assignment.size))
-    onehot[assignment - 1, np.arange(assignment.size)] = 1.0
-    t = (onehot.reshape(-1, low.shape[0]) @ low).reshape(m, high.shape[0], -1)
-    return np.matmul(high.T, t).reshape(m, -1)
+class _KronTables:
+    """Bin tables of the joint ``high (x) low``, never formed: a GEMM of the
+    bin one-hot against ``low``, then one against ``high``.  The one-hot
+    and both products live as long as the object; each call clears the
+    previous binning's ones.  On non-dyadic joints BLAS's order of addition
+    moves the last bits against :func:`_aggregate`."""
+
+    def __init__(self, high: np.ndarray, low: np.ndarray, m: int):
+        self.high, self.low = high, low
+        self.items = np.arange(high.shape[0] * low.shape[0])
+        self.onehot = np.zeros((m, self.items.size))
+        self.ones = self.items  # flat indices of the last ones set; at first, zeros
+        self.lows = np.empty((m * high.shape[0], low.shape[1]))
+        self.out = np.empty((m, high.shape[1], low.shape[1]))
+
+    def __call__(self, bins: np.ndarray) -> np.ndarray:
+        """Table P[b, z] of the binning that puts item i in bin bins[i] (0-based)."""
+        m = self.onehot.shape[0]
+        flat = self.onehot.reshape(-1)
+        flat[self.ones] = 0.0
+        self.ones = bins * self.items.size + self.items
+        flat[self.ones] = 1.0
+        np.matmul(self.onehot.reshape(-1, self.low.shape[0]), self.low, out=self.lows)
+        np.matmul(self.high.T, self.lows.reshape(m, self.high.shape[0], -1), out=self.out)
+        return self.out.reshape(m, -1)
 
 
 def _divergence_of_induced(agg: np.ndarray, pz: np.ndarray, m: int, alpha: float) -> float:
@@ -259,7 +276,9 @@ def expected_divergence_mc(
     bins, without building it: the per-trial one-hot and bin table are
     checked against MATRIX_GUARD before the first trial.  Trial t draws its
     binning from the Philox substream keyed by (seed, t); trials run in
-    index order.
+    index order.  The one-hot, both matrix products, the generator (re-keyed
+    per trial) and the divergence kernel's scratch are allocated once per
+    call.
     """
     a = check_alpha(alpha)
     if trials < 1:
@@ -275,11 +294,18 @@ def expected_divergence_mc(
     low = _kron_power(j.probs, n - n // 2)
     pz = _kron_power(j.probs.sum(axis=0), n)
 
+    rng = philox_rng(seed, 0)
+    fresh = rng.bit_generator.state
+    tables = _KronTables(high, low, m)
+    divergence = _DivergenceKernel(pz / m, a, (m, nz))
     values = []
     for t in range(trials):
-        assignment = philox_rng(seed, t).integers(1, m + 1, size=nx, dtype=np.int64)
-        agg = _aggregate_kron(assignment, high, low, m)
-        values.append(_divergence_of_induced(agg, pz, m, a))
+        if t:
+            fresh["state"]["key"][1] = t
+            rng.bit_generator.state = fresh  # that of philox_rng(seed, t)
+        # the draws of integers(1, m + 1), less one
+        bins = rng.integers(0, m, size=nx, dtype=np.int64)
+        values.append(divergence(tables(bins)))
     mean = pairwise_sum(values) / trials
     if trials == 1:
         return mean, 0.0

@@ -81,6 +81,10 @@ def logsumexp(a, axis=None):
     finite (all entries -inf, or an inf or nan), log(sum(exp(a))) is
     returned instead.  A 0-d result comes back as a numpy scalar.
     """
+    if axis is None and np.ndim(a) <= 1:
+        work = np.array(a, dtype=float, ndmin=1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return _logsumexp_steps(work, np.empty(work.shape, dtype=bool))[0]
     a = np.atleast_1d(np.asarray(a, dtype=float))
     axis = tuple(range(a.ndim)) if axis is None else axis
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -96,6 +100,26 @@ def logsumexp(a, axis=None):
             out = np.where(finite, out, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)))
     out = np.squeeze(out, axis=axis)
     return out[()] if out.ndim == 0 else out
+
+
+def _logsumexp_steps(a: np.ndarray, is_max: np.ndarray) -> np.ndarray:
+    """:func:`logsumexp` of the 1-D float array ``a`` as a shape-(1,) array,
+    worked in place: ``a`` is overwritten and ``is_max``, a bool array of
+    its length, is scratch.  The result is finite exactly when the max is,
+    so a non-finite max takes log(sum(exp(a))) before anything is written.
+    Call under ``np.errstate`` with divide, invalid and over ignored."""
+    a_max = np.max(a, keepdims=True)
+    if not math.isfinite(a_max[0]):
+        return np.log(np.sum(np.exp(a), keepdims=True))
+    at_max = np.flatnonzero(np.equal(a, a_max, out=is_max))
+    count = np.full(1, float(at_max.size))
+    a[at_max] = -np.inf
+    a -= a_max
+    np.exp(a, out=a)
+    s = np.sum(a, keepdims=True)
+    if s[0] != 0:
+        s /= count
+    return np.log1p(s) + np.log(count) + a_max
 
 
 def _is_one(alpha: float) -> bool:
@@ -147,16 +171,21 @@ def _kron_power(a: np.ndarray, k: int) -> np.ndarray:
     return reduce(np.kron, [a] * k, np.ones((1,) * a.ndim))
 
 
+class _Owned(np.ndarray):
+    """Marks an array that this module built for a constructor and that
+    nothing else refers to, so that it is normalized in place."""
+
+
 def _renormalized(values, name: str, atol: float, per_row: bool = False) -> np.ndarray:
     """Probabilities divided by their mass, as a read-only array.
 
     The mass is the sum of the whole array, or of each row (last axis)
     when ``per_row``; a mass more than ``atol`` away from 1 raises
-    NormalizationError.
+    NormalizationError.  An :class:`_Owned` array is divided in place.
     """
     arr = _as_prob_array(values, name)
     rows = arr.reshape(-1, arr.shape[-1]) if per_row and arr.ndim else arr.reshape(1, -1)
-    out = np.empty_like(rows)
+    out = rows if isinstance(values, _Owned) else np.empty_like(rows)
     for i, row in enumerate(rows):
         total = _exact_sum(row)
         if abs(total - 1.0) > atol:
@@ -316,7 +345,7 @@ class JointPmf:
             raise GuardError(f"product_power: {self.probs.size}^{n} entries exceed guard")
         rows = tuple(",".join(s) for s in product(self.row_labels, repeat=n))
         cols = tuple(",".join(s) for s in product(self.col_labels, repeat=n))
-        return JointPmf(rows, cols, _kron_power(self.probs, n))
+        return JointPmf(rows, cols, _kron_power(self.probs, n).view(_Owned))
 
     def to_dict(self) -> dict:
         return {
@@ -494,24 +523,97 @@ def is_singleton(j: JointPmf, atol: float = 1e-12) -> bool:
 
 
 def _kl_nats_raw(p: np.ndarray, q: np.ndarray) -> float:
+    """sum p log(p/q) over supp(p) in nats, p and q of one shape (q may be
+    a broadcast view); the terms are formed in one array."""
     pos = p > 0.0
-    if np.any(q[pos] == 0.0):
+    terms = q[pos]
+    if np.any(terms == 0.0):
         return math.inf
     pp = p[pos]
-    qq = q[pos]
-    return _exact_sum(pp * np.log(pp / qq))
+    np.divide(pp, terms, out=terms)
+    np.log(terms, out=terms)
+    terms *= pp
+    return _exact_sum(terms)
 
 
-def _phi_log_raw(p: np.ndarray, q: np.ndarray, alpha: float) -> float:
-    """ln of sum p^alpha q^(1-alpha) over supp(p); inf/-inf at the edges."""
-    pos = p > 0.0
-    if alpha > 1.0 and np.any(q[pos] == 0.0):
-        return math.inf
-    ok = pos & (q > 0.0)
-    if not np.any(ok):
-        return -math.inf
-    terms = alpha * np.log(p[ok]) + (1.0 - alpha) * np.log(q[ok])
-    return float(logsumexp(terms))
+class _DivergenceKernel:
+    """Divergence of tables p of one shape (rows, k) from the reference
+    that repeats the row q in every row, at one order.
+
+    Built once per reference: it holds q's positive mask, (1 - alpha) log q
+    and the scratch arrays.  At INFINITY and at orders other than one a
+    call allocates nothing table-sized, unless a cell lies outside the
+    support and the Tsallis terms are compacted; order one takes the
+    masked copies of :func:`_kl_nats_raw`.  Each value is bit for bit that
+    of :func:`tsallis_raw` (KL in nats at order one) or, at INFINITY,
+    :func:`d_infinity_raw` in bits, on p and the broadcast reference: the
+    same float operations, in place.
+    """
+
+    def __init__(self, row: np.ndarray, alpha: float, shape: tuple[int, int]):
+        self.row = row
+        self.alpha = alpha
+        self.row_pos = row > 0.0
+        self.all_pos = bool(self.row_pos.all())
+        self.mask = np.empty(shape, dtype=bool)
+        if not (math.isinf(alpha) or _is_one(alpha)):
+            with np.errstate(divide="ignore"):
+                self.log_row = (1.0 - alpha) * np.log(row)
+            self.buf = np.empty(shape)
+
+    def same(self, p: np.ndarray) -> bool:
+        """True when every cell of p equals the reference (almost every
+        table already differs in its first cell)."""
+        return p.flat[0] == self.row[0] and bool(np.equal(p, self.row, out=self.mask).all())
+
+    def __call__(self, p: np.ndarray) -> float:
+        a = self.alpha
+        if self.same(p):
+            return 0.0
+        if math.isinf(a):
+            return math.log2(self.max_ratio(p))
+        if _is_one(a):
+            return _kl_nats_raw(p, np.broadcast_to(self.row, p.shape))
+        log_phi = self.log_phi(p)
+        if log_phi == math.inf:
+            return math.inf
+        return math.expm1(log_phi) / (a - 1.0)
+
+    def max_ratio(self, p: np.ndarray) -> float:
+        """max p/q over supp(p), inf where p > 0 = q.  Dividing by q > 0
+        keeps order, so the column maxima give the max of the ratios."""
+        col_max = p.max(axis=0)
+        if col_max[~self.row_pos].any():
+            return math.inf
+        return float(np.max(col_max[self.row_pos] / self.row[self.row_pos]))
+
+    def log_phi(self, p: np.ndarray) -> float:
+        """ln of sum p^alpha q^(1-alpha) over supp(p); inf/-inf at the edges."""
+        a = self.alpha
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ok = None
+            if not (self.all_pos and p.min() > 0.0):
+                ok = np.greater(p, 0.0, out=self.mask)
+                if not self.all_pos:
+                    if a > 1.0 and ok[:, ~self.row_pos].any():
+                        return math.inf
+                    ok &= self.row_pos
+            np.log(p, out=self.buf, where=True if ok is None else ok)
+            self.buf *= a
+            self.buf += self.log_row
+            terms = self.buf.reshape(-1)
+            if ok is not None:
+                terms = terms[ok.reshape(-1)]
+                if not terms.size:
+                    return -math.inf
+            return float(_logsumexp_steps(terms, self.mask.reshape(-1)[:terms.size])[0])
+
+
+def _one_shot(p, q, alpha: float):
+    """The kernel of the single table p against the whole array q, and p
+    shaped as that table's one row."""
+    q = np.ravel(q)
+    return _DivergenceKernel(q, alpha, (1, q.size)), np.reshape(p, (1, q.size))
 
 
 def kl_raw(p: np.ndarray, q: np.ndarray, bits: bool = True) -> float:
@@ -527,42 +629,29 @@ def tsallis_raw(p: np.ndarray, q: np.ndarray, alpha: float) -> float:
     a = check_alpha(alpha)
     if math.isinf(a):
         raise InfiniteOrderError("Tsallis divergence has no INFINITY order")
-    if np.array_equal(p, q):
-        return 0.0
-    p = np.ravel(p)
-    q = np.ravel(q)
-    if _is_one(a):
-        return _kl_nats_raw(p, q)
-    log_phi = _phi_log_raw(p, q, a)
-    if math.isinf(log_phi) and log_phi > 0:
-        return math.inf
-    return math.expm1(log_phi) / (a - 1.0)
+    kernel, p = _one_shot(p, q, a)
+    return kernel(p)
 
 
 def renyi_raw(p: np.ndarray, q: np.ndarray, alpha: float, bits: bool = True) -> float:
     a = check_alpha(alpha)
     if math.isinf(a):
         return d_infinity_raw(p, q, bits=bits)
-    if np.array_equal(p, q):
+    kernel, p = _one_shot(p, q, a)
+    if kernel.same(p):
         return 0.0
-    p = np.ravel(p)
-    q = np.ravel(q)
     if _is_one(a):
-        v = _kl_nats_raw(p, q)
+        v = _kl_nats_raw(p.ravel(), kernel.row)
     else:
-        v = _phi_log_raw(p, q, a) / (a - 1.0)
+        v = kernel.log_phi(p) / (a - 1.0)
     return v / LN2 if bits else v
 
 
 def d_infinity_raw(p: np.ndarray, q: np.ndarray, bits: bool = True) -> float:
-    if np.array_equal(p, q):
+    kernel, p = _one_shot(p, q, math.inf)
+    if kernel.same(p):
         return 0.0
-    p = np.ravel(p)
-    q = np.ravel(q)
-    pos = p > 0.0
-    if np.any(q[pos] == 0.0):
-        return math.inf
-    ratio = float(np.max(p[pos] / q[pos]))
+    ratio = kernel.max_ratio(p)
     return math.log2(ratio) if bits else math.log(ratio)
 
 

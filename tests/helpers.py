@@ -5,11 +5,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from osrb_lab.binning import expected_tsallis_exact_iid, m_from_rate
+from osrb_lab.binning import (
+    _divergence_of_induced,
+    expected_tsallis_exact_iid,
+    m_from_rate,
+    pairwise_sum,
+    philox_rng,
+)
 from osrb_lab.measures import (
+    ALPHA_ONE_WINDOW,
     Channel,
     JointPmf,
     Pmf,
+    _kron_power,
     check_alpha,
     cond_renyi_entropy,
     logsumexp,
@@ -359,3 +367,83 @@ def label_masses(code):
     out = np.zeros((code.m1, code.m2))
     np.add.at(out, (code.m_label - 1, code.f_label - 1), np.exp(labeled.log_probs))
     return out
+
+
+def logsumexp_reference(a, axis=None):
+    """logsumexp with fresh arrays at every step: max, tie mask and count,
+    exp of the shifted non-max entries, their sum over the count, then
+    log1p(s) + log(c) + max, or log(sum(exp(a))) where that is not finite.
+    The in-place steps must reproduce it bit for bit."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=axis, keepdims=True)
+        is_max = a == a_max
+        count = np.sum(is_max, axis=axis, keepdims=True, dtype=float)
+        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max),
+                   axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / count)
+        out = np.log1p(s) + np.log(count) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)))
+    out = np.squeeze(out, axis=axis)
+    return out[()] if out.ndim == 0 else out
+
+
+def divergence_reference(p, q, alpha, bits=True):
+    """Tsallis divergence of finite order (KL in nats within ALPHA_ONE_WINDOW
+    of one) or, at alpha = inf, D_inf in bits or nats, from masked copies of
+    the support and :func:`logsumexp_reference`: the one-shot formulas the
+    divergence kernel must reproduce bit for bit."""
+    if np.array_equal(p, q):
+        return 0.0
+    p, q = np.ravel(p), np.ravel(q)
+    pos = p > 0.0
+    violated = bool(np.any(q[pos] == 0.0))
+    if math.isinf(alpha):
+        if violated:
+            return math.inf
+        ratio = float(np.max(p[pos] / q[pos]))
+        return math.log2(ratio) if bits else math.log(ratio)
+    if abs(alpha - 1.0) < ALPHA_ONE_WINDOW:
+        return math.inf if violated else math.fsum(
+            (p[pos] * np.log(p[pos] / q[pos])).tolist())
+    if alpha > 1.0 and violated:
+        return math.inf
+    ok = pos & (q > 0.0)
+    if not np.any(ok):
+        return math.expm1(-math.inf) / (alpha - 1.0)
+    terms = alpha * np.log(p[ok]) + (1.0 - alpha) * np.log(q[ok])
+    return math.expm1(float(logsumexp_reference(terms))) / (alpha - 1.0)
+
+
+def aggregate_kron_reference(assignment, high, low, m):
+    """Bin table of the joint ``high (x) low`` for a 1-based assignment, from
+    a fresh one-hot and fresh GEMM outputs: the table that the buffered
+    per-call kernel must reproduce bit for bit."""
+    onehot = np.zeros((m, assignment.size))
+    onehot[assignment - 1, np.arange(assignment.size)] = 1.0
+    t = (onehot.reshape(-1, low.shape[0]) @ low).reshape(m, high.shape[0], -1)
+    return np.matmul(high.T, t).reshape(m, -1)
+
+
+def mc_reference(j, n, rate, alpha, trials, seed):
+    """expected_divergence_mc with everything built per trial: a new
+    philox_rng(seed, t), a fresh table and the one-shot divergence."""
+    a = check_alpha(alpha)
+    m = m_from_rate(n, rate)
+    high = _kron_power(j.probs, n // 2)
+    low = _kron_power(j.probs, n - n // 2)
+    pz = _kron_power(j.probs.sum(axis=0), n)
+    values = []
+    for t in range(trials):
+        assignment = philox_rng(seed, t).integers(1, m + 1, size=j.shape[0] ** n,
+                                                  dtype=np.int64)
+        agg = aggregate_kron_reference(assignment, high, low, m)
+        values.append(_divergence_of_induced(agg, pz, m, a))
+    mean = pairwise_sum(values) / trials
+    if trials == 1:
+        return mean, 0.0
+    var = pairwise_sum((v - mean) ** 2 for v in values) / (trials - 1)
+    return mean, math.sqrt(var / trials)

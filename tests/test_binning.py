@@ -9,13 +9,14 @@ import pytest
 from helpers import (
     dyadic_joint,
     exact_mean_oracle,
+    mc_reference,
     order_two_transition_problems,
     random_joint,
 )
 from osrb_lab.measures import GuardError, JointPmf, cond_renyi_entropy
 from osrb_lab.binning import (
+    _KronTables,
     _aggregate,
-    _aggregate_kron,
     _kron_power,
     bin_cumulant_coefficients,
     derive_seed,
@@ -264,7 +265,7 @@ class TestMonteCarloKernel:
                                                   dtype=np.int64)
         high = _kron_power(j.probs, n // 2)
         low = _kron_power(j.probs, n - n // 2)
-        return (_aggregate_kron(assignment, high, low, m),
+        return (_KronTables(high, low, m)(assignment - 1),
                 _aggregate(assignment, j.product_power(n).probs, m))
 
     @pytest.mark.parametrize("m", [1, 2, 8, 132])
@@ -304,6 +305,42 @@ class TestMonteCarloKernel:
     def test_flip_values_pinned(self, alpha, expected):
         # the values of the product-joint kernel this one replaced
         assert expected_divergence_mc(FLIP, 10, 0.3, alpha, 64, 0) == expected
+
+    @pytest.mark.parametrize("alpha", [1, 1 + 5e-7])
+    def test_order_one_values_pinned(self, alpha):
+        # orders within ALPHA_ONE_WINDOW of one take the KL branch
+        assert expected_divergence_mc(FLIP, 6, 0.3, alpha, 8, 0) == (
+            0.09257499503559685, 0.006003214550212958)
+        assert expected_divergence_enum(FLIP, 2, 2, alpha) == 0.23433536509337777
+
+    def test_matches_per_trial_reference_bit_for_bit(self):
+        # reused one-hot, GEMM outputs, generator and divergence scratch
+        # against a loop that builds each of them per trial
+        rng = np.random.default_rng(15)
+        cases = []
+        for _ in range(40):
+            kx, kz = (int(v) for v in rng.integers(2, 4, size=2))
+            cases.append((random_joint(rng, kx, kz), int(rng.integers(1, 7))))
+        # a zero-mass column and zero cells: compacted terms, D_inf off the support
+        cases.append((JointPmf(("a", "b", "c"), ("u", "v", "w"),
+                               [[0.3, 0.0, 0.0], [0.2, 0.1, 0.0], [0.0, 0.4, 0.0]]), 3))
+        for case, (j, n) in enumerate(cases):
+            for rate in (0, 0.1, 0.5, 1, 1.5):
+                for alpha in (0.5, 1, 1.5, 2, 3, math.inf):
+                    got = expected_divergence_mc(j, n, rate, alpha, 3, case)
+                    assert got == mc_reference(j, n, rate, alpha, 3, case), (case, rate, alpha)
+
+    @pytest.mark.parametrize("alpha,parent_mib", [(2, 130.9), (math.inf, 100.0)])
+    def test_peak_memory_with_reused_buffers(self, alpha, parent_mib):
+        # m = 777: each table-sized array is 24.3 MiB; the per-trial loop
+        # this replaced peaked at parent_mib
+        tracemalloc.start()
+        try:
+            expected_divergence_mc(FLIP, 12, 0.8, alpha, 3, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= parent_mib * 2 ** 20
 
     def test_peak_memory(self):
         # the 2^24-entry product joint alone would be 128 MiB
