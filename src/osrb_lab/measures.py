@@ -91,8 +91,10 @@ def logsumexp(a, axis=None):
         a_max = np.max(a, axis=axis, keepdims=True)
         is_max = a == a_max
         count = np.sum(is_max, axis=axis, keepdims=True, dtype=float)
-        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max),
-                   axis=axis, keepdims=True)
+        # the shifted terms are formed in one array, in place
+        shifted = np.where(is_max, -np.inf, a)
+        shifted -= a_max
+        s = np.sum(np.exp(shifted, out=shifted), axis=axis, keepdims=True)
         s = np.where(s == 0, s, s / count)
         out = np.log1p(s) + np.log(count) + a_max
         finite = np.isfinite(out)

@@ -18,7 +18,6 @@ from fractions import Fraction
 import numpy as np
 
 from .measures import (
-    OUTPUT_GUARD,
     SEQ_GUARD,
     Channel,
     GuardError,
@@ -26,6 +25,10 @@ from .measures import (
     Pmf,
     logsumexp,
 )
+
+
+GATHER_CELLS = 2 ** 16       # parent-prefix cells gathered at once for the
+                             # last level of a likelihood table
 
 
 class EmptyTypicalSetError(ValueError):
@@ -202,44 +205,66 @@ def joint_typical_set(j: JointPmf, n: int, eps: float) -> JointTypicalSet:
     return JointTypicalSet(j, n, float(eps), u_set, tuple(x_members), tuple(x_log_probs))
 
 
-def _channel_log_likelihoods(ch: Channel, in_digits: np.ndarray, out_count: int, n: int) -> np.ndarray:
+def _channel_log_likelihoods(ch: Channel, in_digits: np.ndarray, out_count: int, n: int,
+                             out: np.ndarray | None = None) -> np.ndarray:
     """log prod_i p(z_i | x_i) for given input digit rows x all outputs z.
 
-    The output prefix grows one symbol at a time: level pos adds
-    log p(z_pos | x_pos) to every prefix of length pos, and since z_pos is
-    the next less significant digit the (prefix, z_pos) pairs come out in
-    sequence order.  Each cell sums its n terms from 0.0 in position
-    order, so the value is that of the per-position sum bit for bit.
+    A joint (input prefix, output prefix) table grows one position at a
+    time over the distinct input prefixes of the rows: level pos is level
+    pos - 1 gathered by parent prefix plus log p(z_pos | x_pos) broadcast
+    over the new output digit z_pos, the next less significant digit, so
+    the (prefix, z_pos) pairs come out in sequence order.  The last level
+    is written straight into ``out`` (a new array when None), one row per
+    input row in input order; rows may repeat and need not be sorted.
+    Each cell sums its n terms from 0.0 in position order, so the value is
+    that of the per-position sum bit for bit.
     """
     kz = len(ch.out_labels)
     if kz ** n != out_count:
         raise ValueError(f"output count {out_count} is not {kz}^{n}")
     with np.errstate(divide="ignore"):
         log_rows = np.log(ch.rows)
+    k_in = log_rows.shape[0]
     rows = in_digits.shape[0]
-    out = np.zeros((rows, 1))
-    for pos in range(n):
-        step = log_rows[in_digits[:, pos]]
-        out = (out[:, :, None] + step[:, None, :]).reshape(rows, kz ** (pos + 1))
+    if out is None:
+        out = np.empty((rows, out_count))
+    # each row's input prefix of length n - 1 in radix k_in
+    heads = in_digits[:, :n - 1] @ (k_in ** np.arange(n - 2, -1, -1, dtype=np.int64))
+    keys = np.zeros(1, dtype=np.int64)
+    table = np.zeros((1, 1))
+    for pos in range(n - 1):
+        level = np.unique(heads // k_in ** (n - 2 - pos))
+        parent = np.searchsorted(keys, level // k_in)
+        table = (table[parent][:, :, None]
+                 + log_rows[level % k_in][:, None, :]).reshape(level.size, kz ** (pos + 1))
+        keys = level
+    # the last level goes straight into out, GATHER_CELLS parent cells at a
+    # time, so no temporary of out's size is built
+    parent = np.searchsorted(keys, heads)
+    last = log_rows[in_digits[:, n - 1]]
+    out3 = out.reshape(rows, kz ** (n - 1), kz)
+    step = max(1, GATHER_CELLS // kz ** (n - 1))
+    for lo in range(0, rows, step):
+        np.add(table[parent[lo:lo + step]][:, :, None], last[lo:lo + step, None, :],
+               out=out3[lo:lo + step])
     return out
 
 
-def s_kernel_row(jts: JointTypicalSet, ch: Channel, u_seq: int) -> np.ndarray:
+def s_kernel_row(jts: JointTypicalSet, u_seq: int, log_lik: np.ndarray,
+                 table_xs: np.ndarray, work: np.ndarray) -> np.ndarray:
     """S(z, u) over every output sequence z, as a probability vector.
 
     S averages the memoryless channel likelihood over the conditionally
     typical x sequences of u under the tilted conditional law, so each row
-    sums to one.
+    sums to one.  ``log_lik`` holds the ``_channel_log_likelihoods`` rows
+    of the increasing x sequences ``table_xs``, which cover u's
+    conditional set.  u's rows are gathered from it into the scratch rows
+    ``work`` (at least as many as u's set has members), which the caller
+    reuses across u, so the gather allocates nothing per u.
     """
-    n = jts.n
-    kx = jts.base.shape[1]
-    kz = len(ch.out_labels)
-    if kz ** n > OUTPUT_GUARD:
-        raise GuardError(f"output alphabet {kz}^{n} exceeds guard")
-    if jts.base.col_labels != ch.in_labels:
-        raise ValueError("channel input must match the joint's X alphabet")
     xs, cond_log = jts.conditional(u_seq)
-    x_digits = index_digits(xs, kx, n)
-    log_lik = _channel_log_likelihoods(ch, x_digits, kz ** n, n)
-    return np.exp(logsumexp(log_lik + cond_log[:, None], axis=0))
-
+    # the indices are in range; mode "raise" would gather into a buffer
+    terms = np.take(log_lik, np.searchsorted(table_xs, xs), axis=0,
+                    out=work[:xs.size], mode="clip")
+    terms += cond_log[:, None]
+    return np.exp(logsumexp(terms, axis=0))

@@ -32,6 +32,7 @@ from .measures import (
     JointPmf,
     Pmf,
     _kron_power,
+    _one_shot,
     check_alpha,
     d_infinity_raw,
     logsumexp,
@@ -236,8 +237,10 @@ def _likelihood_rows(source, ch: Channel, pos: np.ndarray | None = None) -> np.n
     ``source`` is a code's TypicalSet or JointTypicalSet and ``pos`` the
     labeled member positions (all members when None).  Deterministic rows
     are exp of ``_channel_log_likelihoods``, built a block of members at a
-    time with the exp written straight into the block; stochastic rows are
-    ``s_kernel_row`` of each u member.
+    time: its last level is written into the block and the exp taken in
+    place.  Stochastic rows are
+    ``s_kernel_row`` of each u member, reduced from one log-likelihood
+    table over the union of the members' x sets.
     """
     stochastic = isinstance(source, JointTypicalSet)
     labeled = source.u_set if stochastic else source
@@ -251,15 +254,25 @@ def _likelihood_rows(source, ch: Channel, pos: np.ndarray | None = None) -> np.n
         raise GuardError("likelihood matrix exceeds the size guard")
     rows = np.empty((members.size, out_count))
     if stochastic:
+        if ch.in_labels != source.base.col_labels:
+            raise ValueError("channel input must match the joint's X alphabet")
+        x_sets = source.x_members if pos is None else [source.x_members[i] for i in pos]
+        xs = np.unique(np.concatenate(x_sets))
+        if xs.size * out_count > MATRIX_GUARD:
+            raise GuardError("likelihood table exceeds the size guard")
+        table = _channel_log_likelihoods(ch, index_digits(xs, source.base.shape[1], n),
+                                         out_count, n)
+        work = np.empty((max(x.size for x in x_sets), out_count))
         for i, u in enumerate(members):
-            rows[i] = s_kernel_row(source, ch, int(u))
+            rows[i] = s_kernel_row(source, int(u), table, xs, work)
         return rows
     if ch.in_labels != labeled.base.labels:
         raise ValueError("channel input alphabet does not match the source")
     step = max(1, BLOCK_CELLS // out_count)
     for lo in range(0, members.size, step):
+        block = rows[lo:lo + step]
         digits = index_digits(members[lo:lo + step], labeled.base.size, n)
-        np.exp(_channel_log_likelihoods(ch, digits, out_count, n), out=rows[lo:lo + step])
+        np.exp(_channel_log_likelihoods(ch, digits, out_count, n, out=block), out=block)
     return rows
 
 
@@ -311,14 +324,17 @@ def _leakage_tables(code: WiretapCode, pos: np.ndarray, weights: np.ndarray,
 
 def _leakage_value(p_mz: np.ndarray, target: np.ndarray, a: float) -> float:
     """Divergence of p(m, z^n | f) from the product reference ``target``,
-    uniform messages times the i.i.d. output law, shaped like ``p_mz``.
-    RESIDUE is the absolute tolerance of a reported leakage: any value
+    uniform messages times the i.i.d. output law, shaped like ``p_mz``,
+    clamped by ``_residue_clamped``."""
+    if math.isinf(a):
+        return _residue_clamped(d_infinity_raw(p_mz, target))
+    return _residue_clamped(tsallis_raw(p_mz, target, a))
+
+
+def _residue_clamped(value: float) -> float:
+    """RESIDUE is the absolute tolerance of a reported leakage: any value
     with |value| < RESIDUE is float residue and is reported as 0.0, at
     every order."""
-    if math.isinf(a):
-        value = d_infinity_raw(p_mz, target)
-    else:
-        value = tsallis_raw(p_mz, target, a)
     return 0.0 if abs(value) < RESIDUE else value
 
 
@@ -419,12 +435,15 @@ def select_f(code: WiretapCode, main: Channel, eve: Channel, alpha, *, rows=None
     weights = np.empty(code.member_count)
     for pos in groups.values():
         weights[pos] = _restricted_weights(code._labeled.log_probs[pos])
+    # one divergence kernel of the target serves every dither: its values
+    # are those of _leakage_value bit for bit
     target = _leakage_target(code, eve)
+    kernel, _ = _one_shot(target, target, a)
     scores = {}
     for f, p_mz in _leakage_tables(code, np.arange(code.member_count), weights,
                                    eve_rows, list(groups)):
         pos = groups[f]
-        scores[f] = (_leakage_value(p_mz, target, a),
+        scores[f] = (_residue_clamped(kernel(p_mz.reshape(1, -1))),
                      _miss_kernel(code, pos, weights[pos], main_rows[pos]))
     best = min(leak + err for leak, err in scores.values())
     f_star = next(f for f, (leak, err) in scores.items() if leak + err <= best + RESIDUE)

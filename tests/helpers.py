@@ -138,6 +138,19 @@ def channel_log_likelihoods_reference(ch, in_digits, out_count, n):
     return out
 
 
+def s_kernel_row_reference(jts, ch, u_seq):
+    """S(z, u) over every output z, one u at a time: the likelihood rows of
+    u's own x set, built from scratch, tilted by its conditional law and
+    summed in the log domain -- the per-u kernel that the shared-table
+    stochastic rows must reproduce bit for bit."""
+    n = jts.n
+    xs, cond_log = jts.conditional(u_seq)
+    out_count = len(ch.out_labels) ** n
+    log_lik = channel_log_likelihoods_reference(
+        ch, index_digits(xs, jts.base.shape[1], n), out_count, n)
+    return np.exp(logsumexp(log_lik + cond_log[:, None], axis=0))
+
+
 def random_channel(rng, in_labels, out_labels, floor=0.0):
     rows = []
     for _ in in_labels:

@@ -6,6 +6,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
+
 import osrb_lab
 from osrb_lab import cli
 from osrb_lab.measures import Channel, JointPmf, Pmf
@@ -32,8 +34,10 @@ def test_traced_names_resolve():
 def test_tracer_extractors_run_on_small_sweeps(tmp_path, capsys):
     # one deterministic and one stochastic sweep through the CLI under the
     # tracer: no wrapped name is missing, no extractor fails, and every
-    # likelihood span counts rows x 2^n cells, the rows being the typical
-    # members (deterministic) or the x set of one u member (stochastic)
+    # likelihood span counts rows x 2^n cells.  Per (n, channel) the
+    # deterministic rows are one table over the typical members; the
+    # stochastic ones are one table over the union of the u members' x
+    # sets plus one reduction per u member over its own x set
     spans = load_spans()
     source = Pmf(("a", "b"), (0.6, 0.4))
     joint = JointPmf(("u0", "u1"), ("a", "b"), [[0.4, 0.1], [0.1, 0.4]])
@@ -63,7 +67,9 @@ def test_tracer_extractors_run_on_small_sweeps(tmp_path, capsys):
     for n in ns:
         # eve and main rows, each built once per n
         want += [typical_set(source, n, 0.9).size * 2 ** n] * 2
-        want += [xs.size * 2 ** n for xs in joint_typical_set(joint, n, 0.3).x_members] * 2
+        x_members = joint_typical_set(joint, n, 0.3).x_members
+        union = np.unique(np.concatenate(x_members)).size
+        want += ([union * 2 ** n] + [xs.size * 2 ** n for xs in x_members]) * 2
     cells = [s["cells"] for s in tracer.spans if s["name"] == "typicality.likelihood"]
     assert sorted(cells) == sorted(want)
     assert spans.layer_metrics(tracer.spans)["typicality.likelihood.calls"] == len(want)

@@ -10,6 +10,7 @@ from helpers import (
     joint_typical_oracle,
     joint_typical_reference,
     random_pmf,
+    s_kernel_row_reference,
 )
 from osrb_lab.measures import Channel, GuardError, JointPmf, Pmf
 from osrb_lab.typicality import (
@@ -17,9 +18,9 @@ from osrb_lab.typicality import (
     _channel_log_likelihoods,
     index_digits,
     joint_typical_set,
-    s_kernel_row,
     typical_set,
 )
+from osrb_lab.wiretap import _likelihood_rows
 
 
 class TestIndexing:
@@ -205,8 +206,7 @@ class TestSmoothedKernel:
                      [[0.30, 0.20], [0.15, 0.35]])
         jts = joint_typical_set(j, 3, 0.5)
         ch = Channel(("x0", "x1"), ("z0", "z1"), [[0.8, 0.2], [0.2, 0.8]])
-        for u in jts.u_set.members:
-            row = s_kernel_row(jts, ch, int(u))
+        for row in _likelihood_rows(jts, ch):
             assert row.sum() == pytest.approx(1.0, abs=1e-9)
             assert row.min() >= 0.0
 
@@ -219,16 +219,15 @@ class TestSmoothedKernel:
         ch = Channel(("x0", "x1"), ("z0", "z1"), [[0.9, 0.1], [0.25, 0.75]])
         pu, cond_rows = j.row_conditionals()
         expected = cond_rows @ ch.rows
-        for u in range(2):
-            got = [s_kernel_row(jts, ch, u)[z] for z in range(2)]
-            assert np.allclose(got, expected[u], atol=1e-12)
+        assert jts.u_set.members.tolist() == [0, 1]
+        assert np.allclose(_likelihood_rows(jts, ch), expected, atol=1e-12)
 
     def test_output_alphabet_guard(self):
         # 4^11 output sequences exceed the 2^20 guard
         jts = joint_typical_set(JointPmf(("u0",), ("x0", "x1"), [[0.5, 0.5]]), 11, 0.9)
         ch = Channel(("x0", "x1"), ("z0", "z1", "z2", "z3"), np.full((2, 4), 0.25))
         with pytest.raises(GuardError):
-            s_kernel_row(jts, ch, int(jts.u_set.members[0]))
+            _likelihood_rows(jts, ch)
 
 
 class TestChannelLikelihoods:
@@ -257,6 +256,21 @@ class TestChannelLikelihoods:
                     assert np.array_equal(got.view(np.int64), want.view(np.int64))
                     compared += 1
         assert compared == 3 * 29
+
+    def test_unsorted_repeated_rows_share_prefixes(self):
+        # 600 rows drawn from 40 ternary sequences, unsorted and repeated,
+        # so the prefix table is shared at every depth; rows come back in
+        # input order, bit for bit the per-position sum
+        rng = np.random.default_rng(1602)
+        n = 7
+        ch = Channel(("x0", "x1", "x2"), ("z0", "z1", "z2"),
+                     [[0.7, 0.3, 0.0], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]])
+        pool = rng.integers(0, 3, size=(40, n))
+        digits = pool[rng.integers(0, 40, size=600)]
+        assert np.unique(digits[:, :3], axis=0).shape[0] < 27
+        got = _channel_log_likelihoods(ch, digits, 3 ** n, n)
+        want = channel_log_likelihoods_reference(ch, digits, 3 ** n, n)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_rejects_output_count_of_another_blocklength(self):
         ch = Channel(("x0", "x1"), ("z0", "z1", "z2"), np.full((2, 3), 1 / 3))

@@ -1,19 +1,20 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import channel_log_likelihoods_reference, label_masses
+from helpers import channel_log_likelihoods_reference, label_masses, s_kernel_row_reference
 from osrb_lab import wiretap
 from osrb_lab.binning import derive_seed, m_from_rate
 from osrb_lab.measures import Channel, JointPmf, Pmf
 from osrb_lab.typicality import (
+    EmptyTypicalSetError,
     _channel_log_likelihoods,
     index_digits,
     joint_typical_set,
-    s_kernel_row,
     typical_set,
 )
 from osrb_lab.wiretap import (
@@ -313,7 +314,7 @@ def decoded_miss_mass(code, f, main):
                 x_digits = index_digits([member], len(main.in_labels), code.n)[0]
                 lik = math.prod(main.rows[x, z] for x, z in zip(x_digits, y_digits))
             else:
-                lik = s_kernel_row(code.source, main, member)[y]
+                lik = s_kernel_row_reference(code.source, main, member)[y]
             miss += w * lik
     return miss
 
@@ -329,6 +330,21 @@ class TestCrossPath:
             for f in populated:
                 assert recs[f - 1].leakage == leakage(code, f, EVE, alpha)
                 assert recs[f - 1].error_prob == error_prob(code, f, MAIN)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1, 2, math.inf])
+    @pytest.mark.parametrize("kind", ["deterministic", "stochastic"])
+    def test_select_f_leakage_is_leakage_bit_for_bit(self, kind, alpha):
+        # select_f scores every dither with one divergence kernel of the
+        # code's target; leakage() builds a one-shot kernel per call
+        got, want = [], []
+        for code in cross_path_codes(kind):
+            _, recs = select_f(code, MAIN, EVE, alpha)
+            for f in range(1, code.m2 + 1):
+                if code.f_positions(f).size:
+                    got.append(recs[f - 1].leakage)
+                    want.append(leakage(code, f, EVE, alpha))
+        assert max(want) > 0.0
+        assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
 
     @pytest.mark.parametrize("kind", ["deterministic", "stochastic"])
     def test_error_prob_is_miss_mass_of_decode(self, kind):
@@ -370,6 +386,56 @@ class TestSharedRows:
         want = np.exp(channel_log_likelihoods_reference(
             ch, index_digits(ts.members, 3, n), 2 ** n, n))
         assert np.array_equal(rows.view(np.int64), want.view(np.int64))
+
+    def test_deterministic_rows_peak_memory(self):
+        # tracemalloc peak above the returned rows at n = 11 (2,048 members
+        # in 512-row blocks): 3.7 MiB; extending each block's rows one
+        # position at a time, without shared prefixes, peaks at 12.2 MiB,
+        # and gathering the whole last level's parent rows at once at 6.2
+        ts = typical_set(UNIFORM2, 11, 0.6)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rows = _likelihood_rows(ts, EVE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (2 ** 11, 2 ** 11)
+        assert peak - base - rows.nbytes <= 5 * 2 ** 20
+
+    def test_stochastic_rows_match_per_u_kernel_bit_for_bit(self):
+        # seeded (U, X) joints with zero entries through channels with 2 or
+        # 3 outputs and zeroed cells, n = 1..7: the rows from one shared
+        # table equal the per-u kernel's, over every member and over an
+        # unsorted subset of positions, as int64 bit patterns
+        rng = np.random.default_rng(1601)
+        compared = 0
+        for kx, kz in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+            for n in range(1, 8 if kx == 2 else 6):
+                probs = rng.uniform(0.05, 1.0, size=(2, kx))
+                probs[rng.integers(2), rng.integers(kx)] = 0.0
+                joint = JointPmf(("u0", "u1"), tuple(f"x{i}" for i in range(kx)),
+                                 probs / probs.sum())
+                w = rng.dirichlet(np.ones(kz), size=kx)
+                zero = rng.random(w.shape) < 0.3
+                zero[np.arange(kx), rng.integers(kz, size=kx)] = False
+                w = np.where(zero, 0.0, w)
+                ch = Channel(joint.col_labels, tuple(f"z{i}" for i in range(kz)),
+                             w / w.sum(axis=1, keepdims=True))
+                try:
+                    jts = joint_typical_set(joint, n, 0.3)
+                except EmptyTypicalSetError:
+                    continue
+                members = jts.u_set.members
+                subset = rng.permutation(members.size)[:max(1, members.size // 2)]
+                for pos in (None, subset):
+                    got = _likelihood_rows(jts, ch, pos)
+                    us = members if pos is None else members[pos]
+                    want = np.stack([s_kernel_row_reference(jts, ch, int(u)) for u in us])
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                    compared += 1
+        assert compared >= 30
 
     @pytest.mark.parametrize("block_cells", [BLOCK_CELLS, 1])
     def test_leakage_tables_match_per_dither_add_at(self, monkeypatch, block_cells):
