@@ -38,6 +38,7 @@ from .measures import (
     JointPmf,
     _DivergenceKernel,
     _kron_power,
+    _power_exceeds,
     check_alpha,
     d_infinity_raw,
     tsallis_raw,
@@ -154,15 +155,19 @@ def _divergence_of_induced(agg: np.ndarray, pz: np.ndarray, m: int, alpha: float
 def expected_divergence_enum(j: JointPmf, n: int, m: int, alpha) -> float:
     """Ensemble average over all m^(k^n) binnings of the n-fold extension of
     ``j`` (k source letters).  The guard is checked before the extension is
-    built, and m^(k^n) is not formed once k^n alone puts any m >= 2 over it."""
+    built, and neither m^(k^n) nor k^n is formed once n alone puts any
+    m >= 2 over it; a k^n past SEQ_GUARD is written as a power."""
     a = check_alpha(alpha)
     if n < 1:
         raise ValueError("expected_divergence_enum: n must be >= 1")
-    n_items = j.shape[0] ** n
-    if m > 1 and (n_items >= ENUM_GUARD.bit_length() or m ** n_items > ENUM_GUARD):
-        raise GuardError(f"enumeration of {m}^{n_items} binnings exceeds guard")
-    count = m ** n_items
+    k = j.shape[0]
+    if m > 1 and (_power_exceeds(k, n, ENUM_GUARD.bit_length() - 1)
+                  or m ** k ** n > ENUM_GUARD):
+        items = f"({k}^{n})" if _power_exceeds(k, n, SEQ_GUARD) else k ** n
+        raise GuardError(f"enumeration of {m}^{items} binnings exceeds guard")
     jn = j if n == 1 else j.product_power(n)
+    n_items = jn.shape[0]
+    count = m ** n_items
     pz = jn.probs.sum(axis=0)
     values = []
     for combo in iter_product(range(1, m + 1), repeat=n_items):
@@ -284,12 +289,13 @@ def expected_divergence_mc(
     if trials < 1:
         raise ValueError("expected_divergence_mc: trials must be >= 1")
     kx, kz = j.shape
-    nx, nz = kx ** n, kz ** n
-    if nx > SEQ_GUARD:
+    if _power_exceeds(kx, n, SEQ_GUARD):
         raise GuardError(f"sequence alphabet {kx}^{n} exceeds guard")
     m = m_from_rate(n, rate)
-    if m * max(nx, nz) > MATRIX_GUARD:
+    # m * max(kx, kz)^n > MATRIX_GUARD exactly when the power exceeds MATRIX_GUARD // m
+    if _power_exceeds(max(kx, kz), n, MATRIX_GUARD // m):
         raise GuardError(f"mc at m = {m}: arrays {m} x {kx}^{n} and {m} x {kz}^{n} exceed guard")
+    nx, nz = kx ** n, kz ** n
     high = _kron_power(j.probs, n // 2)
     low = _kron_power(j.probs, n - n // 2)
     pz = _kron_power(j.probs.sum(axis=0), n)

@@ -23,7 +23,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import reduce
 from itertools import chain, product
 
@@ -57,6 +57,13 @@ MATRIX_GUARD = 2 ** 26   # max entries of a product joint or likelihood matrix
 FSUM_CHUNK = 2 ** 16     # entries per Python-float chunk of an exact array sum
 
 
+def _power_exceeds(base: int, n: int, guard: int) -> bool:
+    """True when base^n > guard.  The exponents are compared first, so the
+    power is formed only for n below the guard's bit length, or for a base
+    of 0 or 1 (a one-letter alphabet), whose powers are instant."""
+    return (base > 1 and n >= guard.bit_length()) or base ** n > guard
+
+
 def check_alpha(alpha) -> float:
     """Validate a divergence/entropy order: positive real or ``math.inf``."""
     a = float(alpha)
@@ -81,47 +88,43 @@ def logsumexp(a, axis=None):
     finite (all entries -inf, or an inf or nan), log(sum(exp(a))) is
     returned instead.  A 0-d result comes back as a numpy scalar.
     """
-    if axis is None and np.ndim(a) <= 1:
-        work = np.array(a, dtype=float, ndmin=1)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return _logsumexp_steps(work, np.empty(work.shape, dtype=bool))[0]
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    axis = tuple(range(a.ndim)) if axis is None else axis
+    work = np.array(a, dtype=float, ndmin=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(a, axis=axis, keepdims=True)
-        is_max = a == a_max
-        count = np.sum(is_max, axis=axis, keepdims=True, dtype=float)
-        # the shifted terms are formed in one array, in place
-        shifted = np.where(is_max, -np.inf, a)
-        shifted -= a_max
-        s = np.sum(np.exp(shifted, out=shifted), axis=axis, keepdims=True)
-        s = np.where(s == 0, s, s / count)
-        out = np.log1p(s) + np.log(count) + a_max
-        finite = np.isfinite(out)
-        if not finite.all():
-            out = np.where(finite, out, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)))
+        out = _logsumexp_steps(work, np.empty(work.shape, dtype=bool), axis)
     out = np.squeeze(out, axis=axis)
     return out[()] if out.ndim == 0 else out
 
 
-def _logsumexp_steps(a: np.ndarray, is_max: np.ndarray) -> np.ndarray:
-    """:func:`logsumexp` of the 1-D float array ``a`` as a shape-(1,) array,
-    worked in place: ``a`` is overwritten and ``is_max``, a bool array of
-    its length, is scratch.  The result is finite exactly when the max is,
-    so a non-finite max takes log(sum(exp(a))) before anything is written.
-    Call under ``np.errstate`` with divide, invalid and over ignored."""
-    a_max = np.max(a, keepdims=True)
-    if not math.isfinite(a_max[0]):
-        return np.log(np.sum(np.exp(a), keepdims=True))
-    at_max = np.flatnonzero(np.equal(a, a_max, out=is_max))
-    count = np.full(1, float(at_max.size))
-    a[at_max] = -np.inf
+def _logsumexp_steps(a: np.ndarray, is_max: np.ndarray, axis=None) -> np.ndarray:
+    """:func:`logsumexp` of the float array ``a`` over every entry or along
+    ``axis``, with the reduced axes kept, worked in place: ``a`` is
+    overwritten and ``is_max``, a bool array of its shape, is scratch.  A
+    result is finite exactly when its max is, so where a max is not,
+    log(sum(exp(a))) is taken before anything is written.  Call under
+    ``np.errstate`` with divide, invalid and over ignored.
+
+    The reductions are the ufuncs' own: the float operations of np.max
+    and np.sum without their Python dispatch, which this hot path feels.
+    Over every entry the tie count is ``np.count_nonzero``'s whole-array
+    count, several times faster on a Monte Carlo table than a float sum
+    of the mask; an integer count divides and logs to the same bits."""
+    a_max = np.maximum.reduce(a, axis=axis, keepdims=True)
+    finite = np.isfinite(a_max)
+    fallback = None
+    if not finite.all():
+        fallback = np.log(np.add.reduce(np.exp(a), axis=axis, keepdims=True))
+        if not finite.any():
+            return fallback
+    np.equal(a, a_max, out=is_max)
+    count = (np.count_nonzero(is_max) if axis is None
+             else np.add.reduce(is_max, axis=axis, keepdims=True, dtype=float))
+    np.copyto(a, -np.inf, where=is_max)
     a -= a_max
     np.exp(a, out=a)
-    s = np.sum(a, keepdims=True)
-    if s[0] != 0:
-        s /= count
-    return np.log1p(s) + np.log(count) + a_max
+    s = np.add.reduce(a, axis=axis, keepdims=True)
+    np.divide(s, count, out=s, where=s != 0)
+    out = np.log1p(s) + np.log(count) + a_max
+    return out if fallback is None else np.where(finite, out, fallback)
 
 
 def _is_one(alpha: float) -> bool:
@@ -224,14 +227,53 @@ def _atomic_write_text(path, text: str) -> None:
         raise
 
 
+def _holds_bool(value) -> bool:
+    """True when a loaded JSON value is, or nests, a boolean."""
+    if isinstance(value, list):
+        return any(map(_holds_bool, value))
+    return isinstance(value, bool)
+
+
+class _JsonForm:
+    """The JSON file form of the three probability types: each label field
+    and then the probability array, in field order, under ``KEYS``.  The
+    loader renormalizes within ``LOAD_ATOL``, row by row when ``PER_ROW``,
+    and rejects booleans, which numpy would read as 0 and 1."""
+
+    KEYS = ("row_labels", "col_labels", "probs")
+    PER_ROW = False
+
+    def to_dict(self) -> dict:
+        *labels, probs = (getattr(self, f.name) for f in fields(self))
+        return dict(zip(self.KEYS, [list(labs) for labs in labels] + [probs.tolist()]))
+
+    @classmethod
+    def from_dict(cls, doc: dict):
+        name = cls.__name__
+        *labels, probs = _fields(doc, name, *cls.KEYS)
+        if _holds_bool(probs):
+            raise ValueError(f"{name}: probabilities must be numbers, not booleans")
+        return cls(*labels, _renormalized(probs, name, LOAD_ATOL, per_row=cls.PER_ROW))
+
+    def save(self, path) -> None:
+        _atomic_write_text(path, json.dumps(self.to_dict(), indent=2) + "\n")
+
+    @classmethod
+    def load(cls, path):
+        with open(path) as fh:
+            return cls.from_dict(json.load(fh))
+
+
 @dataclass(frozen=True, eq=False)
-class Pmf:
+class Pmf(_JsonForm):
     """Probability mass function over a finite labeled alphabet.
 
     ``probs`` is stored exactly normalized (sums to 1 in float) and
     read-only.  Constructors accept mass within 1e-12 of 1; the JSON
     loader widens that to 1e-9 and renormalizes.
     """
+
+    KEYS = ("labels", "probs")
 
     labels: tuple[str, ...]
     probs: np.ndarray
@@ -263,25 +305,9 @@ class Pmf:
     def prob(self, label) -> float:
         return float(self.probs[self.labels.index(str(label))])
 
-    def to_dict(self) -> dict:
-        return {"labels": list(self.labels), "probs": [float(x) for x in self.probs]}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Pmf":
-        labels, probs = _fields(doc, "Pmf", "labels", "probs")
-        return cls(labels, _renormalized(probs, "Pmf", LOAD_ATOL))
-
-    def save(self, path) -> None:
-        _atomic_write_text(path, json.dumps(self.to_dict(), indent=2) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "Pmf":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
 
 @dataclass(frozen=True, eq=False)
-class JointPmf:
+class JointPmf(_JsonForm):
     """Joint distribution p(x, z) with X on rows and Z on columns."""
 
     row_labels: tuple[str, ...]
@@ -301,13 +327,6 @@ class JointPmf:
     @property
     def shape(self) -> tuple[int, int]:
         return self.probs.shape
-
-    @classmethod
-    def from_channel(cls, p_in: Pmf, ch: "Channel") -> "JointPmf":
-        """Input distribution through a channel: p(x, z) = p(x) p(z|x)."""
-        if p_in.labels != ch.in_labels:
-            raise AlphabetMismatchError("input pmf and channel alphabets differ")
-        return cls(p_in.labels, ch.out_labels, p_in.probs[:, None] * ch.rows)
 
     def row_marginal(self) -> Pmf:
         return Pmf(self.row_labels, self.probs.sum(axis=1))
@@ -343,36 +362,18 @@ class JointPmf:
         """
         if n < 1:
             raise ValueError("product_power: n must be >= 1")
-        if self.probs.size ** n > MATRIX_GUARD:
+        if _power_exceeds(self.probs.size, n, MATRIX_GUARD):
             raise GuardError(f"product_power: {self.probs.size}^{n} entries exceed guard")
         rows = tuple(",".join(s) for s in product(self.row_labels, repeat=n))
         cols = tuple(",".join(s) for s in product(self.col_labels, repeat=n))
         return JointPmf(rows, cols, _kron_power(self.probs, n).view(_Owned))
 
-    def to_dict(self) -> dict:
-        return {
-            "row_labels": list(self.row_labels),
-            "col_labels": list(self.col_labels),
-            "probs": [[float(x) for x in row] for row in self.probs],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "JointPmf":
-        rows, cols, probs = _fields(doc, "JointPmf", "row_labels", "col_labels", "probs")
-        return cls(rows, cols, _renormalized(probs, "JointPmf", LOAD_ATOL))
-
-    def save(self, path) -> None:
-        _atomic_write_text(path, json.dumps(self.to_dict(), indent=2) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "JointPmf":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
 
 @dataclass(frozen=True, eq=False)
-class Channel:
+class Channel(_JsonForm):
     """Row-stochastic transition matrix p(out | in)."""
+
+    PER_ROW = True
 
     in_labels: tuple[str, ...]
     out_labels: tuple[str, ...]
@@ -407,33 +408,16 @@ class Channel:
         return Pmf(self.out_labels, p_in.probs @ self.rows)
 
     def joint(self, p_in: Pmf) -> JointPmf:
-        return JointPmf.from_channel(p_in, self)
+        """Input distribution through this channel: p(x, z) = p(x) p(z|x)."""
+        if p_in.labels != self.in_labels:
+            raise AlphabetMismatchError("input pmf and channel alphabets differ")
+        return JointPmf(p_in.labels, self.out_labels, p_in.probs[:, None] * self.rows)
 
     def then(self, other: "Channel") -> "Channel":
         """Cascade: feed this channel's output into ``other``."""
         if self.out_labels != other.in_labels:
             raise AlphabetMismatchError("cascade alphabets do not match")
         return Channel(self.in_labels, other.out_labels, self.rows @ other.rows)
-
-    def to_dict(self) -> dict:
-        return {
-            "row_labels": list(self.in_labels),
-            "col_labels": list(self.out_labels),
-            "probs": [[float(x) for x in row] for row in self.rows],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Channel":
-        ins, outs, probs = _fields(doc, "Channel", "row_labels", "col_labels", "probs")
-        return cls(ins, outs, _renormalized(probs, "Channel", LOAD_ATOL, per_row=True))
-
-    def save(self, path) -> None:
-        _atomic_write_text(path, json.dumps(self.to_dict(), indent=2) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "Channel":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def _require_same_alphabet(p: Pmf, q: Pmf) -> None:
@@ -618,14 +602,6 @@ def _one_shot(p, q, alpha: float):
     return _DivergenceKernel(q, alpha, (1, q.size)), np.reshape(p, (1, q.size))
 
 
-def kl_raw(p: np.ndarray, q: np.ndarray, bits: bool = True) -> float:
-    """KL divergence on raw probability arrays of equal shape."""
-    if np.array_equal(p, q):
-        return 0.0
-    v = _kl_nats_raw(np.ravel(p), np.ravel(q))
-    return v / LN2 if bits else v
-
-
 def tsallis_raw(p: np.ndarray, q: np.ndarray, alpha: float) -> float:
     """Tsallis divergence on raw arrays; order one falls back to KL in nats."""
     a = check_alpha(alpha)
@@ -633,20 +609,6 @@ def tsallis_raw(p: np.ndarray, q: np.ndarray, alpha: float) -> float:
         raise InfiniteOrderError("Tsallis divergence has no INFINITY order")
     kernel, p = _one_shot(p, q, a)
     return kernel(p)
-
-
-def renyi_raw(p: np.ndarray, q: np.ndarray, alpha: float, bits: bool = True) -> float:
-    a = check_alpha(alpha)
-    if math.isinf(a):
-        return d_infinity_raw(p, q, bits=bits)
-    kernel, p = _one_shot(p, q, a)
-    if kernel.same(p):
-        return 0.0
-    if _is_one(a):
-        v = _kl_nats_raw(p.ravel(), kernel.row)
-    else:
-        v = kernel.log_phi(p) / (a - 1.0)
-    return v / LN2 if bits else v
 
 
 def d_infinity_raw(p: np.ndarray, q: np.ndarray, bits: bool = True) -> float:
@@ -660,7 +622,10 @@ def d_infinity_raw(p: np.ndarray, q: np.ndarray, bits: bool = True) -> float:
 def kl_divergence(p: Pmf, q: Pmf, bits: bool = True) -> float:
     """KL divergence D(p || q), bits by default."""
     _require_same_alphabet(p, q)
-    return kl_raw(p.probs, q.probs, bits=bits)
+    if np.array_equal(p.probs, q.probs):
+        return 0.0
+    v = _kl_nats_raw(p.probs, q.probs)
+    return v / LN2 if bits else v
 
 
 def total_variation(p: Pmf, q: Pmf) -> float:
@@ -678,7 +643,17 @@ def tsallis_divergence(p: Pmf, q: Pmf, alpha) -> float:
 def renyi_divergence(p: Pmf, q: Pmf, alpha, bits: bool = True) -> float:
     """Renyi divergence of order alpha; KL at one, max-ratio log at INFINITY."""
     _require_same_alphabet(p, q)
-    return renyi_raw(p.probs, q.probs, alpha, bits=bits)
+    a = check_alpha(alpha)
+    if math.isinf(a):
+        return d_infinity_raw(p.probs, q.probs, bits=bits)
+    kernel, probs = _one_shot(p.probs, q.probs, a)
+    if kernel.same(probs):
+        return 0.0
+    if _is_one(a):
+        v = _kl_nats_raw(p.probs, q.probs)
+    else:
+        v = kernel.log_phi(probs) / (a - 1.0)
+    return v / LN2 if bits else v
 
 
 def d_infinity(p: Pmf, q: Pmf, bits: bool = True) -> float:
@@ -686,28 +661,3 @@ def d_infinity(p: Pmf, q: Pmf, bits: bool = True) -> float:
     _require_same_alphabet(p, q)
     return d_infinity_raw(p.probs, q.probs, bits=bits)
 
-
-def sibson_mi(j: JointPmf, alpha) -> float:
-    """Sibson mutual information of order alpha in bits.
-
-    Defined for finite positive orders other than one, from the joint's
-    input marginal and row conditionals.
-    """
-    a = check_alpha(alpha)
-    if math.isinf(a):
-        raise InfiniteOrderError("Sibson information: INFINITY order not supported")
-    if _is_one(a):
-        raise ValueError("Sibson information: order one not supported")
-    px, rows = j.row_conditionals()
-    pos_rows = px > 0.0
-    inner_logs = []
-    for y in range(j.shape[1]):
-        col = rows[pos_rows, y]
-        w = px[pos_rows]
-        ok = col > 0.0
-        if not np.any(ok):
-            inner_logs.append(-math.inf)
-            continue
-        inner_logs.append(float(logsumexp(np.log(w[ok]) + a * np.log(col[ok]))))
-    outer = float(logsumexp(np.asarray(inner_logs) / a))
-    return (a / (a - 1.0)) * outer / LN2

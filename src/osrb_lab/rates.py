@@ -45,6 +45,7 @@ STOCHASTIC = "stochastic"
 ALPHABET_GUARD = 8  # optimizer problems are desk-scale
 MAX_ITER = 500      # r' ascent steps before the solve is flagged unconverged
 TOL = 1e-9          # certified gap (bits) at which the r' ascent stops
+ORDER_ONE_TOL = 1e-9  # orders within this of 1 take the order-one branch
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,12 @@ class RateReport:
         if self.optimizer_trace is not None:
             doc["optimizer_trace"] = dict(self.optimizer_trace)
         return doc
+
+
+def _above_one(a: float) -> bool:
+    """True for INFINITY and for finite orders past the order-one window,
+    which holds the orders with |a - 1| <= ORDER_ONE_TOL."""
+    return a - 1.0 > ORDER_ONE_TOL
 
 
 def osrb_threshold_iid(j: JointPmf, alpha) -> RateReport:
@@ -105,7 +112,7 @@ def osrb_threshold_typical(p_x: Pmf, ch: Channel, alpha) -> RateReport:
     any divergence term drives the threshold to -inf, flagged.
     """
     a = check_alpha(alpha)
-    if not math.isinf(a) and a <= 1.0 + 1e-9:
+    if not _above_one(a):
         raise ValueError("typical-set threshold needs order > 1 or INFINITY")
     hx = shannon_entropy(p_x)
     mean_div, infinite = _mean_output_divergence(p_x, ch, a)
@@ -120,11 +127,9 @@ def osrb_threshold_typical(p_x: Pmf, ch: Channel, alpha) -> RateReport:
 
 
 def _alpha_coeff(a: float) -> float:
-    if math.isinf(a):
-        return 1.0
-    if a <= 1.0:
+    if not _above_one(a):
         raise ValueError("r_prime needs order > 1 or INFINITY")
-    return a / (a - 1.0)
+    return 1.0 if math.isinf(a) else a / (a - 1.0)
 
 
 class _RPrimeProblem:
@@ -312,12 +317,12 @@ def secrecy_rate(main: Channel, eve: Channel, source, alpha,
         jm = main.joint(p_x)
         ixy = mutual_information(jm)
         comps = {"I(X;Y)": ixy}
-        if math.isinf(a) or a > 1.0 + 1e-9:
+        if _above_one(a):
             leak, infinite = _mean_output_divergence(p_x, eve, a)
             value = -math.inf if infinite else ixy - leak
             comps["eve_mean_divergence"] = leak
             flags = ["support_violation"] if infinite else []
-        elif abs(a - 1.0) <= 1e-9:
+        elif abs(a - 1.0) <= ORDER_ONE_TOL:
             ixz = mutual_information(eve.joint(p_x))
             value = ixy - ixz
             comps["I(X;Z)"] = ixz
@@ -337,7 +342,7 @@ def secrecy_rate(main: Channel, eve: Channel, source, alpha,
             p_u, ch_xu = source
         except (TypeError, ValueError):
             raise ValueError("stochastic encoder needs (p_u, ch_xu)")
-        if not math.isinf(a) and a <= 1.0 + 1e-9:
+        if not _above_one(a):
             raise ValueError("stochastic secrecy rate needs order > 1 or INFINITY")
         if p_u.size > len(ch_xu.out_labels) + 1:
             raise GuardError("auxiliary alphabet larger than |X| + 1")

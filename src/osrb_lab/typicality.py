@@ -23,6 +23,7 @@ from .measures import (
     GuardError,
     JointPmf,
     Pmf,
+    _power_exceeds,
     logsumexp,
 )
 
@@ -112,10 +113,9 @@ def typical_set(p: Pmf, n: int, eps: float) -> TypicalSet:
     if eps <= 0.0:
         raise ValueError("typical_set: eps must be > 0")
     k = p.size
-    count = k ** n
-    if count > SEQ_GUARD:
+    if _power_exceeds(k, n, SEQ_GUARD):
         raise GuardError(f"sequence alphabet {k}^{n} exceeds guard")
-    counts = _counts_matrix(count, k, n)
+    counts = _counts_matrix(k ** n, k, n)
     mask = _typical_count_rows(counts, p.probs, n, eps)
     members = np.nonzero(mask)[0].astype(np.int64)
     if members.size == 0:
@@ -168,7 +168,7 @@ def joint_typical_set(j: JointPmf, n: int, eps: float) -> JointTypicalSet:
         raise ValueError("joint_typical_set: eps must be > 0")
     ku, kx = j.shape
     k = ku * kx
-    if k ** n > SEQ_GUARD:
+    if _power_exceeds(k, n, SEQ_GUARD):
         raise GuardError(f"pair alphabet ({ku}*{kx})^{n} exceeds guard")
     u_set = typical_set(j.row_marginal(), n, eps)
     # letter i of the pair sequence is u_i * kx + x_i, so the pair index

@@ -39,6 +39,17 @@ def path(base, name):
     return str(base / name)
 
 
+def run_capped(argv, cwd=None, cap=2 ** 30, timeout=2):
+    """The CLI in a child process under an address-space cap (1 GiB by
+    default), which has to finish within ``timeout`` seconds."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(osrb_lab.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "osrb_lab.cli", *argv], capture_output=True, text=True,
+        env=env, cwd=cwd, timeout=timeout,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -110,6 +121,26 @@ class TestMeasure:
                    "--q", path(files, "skew.json"), "--kind", "tv"])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,doc,argv", [
+        ("Pmf", {"labels": ["a", "b"], "probs": [True, False]},
+         ["measure", "--p", "bad.json", "--q", "half.json", "--kind", "kl"]),
+        ("JointPmf", {"row_labels": ["x0", "x1"], "col_labels": ["z0", "z1"],
+                      "probs": [[True, False], [False, False]]},
+         ["osrb", "--joint", "bad.json", "--alpha", "2", "--rate", "0.5", "--n", "2"]),
+        ("Channel", {"row_labels": ["a", "b"], "col_labels": ["a", "b"],
+                     "probs": [[True, False], [False, True]]},
+         ["rates", "--task", "secrecy", "--alpha", "2", "--main", "bad.json",
+          "--eve", "eve.json", "--input", "uniform.json"]),
+    ])
+    def test_boolean_probabilities_exit_2(self, files, capsys, monkeypatch, name, doc, argv):
+        # a pmf of [true, false] used to load as a point mass: KL 1.000000
+        (files / "bad.json").write_text(json.dumps(doc))
+        monkeypatch.chdir(files)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{name}: probabilities must be numbers, not booleans" in captured.err
 
 
 EXACT_ROWS = [
@@ -248,18 +279,26 @@ class TestOsrb:
     def test_mc_trial_arrays_guard_exits_3(self, files):
         # m = 2^40 bins: the one-hot alone would be 2^44 floats (128 TiB);
         # the address-space cap keeps a missing guard from touching memory
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=os.path.dirname(os.path.dirname(osrb_lab.__file__)))
-        cap = 4 * 2 ** 30
-        proc = subprocess.run(
-            [sys.executable, "-m", "osrb_lab.cli", "osrb", "--joint", path(files, "flip.json"),
-             "--alpha", "2", "--rate", "10", "--n", "4", "--mode", "mc"],
-            capture_output=True, text=True, env=env, timeout=60,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        proc = run_capped(["osrb", "--joint", path(files, "flip.json"), "--alpha", "2",
+                           "--rate", "10", "--n", "4", "--mode", "mc"],
+                          cap=4 * 2 ** 30, timeout=60)
         assert proc.returncode == 3
         assert (f"mc at m = {2 ** 40}: arrays {2 ** 40} x 2^4 "
                 f"and {2 ** 40} x 2^4 exceed guard") in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("rate,mode,message", [
+        ("0", "enum", "product_power: 4^1000000000 entries exceed guard"),
+        ("1e-7", "enum", "enumeration of 1267650600228229401496703205376^(2^1000000000) "
+                         "binnings exceeds guard"),
+        ("0", "mc", "sequence alphabet 2^1000000000 exceeds guard"),
+    ])
+    def test_huge_blocklength_guard_exits_3_quickly(self, files, rate, mode, message):
+        # the guards compare exponents: 2^(10^9) alone takes seconds to form
+        proc = run_capped(["osrb", "--joint", path(files, "flip.json"), "--alpha", "2",
+                           "--rate", rate, "--n", "1000000000", "--mode", mode])
+        assert proc.returncode == 3
+        assert f"error: {message}\n" == proc.stderr
 
     def test_mc_runs_beyond_product_joint_guard(self, files, capsys):
         # (2 x 2)^14 = 2^28 product entries exceed MATRIX_GUARD; the
@@ -357,6 +396,25 @@ class TestRates:
         assert rc == 0
         out = capsys.readouterr().out
         assert "value=0.678071905113" in out
+
+    @pytest.mark.parametrize("alpha,code,out", [
+        ("1.000000000001", 2, ""),
+        ("1.0000000001", 2, ""),
+        ("1.00000001", 0, "task=threshold encoder=stochastic alpha=1.00000001 "
+                          "value=0.915887962625\n"),
+    ])
+    def test_stochastic_threshold_order_one_window(self, files, capsys, alpha, code, out):
+        # inside (1, 1 + 1e-9] the r' solve used to run at c = a/(a - 1)
+        # near 10^12 and stop after 0 steps (0.91581291822)
+        Pmf(("u0", "u1"), (0.4, 0.6)).save(files / "pu.json")
+        Channel(("u0", "u1"), ("a", "b"), [[0.9, 0.1], [0.2, 0.8]]).save(files / "chxu.json")
+        rc = main(["rates", "--task", "threshold", "--encoder", "stochastic",
+                   "--alpha", alpha, "--pu", path(files, "pu.json"),
+                   "--chxu", path(files, "chxu.json"), "--eve", path(files, "eve.json")])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (code, out)
+        if code == 2:
+            assert captured.err == "error: r_prime needs order > 1 or INFINITY\n"
 
     def test_stochastic_guard_exit_code(self, files, capsys):
         labels = tuple(f"u{i}" for i in range(9))
@@ -478,6 +536,20 @@ class TestWiretapCommand:
         rc = main(["wiretap", "--config", str(cfg)])
         assert rc == 2
         assert f"config field {field!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("encoder,source,eps,message", [
+        ("deterministic", "half.json", 0.9, "sequence alphabet 2^1000000000 exceeds guard"),
+        ("stochastic", "ux.json", 0.3, "pair alphabet (2*2)^1000000000 exceeds guard"),
+    ])
+    def test_huge_blocklength_guard_exits_3_quickly(self, files, encoder, source, eps, message):
+        JointPmf(("u0", "u1"), ("a", "b"), [[0.4, 0.1], [0.1, 0.4]]).save(files / "ux.json")
+        doc = {"n": [1000000000], "r1": 0.25, "r2": 0.25, "alpha": 2, "encoder": encoder,
+               "codes": 1, "seed": 5, "eps": eps, "source": source,
+               "main": "main.json", "eve": "eve.json"}
+        (files / "huge.json").write_text(json.dumps(doc))
+        proc = run_capped(["wiretap", "--config", "huge.json"], cwd=files)
+        assert proc.returncode == 3
+        assert proc.stderr == f"error: {message}\n"
 
     def test_missing_config(self, files, capsys):
         rc = main(["wiretap", "--config", path(files, "nope.json")])

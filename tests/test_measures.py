@@ -39,7 +39,6 @@ from osrb_lab.measures import (
     renyi_divergence,
     renyi_entropy,
     shannon_entropy,
-    sibson_mi,
     _exact_sum,
     total_variation,
     tsallis_divergence,
@@ -134,6 +133,22 @@ class TestTypes:
             cls.from_dict(doc)
         with pytest.raises(ValueError, match="JSON object"):
             cls.from_dict([doc])
+
+    @pytest.mark.parametrize("cls,doc", [
+        (Pmf, {"labels": ["a", "b"], "probs": [True, False]}),
+        (Pmf, {"labels": ["a", "b"], "probs": [0.5, True]}),
+        (JointPmf, {"row_labels": ["a", "b"], "col_labels": ["x", "y"],
+                    "probs": [[0.5, 0.0], [0.0, True]]}),
+        (Channel, {"row_labels": ["a", "b"], "col_labels": ["x", "y"],
+                   "probs": [[True, False], [0.5, 0.5]]}),
+    ])
+    def test_load_rejects_boolean_probabilities(self, tmp_path, cls, doc):
+        # numpy reads true/false as 1.0/0.0, so a point mass would load
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"{cls.__name__}: probabilities must be "
+                                             "numbers, not booleans"):
+            cls.load(path)
 
     @pytest.mark.parametrize("labels", ["ab", b"ab"])
     def test_string_alphabet_rejected(self, labels):
@@ -385,30 +400,6 @@ class TestDivergences:
         assert abs(v - d_infinity(HALF, SKEW)) < 1e-3
 
 
-class TestSibson:
-    def test_independence_gives_zero(self):
-        j = JointPmf(("a", "b"), ("u", "v"), [[0.25, 0.25], [0.25, 0.25]])
-        assert abs(sibson_mi(j, 2)) < 1e-12
-
-    def test_identity_channel(self):
-        j = JointPmf(("a", "b"), ("u", "v"), [[0.5, 0.0], [0.0, 0.5]])
-        assert sibson_mi(j, 2) == pytest.approx(1.0, abs=1e-12)
-
-    def test_matches_defining_sum(self):
-        j = Channel.bsc(0.25).joint(Pmf.uniform(["0", "1"]))
-        px, rows = j.row_conditionals()
-        inner = [math.sqrt(sum(px[x] * rows[x, y] ** 2 for x in range(2))) for y in range(2)]
-        expected = 2.0 * math.log2(sum(inner))
-        assert sibson_mi(j, 2) == pytest.approx(expected, abs=1e-12)
-
-    def test_rejected_orders(self):
-        j = Channel.bsc(0.25).joint(Pmf.uniform(["0", "1"]))
-        with pytest.raises(ValueError):
-            sibson_mi(j, 1.0)
-        with pytest.raises(InfiniteOrderError):
-            sibson_mi(j, math.inf)
-
-
 ALPHAS = (0.5, 0.9, 1.1, 2.0, 3.0, 8.0)
 
 
@@ -593,7 +584,11 @@ class TestLogSumExp:
             assert _same_bits(ours, ref), a
 
     def test_axis_zero_bits(self):
+        # random columns, then columns with +inf, nan or only -inf next to
+        # finite ones: a column whose max is not finite takes the fallback,
+        # the others keep the shifted sum
         rng = np.random.default_rng(7)
+        cases = []
         for _ in range(400):
             a = rng.normal(scale=5.0, size=(int(rng.integers(1, 20)), int(rng.integers(1, 20))))
             if rng.random() < 0.3:
@@ -602,8 +597,22 @@ class TestLogSumExp:
                 a = np.round(a)
             if rng.random() < 0.1:
                 a[:, 0] = -np.inf
-            assert _same_bits(logsumexp(a, axis=0), scipy_logsumexp(a, axis=0)), a
-            assert _same_bits(logsumexp(a), scipy_logsumexp(a))
+            cases.append(a)
+        cases += [np.array([[np.inf, 1.0, -np.inf], [0.0, 2.0, -np.inf]]),
+                  np.array([[np.nan, 1.0], [0.0, 1.0]]),
+                  np.array([[-np.inf, np.inf, np.nan], [-np.inf, np.inf, 0.0]]),
+                  np.full((3, 2), -np.inf)]
+        for _ in range(300):
+            a = rng.normal(scale=5.0, size=(int(rng.integers(1, 12)), int(rng.integers(2, 12))))
+            a[:, rng.random(a.shape[1]) < 0.3] = -np.inf
+            for special in (np.inf, np.nan):
+                a[np.ix_(rng.random(a.shape[0]) < 0.5, rng.random(a.shape[1]) < 0.3)] = special
+            cases.append(a)
+        for a in cases:
+            ours = logsumexp(a, axis=0)
+            assert _same_bits(ours, scipy_logsumexp(a, axis=0)), a
+            assert _same_bits(ours, logsumexp_reference(a, axis=0)), a
+            assert _same_bits(logsumexp(a), scipy_logsumexp(a)), a
 
     def test_cli_import_leaves_scipy_out(self):
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

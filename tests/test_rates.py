@@ -20,6 +20,7 @@ from osrb_lab.measures import (
 )
 from osrb_lab.rates import (
     IID_DETERMINISTIC,
+    ORDER_ONE_TOL,
     STOCHASTIC,
     TYPICAL_DETERMINISTIC,
     dinf_one_shot_bound,
@@ -283,6 +284,35 @@ class TestSecrecy:
         assert doc["alpha"] == "inf"
         assert isinstance(doc["flags"], list)
         assert "I(X;Y)" in doc["components"]
+
+
+# orders above one inside the order-one window |a - 1| <= ORDER_ONE_TOL
+NEAR_ONE = (1.0 + 1e-12, 1.0 + 1e-10, 1.0 + 0.9 * ORDER_ONE_TOL)
+
+
+class TestOrderOneWindow:
+    @pytest.mark.parametrize("a", NEAR_ONE)
+    def test_above_one_formulas_reject_the_window(self, a):
+        with pytest.raises(ValueError, match="r_prime needs order > 1 or INFINITY"):
+            r_prime(UNIFORM2, COPY, BSC03, a)
+        with pytest.raises(ValueError, match="r_prime needs order > 1 or INFINITY"):
+            osrb_threshold_stochastic(UNIFORM2, COPY, BSC03, a)
+        with pytest.raises(ValueError, match="typical-set threshold needs order > 1"):
+            osrb_threshold_typical(UNIFORM2, BSC03, a)
+        with pytest.raises(ValueError, match="stochastic secrecy rate needs order > 1"):
+            secrecy_rate(BSC01, BSC03, (UNIFORM2, COPY), a, encoder="stochastic")
+
+    @pytest.mark.parametrize("a", NEAR_ONE + (1.0 - 0.9 * ORDER_ONE_TOL,))
+    def test_deterministic_secrecy_takes_order_one_branch(self, a):
+        rep = secrecy_rate(BSC01, BSC03, UNIFORM2, a)
+        assert rep.rate_bits == secrecy_rate(BSC01, BSC03, UNIFORM2, 1).rate_bits
+        assert "I(X;Z)" in rep.components
+
+    @pytest.mark.parametrize("a", [1.0 + 1.1 * ORDER_ONE_TOL, 1.0 + 1e-8])
+    def test_orders_past_the_window_are_above_one(self, a):
+        assert r_prime(UNIFORM2, COPY, BSC03, a)[0] > 0.0
+        assert "eve_mean_divergence" in secrecy_rate(BSC01, BSC03, UNIFORM2, a).components
+        assert math.isfinite(osrb_threshold_typical(UNIFORM2, BSC03, a).rate_bits)
 
 
 class TestOneShotBound:
