@@ -172,7 +172,12 @@ def _exact_sum(values: np.ndarray) -> float:
 
 def _kron_power(a: np.ndarray, k: int) -> np.ndarray:
     """k-fold Kronecker power of ``a``, most significant factor first, as
-    sequences are indexed; k = 0 gives the size-one array of 1."""
+    sequences are indexed; k = 0 gives the size-one array of 1.  A
+    one-entry array is answered without the k products: its entry to the
+    power k, which is the product's value for the entry 1.0 of a
+    normalized one-entry law."""
+    if a.size == 1:
+        return np.full((1,) * a.ndim, float(a.flat[0]) ** k)
     return reduce(np.kron, [a] * k, np.ones((1,) * a.ndim))
 
 

@@ -48,8 +48,15 @@ def index_digits(indices, k: int, n: int) -> np.ndarray:
 
 
 def _counts_matrix(count: int, k: int, n: int) -> np.ndarray:
-    """Symbol counts for every sequence index 0..count-1, shape (count, k)."""
-    counts = np.zeros((count, k), dtype=np.int16)
+    """Symbol counts for every sequence index 0..count-1, shape (count, k).
+
+    Counts are int16 while n fits it and int64 beyond; a one-letter
+    alphabet has the one sequence, whose count is n.
+    """
+    dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int64
+    if k == 1:
+        return np.full((count, 1), n, dtype=dtype)
+    counts = np.zeros((count, k), dtype=dtype)
     idx = np.arange(count, dtype=np.int64)
     rem = idx.copy()
     for _ in range(n):
@@ -205,19 +212,30 @@ def joint_typical_set(j: JointPmf, n: int, eps: float) -> JointTypicalSet:
     return JointTypicalSet(j, n, float(eps), u_set, tuple(x_members), tuple(x_log_probs))
 
 
+def _drop_repeats(s: np.ndarray) -> np.ndarray:
+    """A sorted 1-D array without its repeated entries, by an
+    adjacent-difference mask (``np.unique`` imports ``numpy.ma``)."""
+    keep = np.empty(s.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
 def _channel_log_likelihoods(ch: Channel, in_digits: np.ndarray, out_count: int, n: int,
                              out: np.ndarray | None = None) -> np.ndarray:
     """log prod_i p(z_i | x_i) for given input digit rows x all outputs z.
 
     A joint (input prefix, output prefix) table grows one position at a
     time over the distinct input prefixes of the rows: level pos is level
-    pos - 1 gathered by parent prefix plus log p(z_pos | x_pos) broadcast
-    over the new output digit z_pos, the next less significant digit, so
-    the (prefix, z_pos) pairs come out in sequence order.  The last level
-    is written straight into ``out`` (a new array when None), one row per
-    input row in input order; rows may repeat and need not be sorted.
-    Each cell sums its n terms from 0.0 in position order, so the value is
-    that of the per-position sum bit for bit.
+    pos - 1 gathered by parent prefix plus log p(z_pos | x_pos) for the new
+    output digit z_pos, the next less significant digit, so the
+    (prefix, z_pos) pairs come out in sequence order.  Each output letter
+    is one add of the contiguous gathered rows and that letter's log column
+    into the strided cells of the letter.  The last level is written
+    straight into ``out`` (a new array when None), one row per input row in
+    input order; rows may repeat and need not be sorted.  Each cell sums
+    its n terms from 0.0 in position order, so the value is that of the
+    per-position sum bit for bit.
     """
     kz = len(ch.out_labels)
     if kz ** n != out_count:
@@ -228,15 +246,20 @@ def _channel_log_likelihoods(ch: Channel, in_digits: np.ndarray, out_count: int,
     rows = in_digits.shape[0]
     if out is None:
         out = np.empty((rows, out_count))
-    # each row's input prefix of length n - 1 in radix k_in
+    # each row's input prefix of length n - 1 in radix k_in; the distinct
+    # prefixes of every length are the sorted distinct heads cut short
     heads = in_digits[:, :n - 1] @ (k_in ** np.arange(n - 2, -1, -1, dtype=np.int64))
+    distinct = _drop_repeats(np.sort(heads))
     keys = np.zeros(1, dtype=np.int64)
     table = np.zeros((1, 1))
     for pos in range(n - 1):
-        level = np.unique(heads // k_in ** (n - 2 - pos))
-        parent = np.searchsorted(keys, level // k_in)
-        table = (table[parent][:, :, None]
-                 + log_rows[level % k_in][:, None, :]).reshape(level.size, kz ** (pos + 1))
+        level = _drop_repeats(distinct // k_in ** (n - 2 - pos))
+        gathered = table[np.searchsorted(keys, level // k_in)]
+        cols = log_rows[level % k_in]
+        table = np.empty((level.size, kz ** pos, kz))
+        for c in range(kz):
+            np.add(gathered, cols[:, c, None], out=table[:, :, c])
+        table = table.reshape(level.size, kz ** (pos + 1))
         keys = level
     # the last level goes straight into out, GATHER_CELLS parent cells at a
     # time, so no temporary of out's size is built
@@ -245,8 +268,9 @@ def _channel_log_likelihoods(ch: Channel, in_digits: np.ndarray, out_count: int,
     out3 = out.reshape(rows, kz ** (n - 1), kz)
     step = max(1, GATHER_CELLS // kz ** (n - 1))
     for lo in range(0, rows, step):
-        np.add(table[parent[lo:lo + step]][:, :, None], last[lo:lo + step, None, :],
-               out=out3[lo:lo + step])
+        gathered = table[parent[lo:lo + step]]
+        for c in range(kz):
+            np.add(gathered, last[lo:lo + step, c, None], out=out3[lo:lo + step, :, c])
     return out
 
 

@@ -43,6 +43,7 @@ from .typicality import (
     JointTypicalSet,
     TypicalSet,
     _channel_log_likelihoods,
+    _drop_repeats,
     index_digits,
     joint_typical_set,
     s_kernel_row,
@@ -257,7 +258,7 @@ def _likelihood_rows(source, ch: Channel, pos: np.ndarray | None = None) -> np.n
         if ch.in_labels != source.base.col_labels:
             raise ValueError("channel input must match the joint's X alphabet")
         x_sets = source.x_members if pos is None else [source.x_members[i] for i in pos]
-        xs = np.unique(np.concatenate(x_sets))
+        xs = _drop_repeats(np.sort(np.concatenate(x_sets)))
         if xs.size * out_count > MATRIX_GUARD:
             raise GuardError("likelihood table exceeds the size guard")
         table = _channel_log_likelihoods(ch, index_digits(xs, source.base.shape[1], n),

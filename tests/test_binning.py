@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -288,6 +289,14 @@ class TestMonteCarloKernel:
                 assert np.array_equal(got == 0.0, ref == 0.0), (case, m)
                 pos = ref > 0.0
                 assert np.all(np.abs(got[pos] - ref[pos]) <= 1e-13 * ref[pos]), (case, m)
+
+    def test_one_entry_kron_power_matches_the_product(self):
+        # answered without the k factors, bit for bit the reduce over them
+        for a in (np.array([1.0]), np.array([[1.0]])):
+            for k in (0, 1, 2, 7, 64):
+                want = functools.reduce(np.kron, [a] * k, np.ones((1,) * a.ndim))
+                got = _kron_power(a, k)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_never_builds_product_joint(self, monkeypatch, rng):
         def refuse(self, n):

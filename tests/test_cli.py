@@ -300,6 +300,15 @@ class TestOsrb:
         assert proc.returncode == 3
         assert f"error: {message}\n" == proc.stderr
 
+    def test_one_letter_joint_mc_at_huge_blocklength(self, files):
+        # a 1 x 1 joint passes every guard at any n: its Kronecker powers
+        # take no n-fold product, and every trial's divergence is 0
+        JointPmf(("x",), ("z",), [[1.0]]).save(files / "one.json")
+        proc = run_capped(["osrb", "--joint", path(files, "one.json"), "--alpha", "2",
+                           "--rate", "0", "--n", "300000000", "--mode", "mc"])
+        assert proc.returncode == 0
+        assert proc.stdout == "n=300000000 m=1 mean=0 stderr=0\n"
+
     def test_mc_runs_beyond_product_joint_guard(self, files, capsys):
         # (2 x 2)^14 = 2^28 product entries exceed MATRIX_GUARD; the
         # per-trial arrays are 19 x 2^14
@@ -550,6 +559,25 @@ class TestWiretapCommand:
         proc = run_capped(["wiretap", "--config", "huge.json"], cwd=files)
         assert proc.returncode == 3
         assert proc.stderr == f"error: {message}\n"
+
+    def test_sweeps_leave_numpy_ma_unimported(self, files):
+        # a deterministic and a stochastic sweep in a fresh interpreter;
+        # np.unique would import numpy.ma inside every pass
+        JointPmf(("u0", "u1"), ("a", "b"), [[0.4, 0.1], [0.1, 0.4]]).save(files / "ux.json")
+        configs = []
+        for encoder, extra in (("deterministic", {"source": "half.json", "eps": 0.9}),
+                               ("stochastic", {"source": "ux.json", "eps": 0.3})):
+            doc = dict({"n": [3, 4], "r1": 0.25, "r2": 0.25, "alpha": 2, "encoder": encoder,
+                        "codes": 2, "seed": 5, "main": "main.json", "eve": "eve.json"}, **extra)
+            (files / f"{encoder}.json").write_text(json.dumps(doc))
+            configs.append(f"{encoder}.json")
+        code = ("import sys; from osrb_lab.cli import main; "
+                "rcs = [main(['wiretap', '--config', c]) for c in sys.argv[1:]]; "
+                "print(rcs, 'numpy.ma' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(osrb_lab.__file__)))
+        out = subprocess.run([sys.executable, "-c", code, *configs], env=env, cwd=files,
+                             check=True, capture_output=True, text=True).stdout
+        assert out.splitlines()[-1] == "[0, 0] False"
 
     def test_missing_config(self, files, capsys):
         rc = main(["wiretap", "--config", path(files, "nope.json")])

@@ -12,6 +12,7 @@ from helpers import (
     random_pmf,
     s_kernel_row_reference,
 )
+from osrb_lab import typicality
 from osrb_lab.measures import Channel, GuardError, JointPmf, Pmf
 from osrb_lab.typicality import (
     EmptyTypicalSetError,
@@ -98,6 +99,13 @@ class TestTypicalSet:
         with pytest.raises(GuardError):
             typical_set(Pmf.uniform(["a", "b", "c", "d"]), 14, 0.2)
 
+    def test_one_letter_alphabet_counts_beyond_int16(self):
+        # the one sequence counts its letter n = 40000 times, past int16
+        ts = typical_set(Pmf(("a",), (1.0,)), 40000, 0.1)
+        assert ts.members.tolist() == [0]
+        assert ts.log_probs.tolist() == [0.0]
+        assert ts.mass == 1.0
+
 
 def diag_joint():
     return JointPmf(("u0", "u1"), ("x0", "x1"), [[0.5, 0.0], [0.0, 0.5]])
@@ -123,6 +131,13 @@ class TestJointTypicalSet:
             xs, logs = jts.conditional(int(u))
             assert xs.size > 0
             assert logsumexp(logs) == pytest.approx(0.0, abs=1e-10)
+
+    def test_one_letter_alphabets_count_beyond_int16(self):
+        jts = joint_typical_set(JointPmf(("u",), ("x",), [[1.0]]), 40000, 0.1)
+        assert jts.u_set.members.tolist() == [0]
+        xs, logs = jts.conditional(0)
+        assert xs.tolist() == [0]
+        assert logs.tolist() == [0.0]
 
     def test_empty_conditional_raises(self):
         # the U marginal is (2/3, 1/3) so c_u0 = 2 is typical at n = 3 for
@@ -256,6 +271,30 @@ class TestChannelLikelihoods:
                     assert np.array_equal(got.view(np.int64), want.view(np.int64))
                     compared += 1
         assert compared == 3 * 29
+
+    @pytest.mark.parametrize("gather", [typicality.GATHER_CELLS, 4])
+    @pytest.mark.parametrize("k_in, k_out", [(1, 3), (3, 1), (1, 1)])
+    def test_one_letter_alphabets_match_per_position_reference(self, monkeypatch,
+                                                                k_in, k_out, gather):
+        # one input letter makes one prefix per level, one output letter
+        # makes each letter's add cover whole rows; a gather of 4 cells
+        # splits the last level into many blocks, the final one partial
+        monkeypatch.setattr(typicality, "GATHER_CELLS", gather)
+        rng = np.random.default_rng(1801)
+        rows = rng.dirichlet(np.ones(k_out), size=k_in)
+        if k_out > 1:
+            rows[0, 1] = 0.0
+        ch = Channel(tuple(f"x{i}" for i in range(k_in)),
+                     tuple(f"z{i}" for i in range(k_out)),
+                     rows / rows.sum(axis=1, keepdims=True))
+        for n in range(1, 7):
+            out_count = k_out ** n
+            for count in (0, 1, 40):
+                digits = rng.integers(0, k_in, size=(count, n))
+                got = _channel_log_likelihoods(ch, digits, out_count, n)
+                want = channel_log_likelihoods_reference(ch, digits, out_count, n)
+                assert got.shape == (count, out_count)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_unsorted_repeated_rows_share_prefixes(self):
         # 600 rows drawn from 40 ternary sequences, unsorted and repeated,
