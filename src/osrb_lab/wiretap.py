@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binning import derive_seed, m_from_rate, philox_rng, resolve_threads, _map_indexed
+from .binning import derive_seed, m_from_rate, philox_rng
+from .binning import _map_indexed  # noqa: F401 -- unused; the benchmark's tracer resolves it
 from .measures import (
     MATRIX_GUARD,
     OUTPUT_GUARD,
@@ -241,7 +242,7 @@ def _likelihood_rows(source, ch: Channel, pos: np.ndarray | None = None) -> np.n
     time: its last level is written into the block and the exp taken in
     place.  Stochastic rows are
     ``s_kernel_row`` of each u member, reduced from one log-likelihood
-    table over the union of the members' x sets.
+    table over the union of the members' x sets in two scratch buffers.
     """
     stochastic = isinstance(source, JointTypicalSet)
     labeled = source.u_set if stochastic else source
@@ -264,8 +265,9 @@ def _likelihood_rows(source, ch: Channel, pos: np.ndarray | None = None) -> np.n
         table = _channel_log_likelihoods(ch, index_digits(xs, source.base.shape[1], n),
                                          out_count, n)
         work = np.empty((max(x.size for x in x_sets), out_count))
+        is_max = np.empty(work.shape, dtype=bool)
         for i, u in enumerate(members):
-            rows[i] = s_kernel_row(source, int(u), table, xs, work)
+            rows[i] = s_kernel_row(source, int(u), table, xs, work, is_max)
         return rows
     if ch.in_labels != labeled.base.labels:
         raise ValueError("channel input alphabet does not match the source")
@@ -415,21 +417,11 @@ class LeakageRecord:
             raise ValueError("error_prob must lie in [0, 1]")
 
 
-def select_f(code: WiretapCode, main: Channel, eve: Channel, alpha, *, rows=None):
-    """Score every dither value and pick the best one.
-
-    Returns ``(f_star, records)`` where records holds one LeakageRecord
-    per f in order and f_star is the lowest f whose leakage + error_prob
-    lies within RESIDUE of the minimum.  Dither values with no members
-    score infinite leakage and error one, so they are never selected
-    while any populated value exists.  ``rows`` is the (eve, main) pair
-    of ``_likelihood_rows`` over every member of ``code.source``, passed
-    by a caller that shares them across codes; they are built when None.
-    """
-    a = check_alpha(alpha)
-    if rows is None:
-        rows = (_likelihood_rows(code.source, eve), _likelihood_rows(code.source, main))
-    eve_rows, main_rows = rows
+def _dither_leakages(code: WiretapCode, eve: Channel, a: float, eve_rows: np.ndarray) -> dict:
+    """``{f: (positions, restricted weights, leakage)}`` of every populated
+    dither f, in increasing f: the members carrying f, their tilted law
+    restricted to f, and the order-``a`` leakage under f.  ``eve_rows`` are
+    ``_likelihood_rows`` of ``eve`` over every member of ``code.source``."""
     groups = {f: pos for f in range(1, code.m2 + 1) if (pos := code.f_positions(f)).size}
     if not groups:
         raise ValueError("every dither value is empty")
@@ -440,12 +432,32 @@ def select_f(code: WiretapCode, main: Channel, eve: Channel, alpha, *, rows=None
     # are those of _leakage_value bit for bit
     target = _leakage_target(code, eve)
     kernel, _ = _one_shot(target, target, a)
-    scores = {}
-    for f, p_mz in _leakage_tables(code, np.arange(code.member_count), weights,
-                                   eve_rows, list(groups)):
-        pos = groups[f]
-        scores[f] = (_residue_clamped(kernel(p_mz.reshape(1, -1))),
-                     _miss_kernel(code, pos, weights[pos], main_rows[pos]))
+    return {f: (groups[f], weights[groups[f]], _residue_clamped(kernel(p_mz.reshape(1, -1))))
+            for f, p_mz in _leakage_tables(code, np.arange(code.member_count), weights,
+                                           eve_rows, list(groups))}
+
+
+def select_f(code: WiretapCode, main: Channel, eve: Channel, alpha, *, shared=None):
+    """Score every dither value and pick the best one.
+
+    Returns ``(f_star, records)`` where records holds one LeakageRecord
+    per f in order and f_star is the lowest f whose leakage + error_prob
+    lies within RESIDUE of the minimum.  Dither values with no members
+    score infinite leakage and error one, so they are never selected
+    while any populated value exists.  ``shared`` is passed by a caller
+    that shares likelihood rows across codes: the code's
+    ``_dither_leakages`` at this order and ``_likelihood_rows`` of
+    ``main`` over every member of ``code.source``.  When None both are
+    built here, and the eve rows are dropped before the main rows are
+    built.
+    """
+    a = check_alpha(alpha)
+    if shared is None:
+        leakages = _dither_leakages(code, eve, a, _likelihood_rows(code.source, eve))
+        shared = (leakages, _likelihood_rows(code.source, main))
+    leakages, main_rows = shared
+    scores = {f: (leak, _miss_kernel(code, pos, weights, main_rows[pos]))
+              for f, (pos, weights, leak) in leakages.items()}
     best = min(leak + err for leak, err in scores.values())
     f_star = next(f for f, (leak, err) in scores.items() if leak + err <= best + RESIDUE)
     records = [LeakageRecord(f, a, *scores.get(f, (math.inf, 1.0)), code.n, code.seed)
@@ -579,34 +591,38 @@ class SweepConfig:
         return cls.from_dict(doc, os.path.dirname(os.path.abspath(path)))
 
 
-def _run_code(config: SweepConfig, source, n: int, index: int, rows) -> ExperimentRecord:
-    code_seed = derive_seed(config.seed, f"wiretap:n={n}", index)
-    code = build_code(source, config.r1, config.r2, code_seed)
-    f_star, records = select_f(code, config.main, config.eve, config.alpha, rows=rows)
-    rec = records[f_star - 1]
-    return ExperimentRecord(n, config.r1, config.r2, config.alpha,
-                            config.encoder, code_seed, f_star,
-                            rec.leakage, rec.error_prob, code.discards)
+def _run_codes(config: SweepConfig, source, n: int) -> list[ExperimentRecord]:
+    """Every code of one n, in code order, in two phases that share one
+    channel's likelihood rows at a time: the eve rows give every code's
+    dither leakages and are dropped, then the main rows give every code's
+    decoding errors and f* through ``select_f``."""
+    codes = [build_code(source, config.r1, config.r2,
+                        derive_seed(config.seed, f"wiretap:n={n}", i))
+             for i in range(config.codes)]
+    eve_rows = _likelihood_rows(source, config.eve)
+    eve_rows.setflags(write=False)
+    leakages = [_dither_leakages(code, config.eve, config.alpha, eve_rows) for code in codes]
+    del eve_rows
+    main_rows = _likelihood_rows(source, config.main)
+    main_rows.setflags(write=False)
+    records = []
+    for code, leaks in zip(codes, leakages):
+        f_star, recs = select_f(code, config.main, config.eve, config.alpha,
+                                shared=(leaks, main_rows))
+        rec = recs[f_star - 1]
+        records.append(ExperimentRecord(n, config.r1, config.r2, config.alpha,
+                                        config.encoder, code.seed, f_star,
+                                        rec.leakage, rec.error_prob, code.discards))
+    return records
 
 
-def _run_codes(config: SweepConfig, source, n: int, workers: int) -> list[ExperimentRecord]:
-    """Every code of one n, in code order, sharing that n's eve and main
-    likelihood rows (the two built concurrently when ``workers`` allows)."""
-    channels = (config.eve, config.main)
-    rows = tuple(_map_indexed(lambda k: _likelihood_rows(source, channels[k]), 2, workers))
-    for r in rows:
-        r.setflags(write=False)
-    return [_run_code(config, source, n, i, rows) for i in range(config.codes)]
-
-
-def sweep_experiment(config: SweepConfig, threads: int | None = None) -> list[ExperimentRecord]:
+def sweep_experiment(config: SweepConfig) -> list[ExperimentRecord]:
     """Run the configured sweep: per n, build codes and select dithers.
 
-    The sweep goes n by n: an n's eve and main likelihood rows are built
-    once (side by side on ``threads`` workers), shared by its codes and
-    dropped before the next n; the codes of one n run in order.  Records
-    come back ordered by (n, code index) and depend only on the config,
-    not the thread count.
+    The sweep goes n by n, on one thread.  An n's eve likelihood rows are
+    built once and dropped once every code's leakages are scored; its main
+    rows are built next, once, and shared by the codes' error scores
+    (``_run_codes``).  Records come back ordered by (n, code index).
     """
     sources = {}
     for n in config.n_values:
@@ -615,8 +631,7 @@ def sweep_experiment(config: SweepConfig, threads: int | None = None) -> list[Ex
                 sources[n] = typical_set(config.source, n, config.eps)
             else:
                 sources[n] = joint_typical_set(config.source, n, config.eps)
-    workers = resolve_threads(threads)
     records = []
     for n in config.n_values:
-        records.extend(_run_codes(config, sources[n], n, workers))
+        records.extend(_run_codes(config, sources[n], n))
     return records

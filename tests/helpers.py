@@ -1,10 +1,15 @@
 """Randomized instance generators and checks shared across the test modules."""
 
 import math
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 
+import osrb_lab
 from osrb_lab.binning import (
     _divergence_of_induced,
     expected_tsallis_exact_iid,
@@ -460,3 +465,16 @@ def mc_reference(j, n, rate, alpha, trials, seed):
         return mean, 0.0
     var = pairwise_sum((v - mean) ** 2 for v in values) / (trials - 1)
     return mean, math.sqrt(var / trials)
+
+
+def run_capped(argv, cwd=None, cap=2 ** 30, timeout=2, code=None):
+    """The CLI, or the Python source ``code``, with arguments ``argv`` in a
+    child process under an address-space cap (1 GiB by default), which has
+    to finish within ``timeout`` seconds."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(osrb_lab.__file__)))
+    head = ["-m", "osrb_lab.cli"] if code is None else ["-c", code]
+    return subprocess.run(
+        [sys.executable, *head, *argv], capture_output=True, text=True,
+        env=env, cwd=cwd, timeout=timeout,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))

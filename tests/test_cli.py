@@ -3,7 +3,6 @@ import json
 import math
 import os
 import re
-import resource
 import shlex
 import subprocess
 import sys
@@ -12,6 +11,7 @@ import numpy as np
 import pytest
 
 import osrb_lab
+from helpers import run_capped
 from osrb_lab.cli import (
     OSRB_FIELDS,
     ValidationError,
@@ -37,17 +37,6 @@ def files(tmp_path):
 
 def path(base, name):
     return str(base / name)
-
-
-def run_capped(argv, cwd=None, cap=2 ** 30, timeout=2):
-    """The CLI in a child process under an address-space cap (1 GiB by
-    default), which has to finish within ``timeout`` seconds."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.path.dirname(os.path.dirname(osrb_lab.__file__)))
-    return subprocess.run(
-        [sys.executable, "-m", "osrb_lab.cli", *argv], capture_output=True, text=True,
-        env=env, cwd=cwd, timeout=timeout,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
 
 
 def read_csv(path):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from helpers import (
     joint_typical_oracle,
     joint_typical_reference,
     random_pmf,
+    run_capped,
     s_kernel_row_reference,
 )
 from osrb_lab import typicality
@@ -17,6 +19,7 @@ from osrb_lab.measures import Channel, GuardError, JointPmf, Pmf
 from osrb_lab.typicality import (
     EmptyTypicalSetError,
     _channel_log_likelihoods,
+    _typical_count_rows,
     index_digits,
     joint_typical_set,
     typical_set,
@@ -35,6 +38,60 @@ class TestIndexing:
             digits = index_digits(idx, k, n)
             back = (digits @ k ** np.arange(n - 1, -1, -1)).tolist()
             assert back == idx.tolist()
+
+
+def window_brute_force(p: float, n: int, eps: float) -> list[bool]:
+    """|c - n p| < n eps for c = 0..n, one Fraction comparison per count."""
+    return [abs(c - n * Fraction(p)) < n * Fraction(eps) for c in range(n + 1)]
+
+
+class TestTypicalWindow:
+    @staticmethod
+    def allowed(p: float, n: int, eps: float) -> list[bool]:
+        # a one-symbol row per count c = 0..n reads the window's table
+        counts = np.arange(n + 1, dtype=np.int16)[:, None]
+        return _typical_count_rows(counts, np.array([p]), n, eps).tolist()
+
+    @pytest.mark.parametrize("eps", [0.05, 0.15, 0.3, 0.6])
+    def test_matches_per_count_fraction_on_seeded_joints(self, eps):
+        # the cells of the joint-oracle grid's dyadic joints, at the pair
+        # window 2 * eps and at eps, n = 1..12
+        rng = np.random.default_rng(2024)
+        for ku, kx in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+            for p in dyadic_joint(rng, ku, kx).probs.ravel().tolist() + [0.0, 1.0]:
+                for n in range(1, 13):
+                    for e in (eps, 2 * eps):
+                        assert self.allowed(p, n, e) == window_brute_force(p, n, e)
+
+    def test_integer_window_ends_stay_excluded(self):
+        # p and eps multiples of 1/8 at n = 8k put n p - n eps and n p + n eps
+        # on integers, which the strict window leaves out
+        edges = 0
+        for p in [i / 8 for i in range(9)]:
+            for eps in [i / 8 for i in range(1, 9)]:
+                for n in (8, 16, 24):
+                    want = window_brute_force(p, n, eps)
+                    assert self.allowed(p, n, eps) == want
+                    lo, hi = n * (p - eps), n * (p + eps)
+                    edges += sum(0 <= c <= n and not want[int(c)] for c in (lo, hi))
+        assert edges > 100
+
+    def test_rows_need_every_symbol_inside(self):
+        counts = np.array([[2, 2], [1, 3], [3, 1], [0, 4]], dtype=np.int16)
+        got = _typical_count_rows(counts, np.array([0.5, 0.5]), 4, 0.25)
+        assert got.tolist() == [True, False, False, False]
+
+    def test_one_letter_sets_at_a_million_finish_capped(self):
+        # the window's ends, not a comparison per count, and no digit loop
+        # for a one-letter alphabet: both sets finish well within 2 s
+        code = ("from osrb_lab.measures import JointPmf, Pmf\n"
+                "from osrb_lab.typicality import joint_typical_set, typical_set\n"
+                "ts = typical_set(Pmf(('a',), (1.0,)), 10 ** 6, 0.1)\n"
+                "jts = joint_typical_set(JointPmf(('u',), ('x',), [[1.0]]), 10 ** 6, 0.1)\n"
+                "print(ts.members.tolist(), ts.mass, jts.x_members[0].tolist())\n")
+        proc = run_capped([], code=code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[0] 1.0 [0]\n"
 
 
 class TestTypicalSet:

@@ -9,7 +9,7 @@ import pytest
 from helpers import channel_log_likelihoods_reference, label_masses, s_kernel_row_reference
 from osrb_lab import wiretap
 from osrb_lab.binning import derive_seed, m_from_rate
-from osrb_lab.measures import Channel, JointPmf, Pmf
+from osrb_lab.measures import Channel, JointPmf, Pmf, check_alpha
 from osrb_lab.typicality import (
     EmptyTypicalSetError,
     _channel_log_likelihoods,
@@ -26,6 +26,7 @@ from osrb_lab.wiretap import (
     LeakageRecord,
     SweepConfig,
     WiretapCode,
+    _dither_leakages,
     _leakage_tables,
     _likelihood_rows,
     build_code,
@@ -360,8 +361,10 @@ class TestSharedRows:
     @pytest.mark.parametrize("kind", ["deterministic", "stochastic"])
     def test_shared_rows_change_nothing(self, kind, alpha):
         for code in cross_path_codes(kind):
-            rows = (_likelihood_rows(code.source, EVE), _likelihood_rows(code.source, MAIN))
-            assert select_f(code, MAIN, EVE, alpha, rows=rows) == \
+            shared = (_dither_leakages(code, EVE, check_alpha(alpha),
+                                       _likelihood_rows(code.source, EVE)),
+                      _likelihood_rows(code.source, MAIN))
+            assert select_f(code, MAIN, EVE, alpha, shared=shared) == \
                 select_f(code, MAIN, EVE, alpha)
 
     def test_blocked_rows_match_one_shot_build(self):
@@ -457,10 +460,10 @@ class TestSharedRows:
     def test_sweep_repeated_n_and_thread_count(self, sweep_dir):
         base, doc = sweep_dir
         cfg = SweepConfig.from_dict(dict(doc, n=[3, 4, 3]), str(base))
-        records = sweep_experiment(cfg, threads=1)
-        assert records == sweep_experiment(cfg, threads=2)
+        records = sweep_experiment(cfg)
+        assert records == sweep_experiment(cfg)
         assert records[6:] == records[:3]
-        assert records[:6] == sweep_experiment(SweepConfig.from_dict(doc, str(base)), threads=1)
+        assert records[:6] == sweep_experiment(SweepConfig.from_dict(doc, str(base)))
 
 
 class TestRecords:
@@ -493,7 +496,7 @@ class TestSweep:
     def test_end_to_end_records(self, sweep_dir):
         base, _ = sweep_dir
         cfg = SweepConfig.from_json(base / "cfg.json")
-        records = sweep_experiment(cfg, threads=1)
+        records = sweep_experiment(cfg)
         assert len(records) == 6
         assert [r.n for r in records] == [3, 3, 3, 4, 4, 4]
         for i, rec in enumerate(records[:3]):
@@ -501,18 +504,57 @@ class TestSweep:
         assert all(r.leakage >= 0.0 and 0.0 <= r.error_prob <= 1.0
                    for r in records)
 
-    def test_thread_count_does_not_change_records(self, sweep_dir):
-        base, _ = sweep_dir
-        cfg = SweepConfig.from_json(base / "cfg.json")
-        first = sweep_experiment(cfg, threads=1)
-        assert sweep_experiment(cfg, threads=3) == first
-        assert sweep_experiment(cfg) == first
+    @pytest.mark.parametrize("alpha", [2, math.inf])
+    @pytest.mark.parametrize("encoder", ["deterministic", "stochastic"])
+    def test_records_are_standalone_select_f_bit_for_bit(self, sweep_dir, encoder, alpha):
+        # three codes per n share each n's eve rows, then its main rows;
+        # every record must be that of build_code plus a select_f of its own
+        base, doc = sweep_dir
+        if encoder == "stochastic":
+            JointPmf(("u0", "u1"), ("a", "b"), [[0.30, 0.20], [0.15, 0.35]]).save(base / "ux.json")
+            doc = dict(doc, encoder=encoder, source="ux.json", eps=0.5, r1=1 / 3, r2=1 / 3)
+        cfg = SweepConfig.from_dict(dict(doc, alpha=alpha), str(base))
+        assert cfg.codes == 3
+        records = sweep_experiment(cfg)
+        want = []
+        for n in cfg.n_values:
+            source = (typical_set(cfg.source, n, cfg.eps) if encoder == "deterministic"
+                      else joint_typical_set(cfg.source, n, cfg.eps))
+            for i in range(cfg.codes):
+                code = build_code(source, cfg.r1, cfg.r2, derive_seed(cfg.seed, f"wiretap:n={n}", i))
+                f_star, recs = select_f(code, cfg.main, cfg.eve, alpha)
+                want.append((code.seed, f_star, recs[f_star - 1].leakage.hex(),
+                             recs[f_star - 1].error_prob.hex(), code.discards))
+        got = [(r.code_seed, r.f_star, r.leakage.hex(), r.error_prob.hex(), r.discards)
+               for r in records]
+        assert got == want
+        assert len({f for _, f, *_ in got}) > 1
+
+    def test_n11_step_peak_memory(self):
+        # criterion 8's below-threshold code at n = 11 (2,048 members, two
+        # 32 MiB likelihood tables): with one channel's rows alive at a
+        # time the step's tracemalloc peak above its start is 43.6 MiB;
+        # holding the eve and main rows together it is 75.6 MiB
+        uniform = Pmf.uniform(["a", "b"])
+        cfg = SweepConfig((11,), 0.017, 0.619, 2.0, "deterministic", 1, 0, 0.6, uniform,
+                          Channel.bsc(0.1, ("a", "b")), Channel.bsc(0.3, ("a", "b")))
+        ts = typical_set(uniform, 11, 0.6)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            [record] = wiretap._run_codes(cfg, ts, 11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ts.size == 2 ** 11 and record.n == 11
+        assert peak - base <= 48 * 2 ** 20
 
     def test_empty_n_list_gives_no_records(self, sweep_dir):
         base, doc = sweep_dir
         doc = dict(doc, n=[])
         cfg = SweepConfig.from_dict(doc, str(base))
-        assert sweep_experiment(cfg, threads=2) == []
+        assert sweep_experiment(cfg) == []
 
     @pytest.mark.parametrize("field,value", [
         ("n", [0]),
