@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -228,53 +229,65 @@ def _cmd_osrb(opts: dict) -> int:
     return 0
 
 
-def _threshold_report(opts: dict, alpha: float) -> rates.RateReport:
+def _threshold_report(opts: dict, alpha: float, load) -> rates.RateReport:
     encoder = opts["encoder"]
     if encoder == "iid":
         if opts.get("joint") is None:
             raise ValidationError("--joint is required for the iid encoder")
-        return rates.osrb_threshold_iid(_load_joint(opts["joint"]), alpha)
+        return rates.osrb_threshold_iid(load(_load_joint, opts["joint"]), alpha)
     if encoder == "typical":
         if opts.get("input") is None or opts.get("eve") is None:
             raise ValidationError("--input and --eve are required for the typical encoder")
         return rates.osrb_threshold_typical(
-            _load_pmf(opts["input"]), _load_channel(opts["eve"]), alpha)
+            load(_load_pmf, opts["input"]), load(_load_channel, opts["eve"]), alpha)
     if encoder == "stochastic":
         for flag in ("pu", "chxu", "eve"):
             if opts.get(flag) is None:
                 raise ValidationError(f"--{flag} is required for the stochastic encoder")
         return rates.osrb_threshold_stochastic(
-            _load_pmf(opts["pu"]), _load_channel(opts["chxu"]),
-            _load_channel(opts["eve"]), alpha)
+            load(_load_pmf, opts["pu"]), load(_load_channel, opts["chxu"]),
+            load(_load_channel, opts["eve"]), alpha)
     raise ValidationError(f"unknown encoder {encoder!r}")
 
 
-def _secrecy_report(opts: dict, alpha: float) -> rates.RateReport:
+def _secrecy_report(opts: dict, alpha: float, load) -> rates.RateReport:
+    encoder = opts["encoder"]
+    if encoder not in ("deterministic", "stochastic"):
+        raise ValidationError(f"unknown encoder {encoder!r}")
     if opts.get("main") is None or opts.get("eve") is None:
         raise ValidationError("--main and --eve are required for secrecy rates")
-    main = _load_channel(opts["main"])
-    eve = _load_channel(opts["eve"])
-    if opts["encoder"] == "stochastic":
+    main = load(_load_channel, opts["main"])
+    eve = load(_load_channel, opts["eve"])
+    if encoder == "stochastic":
         for flag in ("pu", "chxu"):
             if opts.get(flag) is None:
                 raise ValidationError(f"--{flag} is required for the stochastic encoder")
-        source = (_load_pmf(opts["pu"]), _load_channel(opts["chxu"]))
+        source = (load(_load_pmf, opts["pu"]), load(_load_channel, opts["chxu"]))
         return rates.secrecy_rate(main, eve, source, alpha, encoder="stochastic")
     if opts.get("input") is None:
         raise ValidationError("--input is required for the deterministic encoder")
-    return rates.secrecy_rate(main, eve, _load_pmf(opts["input"]), alpha)
+    return rates.secrecy_rate(main, eve, load(_load_pmf, opts["input"]), alpha)
 
 
 def _cmd_rates(opts: dict) -> int:
+    """One record per order; each input file is loaded once per command,
+    at the first order that needs it, so errors surface in the same order
+    as when every order loaded its own inputs."""
     task = opts["task"]
+    if task == "threshold":
+        report_at, default_encoder = _threshold_report, "iid"
+    elif task == "secrecy":
+        report_at, default_encoder = _secrecy_report, "deterministic"
+    else:
+        raise ValidationError(f"unknown task {task!r}")
+    if opts.get("encoder") is None:
+        opts = dict(opts, encoder=default_encoder)
+    # load(loader, path) calls each loader once per path in this command;
+    # the loaded types are immutable, so the orders can share them
+    load = functools.cache(lambda loader, path: loader(path))
     records = []
     for alpha in opts["alphas"]:
-        if task == "threshold":
-            report = _threshold_report(opts, alpha)
-        elif task == "secrecy":
-            report = _secrecy_report(opts, alpha)
-        else:
-            raise ValidationError(f"unknown task {task!r}")
+        report = report_at(opts, alpha, load)
         flags = "|".join(report.flags)
         records.append({
             "task": task, "encoder": report.encoder,
@@ -346,9 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("rates", help="rate thresholds and secrecy rates")
     r.add_argument("--task", choices=("threshold", "secrecy"), required=True)
-    r.add_argument("--encoder", default="iid",
-                   help="threshold: iid|typical|stochastic; "
-                        "secrecy: deterministic|stochastic")
+    r.add_argument("--encoder", default=None,
+                   help="threshold: iid (default)|typical|stochastic; "
+                        "secrecy: deterministic (default)|stochastic")
     r.add_argument("--alpha", dest="alphas", type=_parse_alpha_list, required=True,
                    help="comma list of orders, e.g. '1,2,inf'")
     r.add_argument("--joint", default=None, help="joint pmf of (X, Z) (JSON)")
@@ -394,9 +407,14 @@ def run(subcommand: str, options: dict) -> int:
         return 2
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first ``main`` call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     opts = vars(args).copy()
     sub = opts.pop("subcommand")
     return run(sub, opts)

@@ -168,6 +168,13 @@ class _RPrimeProblem:
             scale = np.where(self.p_z > 0.0, self.p_z ** (-1.0 / self.c), 0.0)
         self.k = ch_zx.rows * scale                 # p(z|x) p(z)^(-1/c), 0 off supp p(z)
         self.live = self.p_u > 0.0                  # the ascent's u rows
+        # the ascent's constants, restricted to the live u rows
+        self.w_live = self.w[self.live]
+        self.w_pos = self.w_live > 0.0
+        self.p_xu_live = self.p_xu[self.live]
+        self.k_t = self.k.T
+        self.p_u_live = self.p_u[self.live]
+        self.rho_exp = 1.0 / self.c - 1.0           # exponent of r in rho
 
     def exact_value(self, t: np.ndarray) -> float:
         if np.any((t > 0.0) & (self.p_zx == 0.0)):
@@ -187,26 +194,25 @@ class _RPrimeProblem:
         """Objective at t = p(z|x): the mutual information I(U;Z)."""
         return self.exact_value(np.array(self.p_zx, dtype=float))
 
+    # start, score and gap run under the ascent's np.errstate, which ignores
+    # division by zero, invalid operations and overflow
+
     def start(self) -> np.ndarray:
         """log r for r = p(z|u), whose t* scores at least I(U;Z)."""
-        with np.errstate(divide="ignore"):
-            return np.log(self.p_xu[self.live] @ self.p_zx[0])
+        return np.log(self.p_xu_live @ self.p_zx[0])
 
     def score(self, log_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The per-u terms of G(r) in bits, and log rho (-inf off supp p(z|u))."""
-        w = self.w[self.live]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            s = np.exp(log_r / self.c) @ self.k.T
-            value = self.c * np.sum(np.where(w > 0.0, w * np.log2(s), 0.0), axis=1)
-            b = np.where(w > 0.0, self.p_xu[self.live] / s, 0.0) @ self.k
-            log_rho = np.where(b > 0.0, np.log(b) + (1.0 / self.c - 1.0) * log_r, -np.inf)
+        s = np.exp(log_r / self.c) @ self.k_t
+        value = self.c * np.add.reduce(np.where(self.w_pos, self.w_live * np.log2(s), 0.0), axis=1)
+        b = np.where(self.w_pos, self.p_xu_live / s, 0.0) @ self.k
+        log_rho = np.where(b > 0.0, np.log(b) + self.rho_exp * log_r, -np.inf)
         return value, log_rho
 
     def gap(self, log_rho: np.ndarray) -> float:
         """Frank-Wolfe bound on max G - G(r), in bits."""
-        with np.errstate(over="ignore"):
-            top = np.exp(log_rho.max(axis=1))
-        return float(np.sum(self.p_u[self.live] * (top - 1.0))) / LN2
+        top = np.exp(np.maximum.reduce(log_rho, axis=1))
+        return float(np.add.reduce(self.p_u_live * (top - 1.0))) / LN2
 
     def tilt(self, log_r: np.ndarray) -> np.ndarray:
         """t*(z|u,x) for r; rows that t* leaves empty keep p(z|x)."""
@@ -222,8 +228,8 @@ def _over_relax(log_r: np.ndarray, log_rho: np.ndarray, eta) -> np.ndarray:
     """log of r rho^eta renormalized over z; eta = 1 is the Blahut-Arimoto
     update r <- sum_x p(x|u) t*."""
     step = log_r + eta * log_rho
-    top = step.max(axis=1, keepdims=True)
-    return step - (top + np.log(np.exp(step - top).sum(axis=1, keepdims=True)))
+    top = np.maximum.reduce(step, axis=1, keepdims=True)
+    return step - (top + np.log(np.add.reduce(np.exp(step - top), axis=1, keepdims=True)))
 
 
 def _optimize_r_prime(p_u, ch_xu, ch_zx, a):
@@ -235,23 +241,24 @@ def _optimize_r_prime(p_u, ch_xu, ch_zx, a):
     at most ``TOL`` or after ``MAX_ITER`` steps.
     """
     problem = _RPrimeProblem(p_u, ch_xu, ch_zx, a)
-    log_r = problem.start()
-    value, log_rho = problem.score(log_r)
-    eta = np.ones((log_r.shape[0], 1))
-    iterations = 0
-    gap = problem.gap(log_rho)
-    while gap > TOL and iterations < MAX_ITER:
-        cand = _over_relax(log_r, log_rho, eta)
-        cand_value, cand_rho = problem.score(cand)
-        back = ~(cand_value >= value)
-        if np.any(eta[back] > 1.0):  # the u terms are independent: redo those rows at eta = 1
-            eta[back] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_r = problem.start()
+        value, log_rho = problem.score(log_r)
+        eta = np.ones((log_r.shape[0], 1))
+        iterations = 0
+        gap = problem.gap(log_rho)
+        while gap > TOL and iterations < MAX_ITER:
             cand = _over_relax(log_r, log_rho, eta)
             cand_value, cand_rho = problem.score(cand)
-        log_r, value, log_rho = cand, cand_value, cand_rho
-        eta = np.minimum(2.0 * eta, 64.0)
-        iterations += 1
-        gap = problem.gap(log_rho)
+            back = ~(cand_value >= value)
+            if np.any(eta[back] > 1.0):  # the u terms are independent: redo those rows at eta = 1
+                eta[back] = 1.0
+                cand = _over_relax(log_r, log_rho, eta)
+                cand_value, cand_rho = problem.score(cand)
+            log_r, value, log_rho = cand, cand_value, cand_rho
+            eta = np.minimum(2.0 * eta, 64.0)
+            iterations += 1
+            gap = problem.gap(log_rho)
     t = problem.tilt(log_r)
     best = problem.exact_value(t)
     feas = problem.feasible_value()

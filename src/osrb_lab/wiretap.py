@@ -143,7 +143,9 @@ def build_code(source, r1: float, r2: float, seed: int) -> WiretapCode:
     r)).  An attempt is rejected when more than ``MAX_EMPTY_FRAC`` of the
     m1*m2 grid cells are empty; after ``MAX_ATTEMPTS`` rejections the
     attempt with the fewest empty cells (earliest on ties) is kept and
-    ``discards`` records the full attempt budget.
+    ``discards`` records the full attempt budget.  Attempt k draws from
+    the Philox substream keyed by (seed, k), through one generator
+    re-keyed per attempt.
     """
     if r1 < 0.0 or r2 < 0.0:
         raise ValueError("rates must be nonnegative")
@@ -163,13 +165,16 @@ def build_code(source, r1: float, r2: float, seed: int) -> WiretapCode:
     m2 = m_from_rate(n, r2)
     budget = MAX_EMPTY_FRAC * m1 * m2
     best = None
+    rng = philox_rng(seed, 0)
+    fresh = rng.bit_generator.state
     for attempt in range(MAX_ATTEMPTS):
-        rng = philox_rng(seed, attempt)
+        if attempt:
+            fresh["state"]["key"][1] = attempt
+            rng.bit_generator.state = fresh  # that of philox_rng(seed, attempt)
         m_label = rng.integers(1, m1 + 1, size=count)
         f_label = rng.integers(1, m2 + 1, size=count)
-        occupancy = np.zeros((m1, m2), dtype=np.int64)
-        np.add.at(occupancy, (m_label - 1, f_label - 1), 1)
-        empty = int(np.sum(occupancy == 0))
+        occupied = np.count_nonzero(np.bincount((m_label - 1) * m2 + (f_label - 1)))
+        empty = m1 * m2 - int(occupied)
         if empty <= budget:
             return WiretapCode(kind, n, r1, r2, m1, m2, source,
                                m_label, f_label, seed, attempt, empty)

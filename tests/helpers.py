@@ -21,13 +21,14 @@ from osrb_lab.measures import (
     ALPHA_ONE_WINDOW,
     Channel,
     JointPmf,
+    LN2,
     Pmf,
     _kron_power,
     check_alpha,
     cond_renyi_entropy,
     logsumexp,
 )
-from osrb_lab.rates import _alpha_coeff
+from osrb_lab.rates import MAX_ITER, TOL, _RPrimeProblem, _alpha_coeff
 from osrb_lab.typicality import (
     EmptyTypicalSetError,
     JointTypicalSet,
@@ -302,6 +303,60 @@ def smoothing_objective(pu, cxu, czx, alpha, t):
     return -c * penalty + gain
 
 
+def r_prime_ascent_reference(p_u, ch_xu, ch_zx, a):
+    """``rates._optimize_r_prime`` with every per-step constant re-derived in
+    the step: the live rows of p(u,x), p(x|u) and p(u) and the mask w > 0
+    are gathered, 1/c - 1 formed and np.errstate entered on every score
+    and gap.  The ascent with hoisted constants must reproduce its value,
+    tilt, iterations and gap bit for bit."""
+    problem = _RPrimeProblem(p_u, ch_xu, ch_zx, a)
+
+    def score(log_r):
+        w = problem.w[problem.live]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            s = np.exp(log_r / problem.c) @ problem.k.T
+            value = problem.c * np.sum(np.where(w > 0.0, w * np.log2(s), 0.0), axis=1)
+            b = np.where(w > 0.0, problem.p_xu[problem.live] / s, 0.0) @ problem.k
+            log_rho = np.where(b > 0.0, np.log(b) + (1.0 / problem.c - 1.0) * log_r, -np.inf)
+        return value, log_rho
+
+    def gap_of(log_rho):
+        with np.errstate(over="ignore"):
+            top = np.exp(log_rho.max(axis=1))
+        return float(np.sum(problem.p_u[problem.live] * (top - 1.0))) / LN2
+
+    def over_relax(log_r, log_rho, eta):
+        step = log_r + eta * log_rho
+        top = step.max(axis=1, keepdims=True)
+        return step - (top + np.log(np.exp(step - top).sum(axis=1, keepdims=True)))
+
+    with np.errstate(divide="ignore"):
+        log_r = np.log(problem.p_xu[problem.live] @ problem.p_zx[0])
+    value, log_rho = score(log_r)
+    eta = np.ones((log_r.shape[0], 1))
+    iterations = 0
+    gap = gap_of(log_rho)
+    while gap > TOL and iterations < MAX_ITER:
+        cand = over_relax(log_r, log_rho, eta)
+        cand_value, cand_rho = score(cand)
+        back = ~(cand_value >= value)
+        if np.any(eta[back] > 1.0):
+            eta[back] = 1.0
+            cand = over_relax(log_r, log_rho, eta)
+            cand_value, cand_rho = score(cand)
+        log_r, value, log_rho = cand, cand_value, cand_rho
+        eta = np.minimum(2.0 * eta, 64.0)
+        iterations += 1
+        gap = gap_of(log_rho)
+    t = problem.tilt(log_r)
+    best = problem.exact_value(t)
+    feas = problem.feasible_value()
+    if best < feas:
+        best, t = feas, np.array(problem.p_zx, dtype=float)
+    return best, t, {"iterations": iterations, "gap": gap, "converged": gap <= TOL,
+                     "feasible_value": feas}
+
+
 def joint_typical_oracle(joint, n, eps):
     """Jointly typical set of ``joint`` by brute force in Fraction arithmetic.
 
@@ -384,6 +439,21 @@ def label_masses(code):
     labeled = code.source if code.kind == "deterministic" else code.source.u_set
     out = np.zeros((code.m1, code.m2))
     np.add.at(out, (code.m_label - 1, code.f_label - 1), np.exp(labeled.log_probs))
+    return out
+
+
+def build_code_attempts_reference(members, m1, m2, seed, attempts):
+    """The (m_label, f_label, empty cells) of each binning attempt of
+    ``wiretap.build_code``, from a new philox_rng(seed, attempt) per attempt
+    and a fresh (m1, m2) occupancy grid filled with np.add.at."""
+    out = []
+    for attempt in range(attempts):
+        rng = philox_rng(seed, attempt)
+        m_label = rng.integers(1, m1 + 1, size=members)
+        f_label = rng.integers(1, m2 + 1, size=members)
+        occupancy = np.zeros((m1, m2), dtype=np.int64)
+        np.add.at(occupancy, (m_label - 1, f_label - 1), 1)
+        out.append((m_label, f_label, int(np.sum(occupancy == 0))))
     return out
 
 

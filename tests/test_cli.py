@@ -12,6 +12,7 @@ import pytest
 
 import osrb_lab
 from helpers import run_capped
+from osrb_lab import measures
 from osrb_lab.cli import (
     OSRB_FIELDS,
     ValidationError,
@@ -423,6 +424,106 @@ class TestRates:
                    "--chxu", path(files, "bigch.json"),
                    "--eve", path(files, "eve.json")])
         assert rc == 3
+
+    @pytest.mark.parametrize("encoder", ["bogus", "iid", "typical"])
+    def test_secrecy_rejects_other_encoders(self, files, capsys, encoder):
+        # secrecy takes deterministic (the default) or stochastic; any other
+        # encoder used to run the deterministic branch and exit 0
+        rc = main(["rates", "--task", "secrecy", "--encoder", encoder, "--alpha", "2",
+                   "--input", path(files, "half.json"), "--main", path(files, "main.json"),
+                   "--eve", path(files, "eve.json")])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert captured.err == f"error: unknown encoder {encoder!r}\n"
+
+    @pytest.mark.parametrize("task,encoder,flags", [
+        ("threshold", None, {"joint": "flip.json"}),
+        ("threshold", "typical", {"input": "half.json", "eve": "eve.json"}),
+        ("threshold", "stochastic", {"pu": "pu.json", "chxu": "chxu.json", "eve": "eve.json"}),
+        ("secrecy", None, {"input": "half.json", "main": "main.json", "eve": "eve.json"}),
+        ("secrecy", "deterministic", {"input": "half.json", "main": "eve.json",
+                                      "eve": "eve.json"}),
+        ("secrecy", "stochastic", {"pu": "pu.json", "chxu": "chxu.json",
+                                   "main": "main.json", "eve": "eve.json"}),
+    ])
+    def test_each_input_file_loaded_once(self, files, capsys, monkeypatch, task, encoder, flags):
+        # three orders, one read of each distinct input file
+        Pmf(("u0", "u1"), (0.4, 0.6)).save(files / "pu.json")
+        Channel(("u0", "u1"), ("a", "b"), [[0.9, 0.1], [0.2, 0.8]]).save(files / "chxu.json")
+        opened = []
+        load = measures._JsonForm.load.__func__
+
+        def counted(cls, file):
+            opened.append(str(file))
+            return load(cls, file)
+
+        monkeypatch.setattr(measures._JsonForm, "load", classmethod(counted))
+        argv = ["rates", "--task", task, "--alpha", "2,4,inf"]
+        if encoder is not None:
+            argv += ["--encoder", encoder]
+        for flag, name in flags.items():
+            argv += [f"--{flag}", path(files, name)]
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+        assert sorted(opened) == sorted({path(files, name) for name in flags.values()})
+
+
+# One interpreter runs a sequence of commands through one parser; each must
+# give what it gives in a fresh interpreter.  Prints, per argv, the exit
+# code, stdout, stderr and the bytes of the record file ("" if none).
+SEQUENCE_RUNNER = """
+import contextlib, io, json, os, sys
+from osrb_lab.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    record = ""
+    if "--out" in argv:
+        with open(argv[argv.index("--out") + 1]) as fh:
+            record = fh.read()
+        os.unlink(argv[argv.index("--out") + 1])
+    results.append([code, out.getvalue(), err.getvalue(), record])
+print(json.dumps(results))
+"""
+
+
+class TestParserReuse:
+    def test_command_sequence_matches_fresh_interpreters(self, files):
+        Pmf(("u0", "u1"), (0.4, 0.6)).save(files / "pu.json")
+        Channel(("u0", "u1"), ("a", "b"), [[0.9, 0.1], [0.2, 0.8]]).save(files / "chxu.json")
+        (files / "cfg.json").write_text(json.dumps(
+            {"n": [3], "r1": 0.25, "r2": 0.25, "alpha": 2, "encoder": "deterministic",
+             "codes": 2, "seed": 5, "eps": 0.9, "source": "half.json",
+             "main": "main.json", "eve": "eve.json"}))
+        sequence = [
+            ["osrb", "--joint", "flip.json", "--alpha", "2", "--rate", "0.5", "--n", "2..4",
+             "--out", "osrb.csv"],
+            ["osrb", "--joint", "flip.json", "--alpha", "-1", "--rate", "0.5", "--n", "2"],
+            ["rates", "--task", "secrecy", "--encoder", "stochastic", "--alpha", "2,inf",
+             "--pu", "pu.json", "--chxu", "chxu.json", "--main", "main.json",
+             "--eve", "eve.json", "--out", "rates.json", "--format", "json"],
+            ["wiretap", "--config", "cfg.json", "--out", "wiretap.csv"],
+            # no --encoder: the threshold default, not the previous call's value
+            ["rates", "--task", "threshold", "--alpha", "1,inf", "--joint", "flip.json",
+             "--out", "rates.csv"],
+        ]
+
+        def run(argvs):
+            proc = run_capped([json.dumps(argvs)], cwd=files, timeout=60, code=SEQUENCE_RUNNER)
+            assert proc.returncode == 0, proc.stderr
+            return json.loads(proc.stdout)
+
+        together = run(sequence)
+        fresh = [run([argv])[0] for argv in sequence]
+        assert together == fresh
+        assert [code for code, *_ in together] == [0, 2, 0, 0, 0]
+        assert "argument --alpha" in together[1][2]
+        assert "encoder=iid_deterministic" in together[4][1]
 
 
 WIRETAP_STDOUT = {

@@ -6,7 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import channel_log_likelihoods_reference, label_masses, s_kernel_row_reference
+from helpers import (
+    build_code_attempts_reference,
+    channel_log_likelihoods_reference,
+    label_masses,
+    s_kernel_row_reference,
+)
 from osrb_lab import wiretap
 from osrb_lab.binning import derive_seed, m_from_rate
 from osrb_lab.measures import Channel, JointPmf, Pmf, check_alpha
@@ -20,6 +25,7 @@ from osrb_lab.typicality import (
 from osrb_lab.wiretap import (
     BLOCK_CELLS,
     MAX_ATTEMPTS,
+    MAX_EMPTY_FRAC,
     RECORD_FIELDS,
     EmptyBinError,
     ExperimentRecord,
@@ -56,6 +62,25 @@ class TestBuildCode:
         assert (code.m1, code.m2) == (1, 1)
         assert np.all(code.m_label == 1) and np.all(code.f_label == 1)
         assert code.empty_bins == 0
+
+    @pytest.mark.parametrize("n,r1,r2", [(4, 0.25, 0.5), (6, 0.017, 0.619),
+                                         (8, 0.317, 0.619), (10, 0.317, 0.619)])
+    def test_attempts_match_per_attempt_reference(self, n, r1, r2):
+        # one re-keyed generator and a bincount of the cells must give the
+        # labels and empty cells of a new generator and grid per attempt;
+        # the first attempt within budget wins, else the fewest empty cells
+        # (earliest on ties) with every attempt discarded
+        ts = typical_set(UNIFORM2, n, 0.6)
+        m1, m2 = m_from_rate(n, r1), m_from_rate(n, r2)
+        for seed in (0, 7, 2 ** 63 + 5):
+            code = build_code(ts, r1, r2, seed)
+            tries = build_code_attempts_reference(ts.size, m1, m2, seed, MAX_ATTEMPTS)
+            ok = [k for k, t in enumerate(tries) if t[2] <= MAX_EMPTY_FRAC * m1 * m2]
+            pick = ok[0] if ok else min(range(MAX_ATTEMPTS), key=lambda k: tries[k][2])
+            assert code.discards == (ok[0] if ok else MAX_ATTEMPTS)
+            assert np.array_equal(code.m_label, tries[pick][0])
+            assert np.array_equal(code.f_label, tries[pick][1])
+            assert code.empty_bins == tries[pick][2]
 
     def test_rate_bookkeeping(self):
         ts = typical_set(UNIFORM2, 5, 0.9)
