@@ -474,11 +474,13 @@ def mutual_information(j: JointPmf) -> float:
 
 
 def cond_renyi_entropy(j: JointPmf, alpha) -> float:
-    """Arimoto-style conditional Renyi entropy in bits.
+    """Conditional Renyi entropy of X given Z in bits, in the p(z)-averaged
+    form, not Arimoto's.
 
     For finite order a != 1 this is log2(sum_z p(z) sum_x p(x|z)^a)
-    divided by (1 - a); order one gives H(X|Z) and INFINITY gives
-    -log2 max p(x|z) over columns of positive mass.
+    divided by (1 - a), which equals log2|X| - D_a(P_XZ || U_X x P_Z)
+    (Fehr-Berens, IEEE T-IT 2014); order one gives H(X|Z) and INFINITY
+    gives -log2 max p(x|z) over columns of positive mass.
     """
     a = check_alpha(alpha)
     pz, cond = j.col_conditionals()

@@ -140,12 +140,13 @@ def build_code(source, r1: float, r2: float, seed: int) -> WiretapCode:
     ``source`` is a TypicalSet (deterministic encoding over x sequences)
     or a JointTypicalSet (stochastic encoding; the binning acts on u
     sequences).  Bin counts follow the ceiling convention m = ceil(2^(n
-    r)).  An attempt is rejected when more than ``MAX_EMPTY_FRAC`` of the
-    m1*m2 grid cells are empty; after ``MAX_ATTEMPTS`` rejections the
-    attempt with the fewest empty cells (earliest on ties) is kept and
-    ``discards`` records the full attempt budget.  Attempt k draws from
-    the Philox substream keyed by (seed, k), through one generator
-    re-keyed per attempt.
+    r)), and an m1*m2 grid of more than MATRIX_GUARD cells raises
+    GuardError before any label is drawn.  An attempt is rejected when
+    more than ``MAX_EMPTY_FRAC`` of the grid cells are empty; after
+    ``MAX_ATTEMPTS`` rejections the attempt with the fewest empty cells
+    (earliest on ties) is kept and ``discards`` records the full attempt
+    budget.  Attempt k draws from the Philox substream keyed by (seed,
+    k), through one generator re-keyed per attempt.
     """
     if r1 < 0.0 or r2 < 0.0:
         raise ValueError("rates must be nonnegative")
@@ -163,6 +164,8 @@ def build_code(source, r1: float, r2: float, seed: int) -> WiretapCode:
         raise GuardError(f"member count {count} exceeds guard {MEMBER_GUARD}")
     m1 = m_from_rate(n, r1)
     m2 = m_from_rate(n, r2)
+    if m1 * m2 > MATRIX_GUARD:
+        raise GuardError(f"bin grid m1 x m2 = {m1} x {m2} exceeds guard {MATRIX_GUARD}")
     budget = MAX_EMPTY_FRAC * m1 * m2
     best = None
     rng = philox_rng(seed, 0)
@@ -443,15 +446,19 @@ def _dither_leakages(code: WiretapCode, eve: Channel, a: float, eve_rows: np.nda
 
 
 def select_f(code: WiretapCode, main: Channel, eve: Channel, alpha, *, shared=None):
-    """Score every dither value and pick the best one.
+    """Pick the dither value f* of a code and return ``(f_star, record)``.
 
-    Returns ``(f_star, records)`` where records holds one LeakageRecord
-    per f in order and f_star is the lowest f whose leakage + error_prob
-    lies within RESIDUE of the minimum.  Dither values with no members
-    score infinite leakage and error one, so they are never selected
-    while any populated value exists.  ``shared`` is passed by a caller
-    that shares likelihood rows across codes: the code's
-    ``_dither_leakages`` at this order and ``_likelihood_rows`` of
+    f_star is the lowest populated f whose leakage + error_prob lies
+    within RESIDUE of the minimum over the populated dithers, and record
+    its LeakageRecord.  Decoding error is scored only for dithers whose
+    leakage can still win: the populated dithers are visited in (leakage,
+    f) order, and scoring stops at the first whose leakage exceeds the
+    best score so far plus RESIDUE.  Error lies in [0, 1] and adding it
+    never lowers a float, so every unscored dither scores above the
+    minimum plus RESIDUE, and f_star is that of scoring every dither.
+    ``leakage`` and ``error_prob`` score any single dither.  ``shared`` is
+    passed by a caller that shares likelihood rows across codes: the
+    code's ``_dither_leakages`` at this order and ``_likelihood_rows`` of
     ``main`` over every member of ``code.source``.  When None both are
     built here, and the eve rows are dropped before the main rows are
     built.
@@ -461,13 +468,16 @@ def select_f(code: WiretapCode, main: Channel, eve: Channel, alpha, *, shared=No
         leakages = _dither_leakages(code, eve, a, _likelihood_rows(code.source, eve))
         shared = (leakages, _likelihood_rows(code.source, main))
     leakages, main_rows = shared
-    scores = {f: (leak, _miss_kernel(code, pos, weights, main_rows[pos]))
-              for f, (pos, weights, leak) in leakages.items()}
-    best = min(leak + err for leak, err in scores.values())
-    f_star = next(f for f, (leak, err) in scores.items() if leak + err <= best + RESIDUE)
-    records = [LeakageRecord(f, a, *scores.get(f, (math.inf, 1.0)), code.n, code.seed)
-               for f in range(1, code.m2 + 1)]
-    return f_star, records
+    best = math.inf
+    scores = {}
+    for f, (pos, weights, leak) in sorted(leakages.items(), key=lambda kv: (kv[1][2], kv[0])):
+        if leak > best + RESIDUE:
+            break
+        err = _miss_kernel(code, pos, weights, main_rows[pos])
+        scores[f] = (leak, err)
+        best = min(best, leak + err)
+    f_star = min(f for f, (leak, err) in scores.items() if leak + err <= best + RESIDUE)
+    return f_star, LeakageRecord(f_star, a, *scores[f_star], code.n, code.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +610,7 @@ def _run_codes(config: SweepConfig, source, n: int) -> list[ExperimentRecord]:
     """Every code of one n, in code order, in two phases that share one
     channel's likelihood rows at a time: the eve rows give every code's
     dither leakages and are dropped, then the main rows give every code's
-    decoding errors and f* through ``select_f``."""
+    f* and the decoding errors it needs through ``select_f``."""
     codes = [build_code(source, config.r1, config.r2,
                         derive_seed(config.seed, f"wiretap:n={n}", i))
              for i in range(config.codes)]
@@ -612,9 +622,8 @@ def _run_codes(config: SweepConfig, source, n: int) -> list[ExperimentRecord]:
     main_rows.setflags(write=False)
     records = []
     for code, leaks in zip(codes, leakages):
-        f_star, recs = select_f(code, config.main, config.eve, config.alpha,
-                                shared=(leaks, main_rows))
-        rec = recs[f_star - 1]
+        f_star, rec = select_f(code, config.main, config.eve, config.alpha,
+                               shared=(leaks, main_rows))
         records.append(ExperimentRecord(n, config.r1, config.r2, config.alpha,
                                         config.encoder, code.seed, f_star,
                                         rec.leakage, rec.error_prob, code.discards))

@@ -36,6 +36,13 @@ from osrb_lab.typicality import (
     index_digits,
     typical_set,
 )
+from osrb_lab.wiretap import (
+    RESIDUE,
+    LeakageRecord,
+    _dither_leakages,
+    _likelihood_rows,
+    _miss_kernel,
+)
 
 
 def random_joint(rng, nx, nz, marginal_floor=1e-3):
@@ -455,6 +462,27 @@ def build_code_attempts_reference(members, m1, m2, seed, attempts):
         np.add.at(occupancy, (m_label - 1, f_label - 1), 1)
         out.append((m_label, f_label, int(np.sum(occupancy == 0))))
     return out
+
+
+def select_f_reference(code, main, eve, alpha, *, shared=None):
+    """Full-scan dither selection: every populated dither's leakage and
+    decoding error are scored, and ``(f_star, records)`` is returned with
+    one LeakageRecord per f in order; f_star is the lowest f whose
+    leakage + error_prob lies within RESIDUE of the minimum, and an empty
+    dither's record reads (inf, 1.0).  ``shared`` is that of
+    ``wiretap.select_f``."""
+    a = check_alpha(alpha)
+    if shared is None:
+        leakages = _dither_leakages(code, eve, a, _likelihood_rows(code.source, eve))
+        shared = (leakages, _likelihood_rows(code.source, main))
+    leakages, main_rows = shared
+    scores = {f: (leak, _miss_kernel(code, pos, weights, main_rows[pos]))
+              for f, (pos, weights, leak) in leakages.items()}
+    best = min(leak + err for leak, err in scores.values())
+    f_star = next(f for f, (leak, err) in scores.items() if leak + err <= best + RESIDUE)
+    records = [LeakageRecord(f, a, *scores.get(f, (math.inf, 1.0)), code.n, code.seed)
+               for f in range(1, code.m2 + 1)]
+    return f_star, records
 
 
 def logsumexp_reference(a, axis=None):

@@ -354,9 +354,9 @@ def test_criterion_08(capsys):
                 seed = derive_seed(0, f"bench:{tag}:n={n}", k)
                 code = build_code(ts, r1, r2, seed)
                 fallbacks += code.discards == MAX_ATTEMPTS
-                f_star, recs = select_f(code, MAIN, EVE, 2)
-                per_leak.append(recs[f_star - 1].leakage)
-                per_err.append(recs[f_star - 1].error_prob)
+                _, rec = select_f(code, MAIN, EVE, 2)
+                per_leak.append(rec.leakage)
+                per_err.append(rec.error_prob)
             leak.append(float(np.median(per_leak)))
             err.append(float(np.median(per_err)))
             notes.append(f"n={n} log2(m1*m2)/n={math.log2(code.m1 * code.m2) / n:.3f}"

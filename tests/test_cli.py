@@ -650,6 +650,19 @@ class TestWiretapCommand:
         assert proc.returncode == 3
         assert proc.stderr == f"error: {message}\n"
 
+    @pytest.mark.parametrize("rate,m", [(1.9, 2 ** 19), (3.2, 2 ** 32)])
+    def test_cell_grid_guard_exits_3(self, files, rate, m):
+        # 1,024 members binned into m x m cells: refused before the labels
+        # are drawn, with no numpy allocation or overflow error
+        doc = {"n": [10], "r1": rate, "r2": rate, "alpha": 2, "encoder": "deterministic",
+               "codes": 1, "seed": 5, "eps": 0.9, "source": "half.json",
+               "main": "main.json", "eve": "eve.json"}
+        (files / "grid.json").write_text(json.dumps(doc))
+        proc = run_capped(["wiretap", "--config", "grid.json"], cwd=files)
+        assert proc.returncode == 3
+        assert proc.stderr == f"error: bin grid m1 x m2 = {m} x {m} exceeds guard {2 ** 26}\n"
+        assert proc.stdout == ""
+
     def test_sweeps_leave_numpy_ma_unimported(self, files):
         # a deterministic and a stochastic sweep in a fresh interpreter;
         # np.unique would import numpy.ma inside every pass

@@ -476,6 +476,83 @@ class TestCondRenyiProperties:
             assert max(vals) - min(vals) < 1e-12
 
 
+FORM_ORDERS = (0.5, 2.0, 3.0, math.inf)
+
+
+def seeded_joints(seed, count=12):
+    """Random joints of 2..4 x letters and 2..3 z letters, a quarter of
+    them with one zeroed cell."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        probs = random_joint(rng, int(rng.integers(2, 5)), int(rng.integers(2, 4))).probs.copy()
+        if k % 4 == 3:
+            probs[0, 0] = 0.0
+            probs /= probs.sum()
+        out.append(JointPmf(tuple(f"x{i}" for i in range(probs.shape[0])),
+                            tuple(f"z{i}" for i in range(probs.shape[1])), probs))
+    return out
+
+
+class TestCondRenyiForm:
+    """The p(z)-averaged form log2|X| - D_a(P_XZ || U_X x P_Z), against
+    Arimoto's and through three of its properties at a in FORM_ORDERS."""
+
+    def test_is_log_size_minus_divergence_from_uniform_times_pz(self):
+        for j in seeded_joints(2014):
+            kx = j.probs.shape[0]
+            labels = tuple(f"{x}{z}" for x in j.row_labels for z in j.col_labels)
+            p = Pmf(labels, j.probs.ravel())
+            q = Pmf(labels, np.outer(np.full(kx, 1.0 / kx), j.probs.sum(axis=0)).ravel())
+            for a in FORM_ORDERS:
+                assert abs(cond_renyi_entropy(j, a)
+                           - (math.log2(kx) - renyi_divergence(p, q, a))) < 1e-9
+
+    def test_is_not_arimoto_form(self):
+        # Arimoto's (a/(1-a)) log2 sum_z (sum_x p(x,z)^a)^(1/a) is never
+        # below the p(z)-averaged form, and above it on skewed joints
+        gaps = []
+        for j in seeded_joints(2014):
+            for a in (0.5, 2.0, 3.0):
+                arimoto = a / (1.0 - a) * math.log2(
+                    float(np.sum(np.sum(j.probs ** a, axis=0) ** (1.0 / a))))
+                gaps.append(arimoto - cond_renyi_entropy(j, a))
+        assert min(gaps) > -1e-12
+        assert max(gaps) > 1e-2
+
+    def test_nonincreasing_in_order(self):
+        for j in seeded_joints(2015):
+            vals = [cond_renyi_entropy(j, a) for a in FORM_ORDERS]
+            for lo, hi in zip(vals, vals[1:]):
+                assert lo >= hi - 1e-12
+
+    def test_additive_on_product_joints(self):
+        first, second = seeded_joints(2016), seeded_joints(2017)
+        for j1, j2 in zip(first, second):
+            probs = np.einsum("ab,cd->acbd", j1.probs, j2.probs).reshape(
+                j1.probs.shape[0] * j2.probs.shape[0], -1)
+            prod = JointPmf(tuple(f"{a}{b}" for a in j1.row_labels for b in j2.row_labels),
+                            tuple(f"{a}{b}" for a in j1.col_labels for b in j2.col_labels),
+                            probs)
+            for a in FORM_ORDERS:
+                assert abs(cond_renyi_entropy(prod, a)
+                           - cond_renyi_entropy(j1, a) - cond_renyi_entropy(j2, a)) < 1e-9
+
+    def test_merging_x_letters_never_raises(self):
+        merged_count = 0
+        for j in seeded_joints(2018):
+            kx = j.probs.shape[0]
+            for i in range(kx):
+                for k in range(i + 1, kx):
+                    keep = [r for r in range(kx) if r not in (i, k)]
+                    probs = np.vstack([j.probs[keep], j.probs[i] + j.probs[k]])
+                    merged = JointPmf(tuple(f"x{r}" for r in range(kx - 1)), j.col_labels, probs)
+                    for a in FORM_ORDERS:
+                        assert cond_renyi_entropy(merged, a) <= cond_renyi_entropy(j, a) + 1e-12
+                    merged_count += 1
+        assert merged_count >= 12
+
+
 class TestInequalities:
     def test_tsallis_vs_renyi_in_nats(self, rng):
         for _ in range(60):

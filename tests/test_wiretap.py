@@ -11,10 +11,19 @@ from helpers import (
     channel_log_likelihoods_reference,
     label_masses,
     s_kernel_row_reference,
+    select_f_reference,
 )
 from osrb_lab import wiretap
 from osrb_lab.binning import derive_seed, m_from_rate
-from osrb_lab.measures import Channel, JointPmf, Pmf, check_alpha
+from osrb_lab.measures import (
+    Channel,
+    GuardError,
+    JointPmf,
+    Pmf,
+    check_alpha,
+    cond_renyi_entropy,
+    conditional_entropy,
+)
 from osrb_lab.typicality import (
     EmptyTypicalSetError,
     _channel_log_likelihoods,
@@ -35,6 +44,7 @@ from osrb_lab.wiretap import (
     _dither_leakages,
     _leakage_tables,
     _likelihood_rows,
+    _miss_kernel,
     build_code,
     decode,
     encode,
@@ -120,6 +130,22 @@ class TestBuildCode:
         assert code.empty_bins == int(np.sum(label_masses(code) == 0.0))
         with pytest.raises(TypeError):
             build_code(ts, 1.0, 1.0, 0, max_attempts=5)
+
+    @pytest.mark.parametrize("r", [1.9, 3.2])
+    def test_cell_grid_guard_before_labels(self, r):
+        # 2^19 x 2^19 and 2^32 x 2^32 cells for 1,024 members: the grid is
+        # refused before any label or cell count is formed
+        ts = typical_set(UNIFORM2, 10, 0.9)
+        m = m_from_rate(10, r)
+        with pytest.raises(GuardError, match=f"bin grid m1 x m2 = {m} x {m} exceeds guard"):
+            build_code(ts, r, r, 0)
+
+    def test_cell_grid_guard_edge(self, monkeypatch):
+        monkeypatch.setattr(wiretap, "MATRIX_GUARD", 16)
+        ts = typical_set(UNIFORM2, 4, 0.9)
+        assert build_code(ts, 0.5, 0.5, 0).m1 * 4 == 16
+        with pytest.raises(GuardError, match="bin grid m1 x m2 = 8 x 4 exceeds guard 16"):
+            build_code(ts, 0.75, 0.5, 0)
 
     def test_rejects_bad_source_and_rates(self):
         ts = typical_set(UNIFORM2, 3, 0.9)
@@ -234,7 +260,9 @@ class TestLeakage:
         ts = typical_set(UNIFORM2, 4, 0.9)
         for seed in range(5):
             code = build_code(ts, 0.0, 0.25, seed)
-            _, recs = select_f(code, MAIN, flat, math.inf)
+            _, rec = select_f(code, MAIN, flat, math.inf)
+            assert 0.0 <= rec.leakage < 1e-12
+            _, recs = select_f_reference(code, MAIN, flat, math.inf)
             for rec in recs:
                 if code.f_positions(rec.f).size:
                     assert 0.0 <= rec.leakage < 1e-12
@@ -262,37 +290,37 @@ class TestErrorAndSelection:
         ts = typical_set(UNIFORM2, 4, 0.9)
         for seed in range(3):
             code = build_code(ts, 0.25, 0.5, seed)
-            f_star, recs = select_f(code, MAIN, EVE, 2)
-            assert recs[f_star - 1].error_prob < 0.2
+            f_star, rec = select_f(code, MAIN, EVE, 2)
+            assert rec.f == f_star
+            assert rec.error_prob < 0.2
 
     def test_single_dither_selected(self):
         ts = typical_set(UNIFORM2, 3, 0.9)
         code = build_code(ts, 1 / 3, 0.0, 6)
-        f_star, recs = select_f(code, MAIN, EVE, 2)
-        assert f_star == 1
-        assert len(recs) == 1
+        f_star, rec = select_f(code, MAIN, EVE, 2)
+        assert code.m2 == 1
+        assert f_star == rec.f == 1
 
     def test_selection_minimizes_combined_score(self):
         ts = typical_set(UNIFORM2, 4, 0.9)
         code = build_code(ts, 0.25, 0.5, 9)
-        f_star, recs = select_f(code, MAIN, EVE, 2)
-        scores = [r.leakage + r.error_prob for r in recs]
-        assert scores[f_star - 1] == min(scores)
+        f_star, rec = select_f(code, MAIN, EVE, 2)
+        scores = [leakage(code, f, EVE, 2) + error_prob(code, f, MAIN)
+                  for f in range(1, code.m2 + 1) if code.f_positions(f).size]
+        assert rec.leakage + rec.error_prob == min(scores)
 
     def test_symmetric_tie_picks_lowest_dither(self):
         ts = typical_set(UNIFORM2, 2, 0.9)
         code = hand_code(ts, [1, 2, 1, 2], [1, 1, 2, 2], 2, 2)
-        f_star, recs = select_f(code, MAIN, EVE, 2)
-        assert recs[0].leakage == pytest.approx(recs[1].leakage, abs=1e-12)
+        f_star, _ = select_f(code, MAIN, EVE, 2)
+        assert leakage(code, 1, EVE, 2) == pytest.approx(leakage(code, 2, EVE, 2), abs=1e-12)
         assert f_star == 1
 
     def test_empty_dither_scores_worst(self):
         ts = typical_set(UNIFORM2, 2, 0.9)
         code = hand_code(ts, [1, 2, 1, 2], [2, 2, 2, 2], 2, 2)
-        f_star, recs = select_f(code, MAIN, EVE, 2)
-        assert f_star == 2
-        assert recs[0].leakage == math.inf
-        assert recs[0].error_prob == 1.0
+        f_star, rec = select_f(code, MAIN, EVE, 2)
+        assert f_star == rec.f == 2
 
     def test_label_masses_concentrate_with_blocklength(self):
         # four cells held fixed while the member count grows; the tilted
@@ -350,7 +378,8 @@ class TestCrossPath:
     @pytest.mark.parametrize("kind", ["deterministic", "stochastic"])
     def test_select_f_matches_single_dither_scores(self, kind, alpha):
         for code in cross_path_codes(kind):
-            _, recs = select_f(code, MAIN, EVE, alpha)
+            f_star, recs = select_f_reference(code, MAIN, EVE, alpha)
+            assert select_f(code, MAIN, EVE, alpha) == (f_star, recs[f_star - 1])
             populated = [f for f in range(1, code.m2 + 1) if code.f_positions(f).size]
             assert populated
             for f in populated:
@@ -360,11 +389,11 @@ class TestCrossPath:
     @pytest.mark.parametrize("alpha", [0.5, 1, 2, math.inf])
     @pytest.mark.parametrize("kind", ["deterministic", "stochastic"])
     def test_select_f_leakage_is_leakage_bit_for_bit(self, kind, alpha):
-        # select_f scores every dither with one divergence kernel of the
+        # the sweep scores every dither with one divergence kernel of the
         # code's target; leakage() builds a one-shot kernel per call
         got, want = [], []
         for code in cross_path_codes(kind):
-            _, recs = select_f(code, MAIN, EVE, alpha)
+            _, recs = select_f_reference(code, MAIN, EVE, alpha)
             for f in range(1, code.m2 + 1):
                 if code.f_positions(f).size:
                     got.append(recs[f - 1].leakage)
@@ -381,6 +410,88 @@ class TestCrossPath:
                         decoded_miss_mass(code, f, MAIN), abs=1e-12)
 
 
+def counted_miss_kernel(monkeypatch):
+    """Patch ``wiretap._miss_kernel`` with a wrapper that counts its calls;
+    returns the one-element call count list."""
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return _miss_kernel(*args)
+
+    monkeypatch.setattr(wiretap, "_miss_kernel", counting)
+    return calls
+
+
+def assert_matches_full_scan(code, main, eve, alpha):
+    """select_f gives the full scan's f* and that dither's leakage and
+    error bit for bit; returns the populated dither count."""
+    f_star, rec = select_f(code, main, eve, alpha)
+    ref_f, recs = select_f_reference(code, main, eve, alpha)
+    ref = recs[ref_f - 1]
+    assert (f_star, rec.leakage.hex(), rec.error_prob.hex()) == \
+        (ref_f, ref.leakage.hex(), ref.error_prob.hex())
+    assert rec == ref
+    return len(set(code.f_label.tolist()))
+
+
+class TestPrunedSelection:
+    @pytest.mark.parametrize("alpha", [0.5, 1, 2, math.inf])
+    @pytest.mark.parametrize("kind", ["deterministic", "stochastic"])
+    def test_matches_full_scan_reference(self, kind, alpha):
+        # seeded codes and the hand-built symmetric tie through BSC(0.3),
+        # and through BSC(0.5), where every dither leaks 0 up to rounding
+        # and the scores tie at the error
+        flat = Channel.bsc(0.5, ("a", "b"))
+        if kind == "deterministic":
+            ts = typical_set(Pmf(("a", "b"), (0.6, 0.4)), 6, 0.9)
+            codes = [build_code(ts, 0.25, 0.5, seed) for seed in range(3)]
+            codes += [build_code(typical_set(UNIFORM2, 4, 0.9), 0.0, 0.25, seed)
+                      for seed in range(3)]
+            codes.append(hand_code(typical_set(UNIFORM2, 2, 0.9),
+                                   [1, 2, 1, 2], [1, 1, 2, 2], 2, 2))
+        else:
+            j = JointPmf(("u0", "u1"), ("a", "b"), [[0.30, 0.20], [0.15, 0.35]])
+            codes = [build_code(joint_typical_set(j, n, 0.5), 0.25, 0.5, seed)
+                     for n in (3, 4) for seed in range(3)]
+        for code in codes:
+            for eve in (EVE, flat):
+                assert assert_matches_full_scan(code, MAIN, eve, alpha) > 1
+
+    def test_scores_under_half_of_populated_dithers(self, monkeypatch):
+        # criterion 8's first below-threshold code at n = 10: 74 populated
+        # dithers, of which the leakage order leaves few worth an error score
+        uniform = Pmf.uniform(["a", "b"])
+        main, eve = Channel.bsc(0.1, ("a", "b")), Channel.bsc(0.3, ("a", "b"))
+        r2 = conditional_entropy(main.joint(uniform).swapped()) + 0.15
+        r1 = cond_renyi_entropy(eve.joint(uniform), 2) - 0.15 - r2
+        code = build_code(typical_set(uniform, 10, 0.6), r1, r2,
+                          derive_seed(0, "bench:below:n=10", 0))
+        calls = counted_miss_kernel(monkeypatch)
+        select_f(code, main, eve, 2)
+        scored = calls[0]
+        monkeypatch.undo()
+        populated = assert_matches_full_scan(code, main, eve, 2)
+        assert populated == 74
+        assert 1 <= scored and 2 * scored < populated
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_stochastic_single_config_scores_every_dither(self, monkeypatch, n):
+        # the stochastic sweep of r1 = r2 = 0.2 at order infinity through
+        # BSC(0.1) / BSC(0.3), config seed 1545220602: m2 <= 3 dithers, and
+        # none of them is left unscored (other seeds skip one now and then)
+        ux = JointPmf(("u0", "u1"), ("a", "b"), [[0.3125, 0.125], [0.1875, 0.375]])
+        main, eve = Channel.bsc(0.1, ("a", "b")), Channel.bsc(0.3, ("a", "b"))
+        code = build_code(joint_typical_set(ux, n, 0.3), 0.2, 0.2,
+                          derive_seed(1545220602, f"wiretap:n={n}", 0))
+        calls = counted_miss_kernel(monkeypatch)
+        select_f(code, main, eve, math.inf)
+        scored = calls[0]
+        monkeypatch.undo()
+        assert code.m2 <= 3
+        assert scored == assert_matches_full_scan(code, main, eve, math.inf)
+
+
 class TestSharedRows:
     @pytest.mark.parametrize("alpha", [1, 2, math.inf])
     @pytest.mark.parametrize("kind", ["deterministic", "stochastic"])
@@ -389,8 +500,9 @@ class TestSharedRows:
             shared = (_dither_leakages(code, EVE, check_alpha(alpha),
                                        _likelihood_rows(code.source, EVE)),
                       _likelihood_rows(code.source, MAIN))
+            f_star, recs = select_f_reference(code, MAIN, EVE, alpha)
             assert select_f(code, MAIN, EVE, alpha, shared=shared) == \
-                select_f(code, MAIN, EVE, alpha)
+                select_f(code, MAIN, EVE, alpha) == (f_star, recs[f_star - 1])
 
     def test_blocked_rows_match_one_shot_build(self):
         n = 11
@@ -533,7 +645,8 @@ class TestSweep:
     @pytest.mark.parametrize("encoder", ["deterministic", "stochastic"])
     def test_records_are_standalone_select_f_bit_for_bit(self, sweep_dir, encoder, alpha):
         # three codes per n share each n's eve rows, then its main rows;
-        # every record must be that of build_code plus a select_f of its own
+        # every record must be that of build_code plus a full-scan
+        # selection of its own
         base, doc = sweep_dir
         if encoder == "stochastic":
             JointPmf(("u0", "u1"), ("a", "b"), [[0.30, 0.20], [0.15, 0.35]]).save(base / "ux.json")
@@ -547,7 +660,7 @@ class TestSweep:
                       else joint_typical_set(cfg.source, n, cfg.eps))
             for i in range(cfg.codes):
                 code = build_code(source, cfg.r1, cfg.r2, derive_seed(cfg.seed, f"wiretap:n={n}", i))
-                f_star, recs = select_f(code, cfg.main, cfg.eve, alpha)
+                f_star, recs = select_f_reference(code, cfg.main, cfg.eve, alpha)
                 want.append((code.seed, f_star, recs[f_star - 1].leakage.hex(),
                              recs[f_star - 1].error_prob.hex(), code.discards))
         got = [(r.code_seed, r.f_star, r.leakage.hex(), r.error_prob.hex(), r.discards)
