@@ -540,7 +540,8 @@ class _DivergenceKernel:
     masked copies of :func:`_kl_nats_raw`.  Each value is bit for bit that
     of :func:`tsallis_raw` (KL in nats at order one) or, at INFINITY,
     :func:`d_infinity_raw` in bits, on p and the broadcast reference: the
-    same float operations, in place.
+    same float operations, in place.  :meth:`rows` evaluates many tables
+    at once.
     """
 
     def __init__(self, row: np.ndarray, alpha: float, shape: tuple[int, int]):
@@ -571,6 +572,40 @@ class _DivergenceKernel:
         if log_phi == math.inf:
             return math.inf
         return math.expm1(log_phi) / (a - 1.0)
+
+    def rows(self, p: np.ndarray) -> np.ndarray:
+        """Values of the rows of p, shape (g, w) with w at most the
+        reference width, each row taken as the positive cells of a table
+        whose reference over those cells is the first w reference entries:
+        bit for bit the kernel's value on such a table.  The float
+        operations are those of a call, on p in place, with each row reduced
+        along axis 1 (one log-sum-exp, or one max-ratio at INFINITY).  A row
+        is left NaN, and untouched, where a call takes another path: at
+        order one, where the reference has a zero, for a row with a zero
+        cell, and for a row whose first cell equals the reference's (its
+        table may equal the reference)."""
+        a = self.alpha
+        out = np.full(p.shape[0], math.nan)
+        if _is_one(a) or not self.all_pos:
+            return out
+        ok = np.minimum.reduce(p, axis=1) > 0.0
+        ok &= p[:, 0] != self.row[0]
+        if not ok.any():
+            return out
+        work = p if ok.all() else p[ok]
+        ref = self.row[:p.shape[1]]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if math.isinf(a):
+                np.divide(work, ref, out=work)
+                out[ok] = [math.log2(r) for r in np.maximum.reduce(work, axis=1).tolist()]
+                return out
+            np.log(work, out=work)
+            work *= a
+            work += self.log_row[:p.shape[1]]
+            log_phi = _logsumexp_steps(work, np.empty(work.shape, dtype=bool), axis=1)
+        out[ok] = [math.inf if v == math.inf else math.expm1(v) / (a - 1.0)
+                   for v in log_phi[:, 0].tolist()]
+        return out
 
     def max_ratio(self, p: np.ndarray) -> float:
         """max p/q over supp(p), inf where p > 0 = q.  Dividing by q > 0

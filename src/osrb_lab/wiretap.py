@@ -32,14 +32,14 @@ from .measures import (
     GuardError,
     JointPmf,
     Pmf,
+    _DivergenceKernel,
     _kron_power,
-    _one_shot,
+    _logsumexp_steps,
     check_alpha,
-    d_infinity_raw,
-    logsumexp,
     parse_alpha,
-    tsallis_raw,
 )
+# unused; the benchmark's tracer resolves them
+from .measures import d_infinity_raw, tsallis_raw  # noqa: F401
 from .typicality import (
     JointTypicalSet,
     TypicalSet,
@@ -52,8 +52,8 @@ from .typicality import (
 )
 
 MEMBER_GUARD = 2 ** 20
-BLOCK_CELLS = 2 ** 20        # cells per block of likelihood rows or batch of
-                             # leakage tables built at once
+BLOCK_CELLS = 2 ** 20        # cells per block of likelihood rows built at once
+ADD_CELLS = 2 ** 16          # cells per chunk of member rows added into a leakage table
 RESIDUE = 1e-12              # float residue: leakage within RESIDUE of 0 is 0, and
                              # dither scores this close count as tied
 
@@ -189,10 +189,15 @@ def build_code(source, r1: float, r2: float, seed: int) -> WiretapCode:
 
 
 def _restricted_weights(log_probs: np.ndarray) -> np.ndarray:
-    total = logsumexp(log_probs)
-    if not np.isfinite(total):
+    """exp(log_probs - logsumexp(log_probs)) along the last axis of a 1-D or
+    2-D array: the tilted law of each row's members restricted to them,
+    with one axis-1 log-sum-exp for every row."""
+    work = np.array(log_probs, dtype=float, ndmin=2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        total = _logsumexp_steps(work, np.empty(work.shape, dtype=bool), axis=1)
+    if not np.isfinite(total).all():
         raise ValueError("bin carries zero tilted mass")
-    return np.exp(log_probs - total)
+    return np.exp(log_probs - total.reshape(log_probs.shape[:-1] + (1,)))
 
 
 def encode(code: WiretapCode, m: int, f: int, seed: int):
@@ -298,48 +303,77 @@ def _decisions(code: WiretapCode, pos: np.ndarray, main_rows: np.ndarray) -> np.
     return np.argmax(prior[:, None] * main_rows, axis=0)
 
 
-def _leakage_tables(code: WiretapCode, pos: np.ndarray, weights: np.ndarray,
-                    eve_rows: np.ndarray, dithers: list):
-    """Yield ``(f, p(m, z^n | f))`` for each f of ``dithers``, in order.
+def _leakage_table(m0: np.ndarray, f0: np.ndarray, m1: int, weights: np.ndarray,
+                   rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The occupied (f, m) cells of p(m, z^n | f), every dither's, as one table.
 
-    ``pos`` are member positions in increasing order, ``weights`` their
-    tilted law restricted to their own dither and ``eve_rows`` their
-    likelihood rows; every f of ``dithers`` must be carried by some member
-    of ``pos``.  Each member's weighted row is added to its (f, m) cell in
-    member order, one member per cell per step, so every cell is summed
-    in the order ``np.add.at`` would sum it.  Tables are built for a batch
-    of dithers at a time, BLOCK_CELLS cells at most (one dither at least).
+    Member i has the 0-based labels (``m0[i]``, ``f0[i]``), its tilted law
+    restricted to its dither ``weights[i]`` and its likelihood row
+    ``rows[i]``; weights[i] * rows[i] goes into cell f0 * m1 + m0.  Returns
+    ``(table, cells)``: table row s is cell ``cells[s]``.  The cells are in
+    (k, f, m) order, k the occupied cell count of f, so each dither's cells
+    are contiguous in m order and the dithers of equal k form one block.
+    A cell's first member is taken in by ``np.take`` and one multiply; the
+    others are added in member order, one member per cell per step and
+    ADD_CELLS cells per chunk at most, so every cell is summed in the order
+    ``np.add.at`` would sum it.
     """
-    m1, width = code.m1, eve_rows.shape[1]
-    f0 = code.f_label[pos] - 1
-    m0 = code.m_label[pos] - 1
     cell = f0 * m1 + m0
     order = np.argsort(cell, kind="stable")
-    rank = np.empty(order.size, dtype=np.int64)
-    rank[order] = np.arange(order.size) - np.searchsorted(cell[order], cell[order])
-    by_rank = np.argsort(rank, kind="stable")
-    per_batch = max(1, BLOCK_CELLS // (m1 * width))
-    for lo in range(0, len(dithers), per_batch):
-        batch = dithers[lo:lo + per_batch]
-        slot = np.full(code.m2, -1)
-        slot[np.asarray(batch) - 1] = np.arange(len(batch))
-        tables = np.zeros((len(batch), m1, width))
-        flat = tables.reshape(-1, width)
-        members = by_rank[slot[f0[by_rank]] >= 0]
-        for step in np.split(members, np.flatnonzero(np.diff(rank[members])) + 1):
-            contrib = eve_rows[step]
-            contrib *= weights[step, None]
-            flat[slot[f0[step]] * m1 + m0[step]] += contrib
-        yield from zip(batch, tables)
+    by_cell = cell[order]
+    first = np.empty(order.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(by_cell[1:], by_cell[:-1], out=first[1:])
+    heads = np.flatnonzero(first)
+    cells = by_cell[heads]
+    f_heads = np.flatnonzero(np.diff(cells // m1, prepend=-1))
+    k = np.diff(f_heads, append=cells.size)
+    by_k = np.argsort(np.repeat(k, k), kind="stable")
+    slot = np.empty(cells.size, dtype=np.int64)
+    slot[by_k] = np.arange(cells.size)
+    top = order[heads[by_k]]
+    table = np.take(rows, top, axis=0)
+    table *= weights[top, None]
+    cell_of = np.cumsum(first) - 1
+    rank = np.arange(order.size) - heads[cell_of]
+    rest = np.flatnonzero(~first)
+    rest = rest[np.argsort(rank[rest], kind="stable")]
+    step = max(1, ADD_CELLS // rows.shape[1])
+    for same_rank in np.split(rest, np.flatnonzero(np.diff(rank[rest])) + 1):
+        for lo in range(0, same_rank.size, step):
+            part = same_rank[lo:lo + step]
+            members = order[part]
+            contrib = np.take(rows, members, axis=0)
+            contrib *= weights[members, None]
+            table[slot[cell_of[part]]] += contrib
+    return table, cells[by_k]
 
 
-def _leakage_value(p_mz: np.ndarray, target: np.ndarray, a: float) -> float:
-    """Divergence of p(m, z^n | f) from the product reference ``target``,
-    uniform messages times the i.i.d. output law, shaped like ``p_mz``,
-    clamped by ``_residue_clamped``."""
-    if math.isinf(a):
-        return _residue_clamped(d_infinity_raw(p_mz, target))
-    return _residue_clamped(tsallis_raw(p_mz, target, a))
+def _table_leakages(table: np.ndarray, cells: np.ndarray, m1: int,
+                    kernel: _DivergenceKernel) -> dict:
+    """``{f: leakage}`` of every dither of a ``_leakage_table``, clamped by
+    ``_residue_clamped``; the table is overwritten.  ``kernel`` is a
+    ``_leakage_kernel``.  Each block of dithers with k cells is one (g, k
+    k^n) view evaluated by ``kernel.rows``; a row it leaves NaN takes the
+    kernel's call on its (m1, k^n) table, zero in the unoccupied cells.
+    Either way the value is that call's, bit for bit."""
+    width = table.shape[1]
+    f = cells // m1
+    heads = np.flatnonzero(np.diff(f, prepend=-1))
+    k = np.diff(heads, append=f.size)
+    starts = np.flatnonzero(np.diff(k, prepend=0))
+    out = {}
+    for s, e in zip(starts.tolist(), np.append(starts[1:], k.size).tolist()):
+        cnt, lo = int(k[s]), int(heads[s])
+        block = table[lo:lo + (e - s) * cnt].reshape(e - s, cnt * width)
+        values = kernel.rows(block)
+        for i in np.flatnonzero(np.isnan(values)).tolist():
+            full = np.zeros((m1, width))
+            full[cells[lo + i * cnt:lo + (i + 1) * cnt] % m1] = block[i].reshape(cnt, width)
+            values[i] = kernel(full.reshape(1, -1))
+        for dither, value in zip(f[heads[s:e]].tolist(), values.tolist()):
+            out[dither + 1] = _residue_clamped(value)
+    return out
 
 
 def _residue_clamped(value: float) -> float:
@@ -349,16 +383,21 @@ def _residue_clamped(value: float) -> float:
     return 0.0 if abs(value) < RESIDUE else value
 
 
-def _leakage_target(code: WiretapCode, eve: Channel) -> np.ndarray:
-    """Uniform messages times the i.i.d. output law of the single-letter X
-    marginal, shape (m1, k^n)."""
+def _leakage_kernel(code: WiretapCode, eve: Channel, a: float) -> _DivergenceKernel:
+    """The order-``a`` divergence kernel of the leakage target, uniform
+    messages times the i.i.d. output law of the single-letter X marginal,
+    as one (m1 k^n)-cell row.  Every message's k^n cells hold the same
+    q / m1, so the first k blocks of k^n cells are the reference of any k
+    cells of a dither.  It depends on the code only through its source,
+    n and m1, which every code of a sweep's n shares."""
     x_law = code.source.base
     if code.kind == STOCHASTIC:
         # Pmf() renormalizes the marginal once more; recorded leakages
         # depend on those last bits
         x_law = Pmf(x_law.col_labels, x_law.col_marginal().probs)
     q = _kron_power(eve.output(x_law).probs, code.n) / code.m1
-    return np.broadcast_to(q, (code.m1, q.size)).copy()
+    target = np.tile(q, code.m1)
+    return _DivergenceKernel(target, a, (1, target.size))
 
 
 def _miss_kernel(code: WiretapCode, pos: np.ndarray, weights: np.ndarray,
@@ -391,9 +430,10 @@ def leakage(code: WiretapCode, f: int, eve: Channel, alpha) -> float:
     """
     a = check_alpha(alpha)
     pos, weights = _dither_members(code, f)
-    rows = _likelihood_rows(code.source, eve, pos)
-    [(_, p_mz)] = _leakage_tables(code, pos, weights, rows, [f])
-    return _leakage_value(p_mz, _leakage_target(code, eve), a)
+    table, cells = _leakage_table(code.m_label[pos] - 1, code.f_label[pos] - 1, code.m1,
+                                  weights, _likelihood_rows(code.source, eve, pos))
+    [value] = _table_leakages(table, cells, code.m1, _leakage_kernel(code, eve, a)).values()
+    return value
 
 
 def error_prob(code: WiretapCode, f: int, main: Channel) -> float:
@@ -425,24 +465,29 @@ class LeakageRecord:
             raise ValueError("error_prob must lie in [0, 1]")
 
 
-def _dither_leakages(code: WiretapCode, eve: Channel, a: float, eve_rows: np.ndarray) -> dict:
+def _dither_leakages(code: WiretapCode, eve_rows: np.ndarray,
+                     kernel: _DivergenceKernel) -> dict:
     """``{f: (positions, restricted weights, leakage)}`` of every populated
     dither f, in increasing f: the members carrying f, their tilted law
-    restricted to f, and the order-``a`` leakage under f.  ``eve_rows`` are
-    ``_likelihood_rows`` of ``eve`` over every member of ``code.source``."""
-    groups = {f: pos for f in range(1, code.m2 + 1) if (pos := code.f_positions(f)).size}
-    if not groups:
+    restricted to f, and the leakage under f at the order of ``kernel``, a
+    ``_leakage_kernel`` of the code.  ``eve_rows`` are ``_likelihood_rows``
+    of the eavesdropper channel over every member of ``code.source``.  The
+    weights take one ``_restricted_weights`` per set of dithers with equal
+    member counts, and the leakages one ``_leakage_table``."""
+    f0 = code.f_label - 1
+    by_f = np.argsort(f0, kind="stable")
+    heads = np.flatnonzero(np.diff(f0[by_f], prepend=-1))
+    if not heads.size:
         raise ValueError("every dither value is empty")
+    counts = np.diff(heads, append=by_f.size)
     weights = np.empty(code.member_count)
-    for pos in groups.values():
-        weights[pos] = _restricted_weights(code._labeled.log_probs[pos])
-    # one divergence kernel of the target serves every dither: its values
-    # are those of _leakage_value bit for bit
-    target = _leakage_target(code, eve)
-    kernel, _ = _one_shot(target, target, a)
-    return {f: (groups[f], weights[groups[f]], _residue_clamped(kernel(p_mz.reshape(1, -1))))
-            for f, p_mz in _leakage_tables(code, np.arange(code.member_count), weights,
-                                           eve_rows, list(groups))}
+    for count in set(counts.tolist()):
+        members = by_f[heads[counts == count, None] + np.arange(count)]
+        weights[members] = _restricted_weights(code._labeled.log_probs[members])
+    table, cells = _leakage_table(code.m_label - 1, f0, code.m1, weights, eve_rows)
+    leaks = _table_leakages(table, cells, code.m1, kernel)
+    return {f: (pos, weights[pos], leaks[f])
+            for f, pos in zip((f0[by_f[heads]] + 1).tolist(), np.split(by_f, heads[1:]))}
 
 
 def select_f(code: WiretapCode, main: Channel, eve: Channel, alpha, *, shared=None):
@@ -465,7 +510,8 @@ def select_f(code: WiretapCode, main: Channel, eve: Channel, alpha, *, shared=No
     """
     a = check_alpha(alpha)
     if shared is None:
-        leakages = _dither_leakages(code, eve, a, _likelihood_rows(code.source, eve))
+        leakages = _dither_leakages(code, _likelihood_rows(code.source, eve),
+                                    _leakage_kernel(code, eve, a))
         shared = (leakages, _likelihood_rows(code.source, main))
     leakages, main_rows = shared
     best = math.inf
@@ -608,15 +654,17 @@ class SweepConfig:
 
 def _run_codes(config: SweepConfig, source, n: int) -> list[ExperimentRecord]:
     """Every code of one n, in code order, in two phases that share one
-    channel's likelihood rows at a time: the eve rows give every code's
-    dither leakages and are dropped, then the main rows give every code's
-    f* and the decoding errors it needs through ``select_f``."""
+    channel's likelihood rows at a time: the eve rows and one leakage
+    kernel give every code's dither leakages and are dropped, then the
+    main rows give every code's f* and the decoding errors it needs
+    through ``select_f``."""
     codes = [build_code(source, config.r1, config.r2,
                         derive_seed(config.seed, f"wiretap:n={n}", i))
              for i in range(config.codes)]
     eve_rows = _likelihood_rows(source, config.eve)
     eve_rows.setflags(write=False)
-    leakages = [_dither_leakages(code, config.eve, config.alpha, eve_rows) for code in codes]
+    kernel = _leakage_kernel(codes[0], config.eve, config.alpha)
+    leakages = [_dither_leakages(code, eve_rows, kernel) for code in codes]
     del eve_rows
     main_rows = _likelihood_rows(source, config.main)
     main_rows.setflags(write=False)

@@ -26,7 +26,9 @@ from osrb_lab.measures import (
     _kron_power,
     check_alpha,
     cond_renyi_entropy,
+    d_infinity_raw,
     logsumexp,
+    tsallis_raw,
 )
 from osrb_lab.rates import MAX_ITER, TOL, _RPrimeProblem, _alpha_coeff
 from osrb_lab.typicality import (
@@ -39,7 +41,6 @@ from osrb_lab.typicality import (
 from osrb_lab.wiretap import (
     RESIDUE,
     LeakageRecord,
-    _dither_leakages,
     _likelihood_rows,
     _miss_kernel,
 )
@@ -464,6 +465,43 @@ def build_code_attempts_reference(members, m1, m2, seed, attempts):
     return out
 
 
+def leakage_target_reference(code, eve):
+    """Uniform messages times the i.i.d. output law of the code's
+    single-letter X marginal, shape (m1, k^n), as a read-only broadcast."""
+    x_law = code.source.base
+    if code.kind == "stochastic":
+        x_law = Pmf(x_law.col_labels, x_law.col_marginal().probs)
+    q = _kron_power(eve.output(x_law).probs, code.n) / code.m1
+    return np.broadcast_to(q, (code.m1, q.size))
+
+
+def dither_leakages_reference(code, eve, alpha, eve_rows):
+    """``{f: (positions, restricted weights, leakage)}`` of every populated
+    dither, in increasing f, one dither at a time: the weights from a 1-D
+    logsumexp of the members' tilted log-probabilities, the (m1, k^n) table
+    zero-filled and summed with np.add.at, and the one-shot tsallis_raw
+    (d_infinity_raw at INFINITY) against uniform messages times the i.i.d.
+    output law, reported as 0.0 within RESIDUE of it.  ``eve_rows`` are the
+    likelihood rows of every member.  The compact-table path of
+    ``wiretap._dither_leakages`` must reproduce it bit for bit."""
+    a = check_alpha(alpha)
+    labeled = code.source.u_set if code.kind == "stochastic" else code.source
+    target = leakage_target_reference(code, eve)
+    out = {}
+    for f in range(1, code.m2 + 1):
+        pos = code.f_positions(f)
+        if not pos.size:
+            continue
+        log_probs = labeled.log_probs[pos]
+        weights = np.exp(log_probs - logsumexp(log_probs))
+        table = np.zeros(target.shape)
+        np.add.at(table, code.m_label[pos] - 1, weights[:, None] * eve_rows[pos])
+        value = (d_infinity_raw(table, target) if math.isinf(a)
+                 else tsallis_raw(table, target, a))
+        out[f] = (pos, weights, 0.0 if abs(value) < RESIDUE else value)
+    return out
+
+
 def select_f_reference(code, main, eve, alpha, *, shared=None):
     """Full-scan dither selection: every populated dither's leakage and
     decoding error are scored, and ``(f_star, records)`` is returned with
@@ -473,7 +511,7 @@ def select_f_reference(code, main, eve, alpha, *, shared=None):
     ``wiretap.select_f``."""
     a = check_alpha(alpha)
     if shared is None:
-        leakages = _dither_leakages(code, eve, a, _likelihood_rows(code.source, eve))
+        leakages = dither_leakages_reference(code, eve, a, _likelihood_rows(code.source, eve))
         shared = (leakages, _likelihood_rows(code.source, main))
     leakages, main_rows = shared
     scores = {f: (leak, _miss_kernel(code, pos, weights, main_rows[pos]))

@@ -26,6 +26,7 @@ from osrb_lab.measures import (
     JointPmf,
     NormalizationError,
     Pmf,
+    _DivergenceKernel,
     check_alpha,
     cond_renyi_entropy,
     conditional_entropy,
@@ -363,6 +364,42 @@ class TestDivergences:
             for bits in (True, False):
                 assert (d_infinity_raw(p, q, bits=bits)
                         == divergence_reference(p, q, math.inf, bits=bits)), case
+
+    def test_kernel_rows_match_one_shot_per_row_bit_for_bit(self):
+        # blocks of g rows of w cells against the first w entries of a
+        # longer positive reference: each value is the one-shot divergence
+        # of the row and those entries; a row with a zero cell or with the
+        # reference's first cell comes back NaN and untouched, as does
+        # every row at order one or against a reference with a zero
+        rng = np.random.default_rng(22)
+        left_rows = batched_rows = 0
+        for case in range(80):
+            width = int(rng.integers(1, 200))
+            ref = rng.uniform(0.05, 1.0, size=width * int(rng.integers(1, 5)))
+            ref /= ref.sum()
+            if case % 10 == 9:
+                ref[int(rng.integers(ref.size))] = 0.0
+            w = width * int(rng.integers(1, ref.size // width + 1))
+            p = rng.uniform(size=(int(rng.integers(1, 30)), w)) / w
+            p[rng.random(p.shape[0]) < 0.2, int(rng.integers(w))] = 0.0
+            p[rng.random(p.shape[0]) < 0.1, 0] = ref[0]
+            for alpha in (0.3, 1, 2, 7.5, math.inf):
+                kernel = _DivergenceKernel(ref, alpha, (1, ref.size))
+                block = p.copy()
+                got = kernel.rows(block)
+                for i, row in enumerate(p):
+                    left = (abs(alpha - 1) < 1e-6 or ref.min() == 0.0
+                            or row.min() == 0.0 or row[0] == ref[0])
+                    assert bool(np.isnan(got[i])) == left, (case, alpha, i)
+                    if left:
+                        left_rows += 1
+                        assert np.array_equal(block[i], row)
+                        continue
+                    batched_rows += 1
+                    want = (d_infinity_raw(row, ref[:w]) if math.isinf(alpha)
+                            else tsallis_raw(row, ref[:w], alpha))
+                    assert got[i].hex() == want.hex(), (case, alpha, i)
+        assert left_rows and batched_rows > 1000
 
     def test_alphabet_mismatch(self):
         other = Pmf(("x", "y"), (0.5, 0.5))

@@ -9,7 +9,9 @@ import pytest
 from helpers import (
     build_code_attempts_reference,
     channel_log_likelihoods_reference,
+    dither_leakages_reference,
     label_masses,
+    leakage_target_reference,
     s_kernel_row_reference,
     select_f_reference,
 )
@@ -20,9 +22,12 @@ from osrb_lab.measures import (
     GuardError,
     JointPmf,
     Pmf,
+    _DivergenceKernel,
     check_alpha,
     cond_renyi_entropy,
     conditional_entropy,
+    d_infinity_raw,
+    tsallis_raw,
 )
 from osrb_lab.typicality import (
     EmptyTypicalSetError,
@@ -32,6 +37,7 @@ from osrb_lab.typicality import (
     typical_set,
 )
 from osrb_lab.wiretap import (
+    ADD_CELLS,
     BLOCK_CELLS,
     MAX_ATTEMPTS,
     MAX_EMPTY_FRAC,
@@ -42,7 +48,8 @@ from osrb_lab.wiretap import (
     SweepConfig,
     WiretapCode,
     _dither_leakages,
-    _leakage_tables,
+    _leakage_kernel,
+    _leakage_table,
     _likelihood_rows,
     _miss_kernel,
     build_code,
@@ -389,8 +396,8 @@ class TestCrossPath:
     @pytest.mark.parametrize("alpha", [0.5, 1, 2, math.inf])
     @pytest.mark.parametrize("kind", ["deterministic", "stochastic"])
     def test_select_f_leakage_is_leakage_bit_for_bit(self, kind, alpha):
-        # the sweep scores every dither with one divergence kernel of the
-        # code's target; leakage() builds a one-shot kernel per call
+        # the full scan scores every dither by the per-dither reference;
+        # leakage() takes its one dither through the compact table
         got, want = [], []
         for code in cross_path_codes(kind):
             _, recs = select_f_reference(code, MAIN, EVE, alpha)
@@ -492,13 +499,37 @@ class TestPrunedSelection:
         assert scored == assert_matches_full_scan(code, main, eve, math.inf)
 
 
+Z_EVE = Channel(("a", "b"), ("y", "z"), [[1.0, 0.0], [0.25, 0.75]])
+ERASURE_EVE = Channel(("a", "b"), ("0", "e", "1"), [[0.6, 0.4, 0.0], [0.0, 0.4, 0.6]])
+
+
+def counted_table_calls(monkeypatch):
+    """Patch the divergence kernel's rows and call entries with wrappers
+    that count the rows each one evaluates; returns the count dict."""
+    counts = {"rows": 0, "call": 0}
+    rows, call = _DivergenceKernel.rows, _DivergenceKernel.__call__
+
+    def counting_rows(self, p):
+        out = rows(self, p)
+        counts["rows"] += int(np.count_nonzero(~np.isnan(out)))
+        return out
+
+    def counting_call(self, p):
+        counts["call"] += 1
+        return call(self, p)
+
+    monkeypatch.setattr(_DivergenceKernel, "rows", counting_rows)
+    monkeypatch.setattr(_DivergenceKernel, "__call__", counting_call)
+    return counts
+
+
 class TestSharedRows:
     @pytest.mark.parametrize("alpha", [1, 2, math.inf])
     @pytest.mark.parametrize("kind", ["deterministic", "stochastic"])
     def test_shared_rows_change_nothing(self, kind, alpha):
         for code in cross_path_codes(kind):
-            shared = (_dither_leakages(code, EVE, check_alpha(alpha),
-                                       _likelihood_rows(code.source, EVE)),
+            shared = (_dither_leakages(code, _likelihood_rows(code.source, EVE),
+                                       _leakage_kernel(code, EVE, check_alpha(alpha))),
                       _likelihood_rows(code.source, MAIN))
             f_star, recs = select_f_reference(code, MAIN, EVE, alpha)
             assert select_f(code, MAIN, EVE, alpha, shared=shared) == \
@@ -579,20 +610,45 @@ class TestSharedRows:
 
     @pytest.mark.parametrize("block_cells", [BLOCK_CELLS, 1])
     def test_leakage_tables_match_per_dither_add_at(self, monkeypatch, block_cells):
+        # every occupied (f, m) cell of the compact table is np.add.at's
+        # cell as int64 bit patterns, with the cells in (k, f, m) order;
+        # at 1 the rows come one member per block and the later-rank adds
+        # one row per chunk.  The zero-entry and 3-output channels leave
+        # rows to the per-table call, whose values equal the per-dither
+        # one-shot divergence as well
         monkeypatch.setattr(wiretap, "BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(wiretap, "ADD_CELLS", min(ADD_CELLS, block_cells))
+        counts = counted_table_calls(monkeypatch)
         rng = np.random.default_rng(3)
-        for code in cross_path_codes("deterministic"):
-            rows = _likelihood_rows(code.source, EVE)
-            weights = rng.uniform(0.01, 1.0, size=code.member_count)
-            dithers = [f for f in range(1, code.m2 + 1) if code.f_positions(f).size]
-            tables = list(_leakage_tables(code, np.arange(code.member_count), weights,
-                                          rows, dithers))
-            assert [f for f, _ in tables] == dithers
-            for f, table in tables:
-                pos = code.f_positions(f)
-                ref = np.zeros((code.m1, rows.shape[1]))
-                np.add.at(ref, code.m_label[pos] - 1, weights[pos, None] * rows[pos])
-                assert np.array_equal(table.view(np.int64), ref.view(np.int64))
+        for eve in (EVE, Z_EVE, ERASURE_EVE):
+            for code in cross_path_codes("deterministic") + cross_path_codes("stochastic"):
+                rows = _likelihood_rows(code.source, eve)
+                weights = rng.uniform(0.01, 1.0, size=code.member_count)
+                table, cells = _leakage_table(code.m_label - 1, code.f_label - 1, code.m1,
+                                              weights, rows)
+                f, m = cells // code.m1 + 1, cells % code.m1 + 1
+                k = np.bincount(f)[f]
+                assert np.array_equal(np.lexsort((m, f, k)), np.arange(cells.size))
+                assert set(zip(f.tolist(), m.tolist())) == \
+                    set(zip(code.f_label.tolist(), code.m_label.tolist()))
+                per_dither = {}
+                for fs in set(f.tolist()):
+                    pos = code.f_positions(fs)
+                    ref = np.zeros((code.m1, rows.shape[1]))
+                    np.add.at(ref, code.m_label[pos] - 1, weights[pos, None] * rows[pos])
+                    per_dither[fs] = ref
+                for s, (fs, ms) in enumerate(zip(f.tolist(), m.tolist())):
+                    assert np.array_equal(table[s].view(np.int64),
+                                          per_dither[fs][ms - 1].view(np.int64))
+                target = leakage_target_reference(code, eve)
+                for alpha in (2, math.inf):
+                    got = wiretap._table_leakages(table.copy(), cells, code.m1,
+                                                  _leakage_kernel(code, eve, alpha))
+                    for fs, ref in per_dither.items():
+                        want = (d_infinity_raw(ref, target) if alpha == math.inf
+                                else tsallis_raw(ref, target, alpha))
+                        assert got[fs] == wiretap._residue_clamped(want)
+        assert counts["rows"] and counts["call"]
 
     def test_sweep_repeated_n_and_thread_count(self, sweep_dir):
         base, doc = sweep_dir
@@ -601,6 +657,67 @@ class TestSharedRows:
         assert records == sweep_experiment(cfg)
         assert records[6:] == records[:3]
         assert records[:6] == sweep_experiment(SweepConfig.from_dict(doc, str(base)))
+
+
+class TestCompactTable:
+    @pytest.mark.parametrize("kind", ["deterministic-0.6", "deterministic-uniform", "stochastic"])
+    def test_dither_leakages_match_reference_on_grid(self, monkeypatch, kind):
+        # a source x {BSC, Z-channel with a zero entry, binary erasure with
+        # 3 outputs} x 3 rate pairs x 3 seeds x 5 orders: positions,
+        # weights and leakages equal the per-dither reference bit for bit,
+        # and both the batched rows and the per-table call ran
+        if kind == "deterministic-0.6":
+            source = typical_set(Pmf(("a", "b"), (0.6, 0.4)), 6, 0.9)
+        elif kind == "deterministic-uniform":
+            source = typical_set(UNIFORM2, 7, 0.6)
+        else:
+            source = joint_typical_set(
+                JointPmf(("u0", "u1"), ("a", "b"), [[0.30, 0.20], [0.15, 0.35]]), 4, 0.5)
+        counts = counted_table_calls(monkeypatch)
+        compared = 0
+        for eve in (EVE, Z_EVE, ERASURE_EVE):
+            rows = _likelihood_rows(source, eve)
+            for r1, r2 in ((0.25, 0.5), (0.1, 0.7), (0.5, 0.25)):
+                for seed in range(3):
+                    code = build_code(source, r1, r2, seed)
+                    for alpha in (0.5, 1.0, 2.0, 3.0, math.inf):
+                        got = _dither_leakages(code, rows, _leakage_kernel(code, eve, alpha))
+                        want = dither_leakages_reference(code, eve, alpha, rows)
+                        assert list(got) == list(want)
+                        for f, (pos, weights, leak) in got.items():
+                            ref_pos, ref_weights, ref_leak = want[f]
+                            assert np.array_equal(pos, ref_pos)
+                            assert np.array_equal(weights.view(np.int64),
+                                                  ref_weights.view(np.int64))
+                            assert leak.hex() == ref_leak.hex()
+                            compared += 1
+        assert compared > 400
+        assert counts["rows"] and counts["call"]
+
+    def test_dither_leakages_peak_memory(self):
+        # criterion 8's below-threshold code at n = 11 (113 dithers in 226
+        # occupied cells of 2,048 outputs, a 3.5 MiB table): the
+        # tracemalloc peak above the eve rows is the table plus 1.18 MiB,
+        # two chunks of ADD_CELLS floats and the index arrays; zero-filling
+        # (m1 x k^n) tables and scatter-adding whole rank steps peaked at
+        # 10.9 MiB
+        uniform = Pmf.uniform(["a", "b"])
+        eve = Channel.bsc(0.3, ("a", "b"))
+        ts = typical_set(uniform, 11, 0.6)
+        code = build_code(ts, 0.017, 0.619, derive_seed(0, "wiretap:n=11", 0))
+        rows = _likelihood_rows(ts, eve)
+        kernel = _leakage_kernel(code, eve, 2.0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            leaks = _dither_leakages(code, rows, kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cells = len(set(zip(code.f_label.tolist(), code.m_label.tolist())))
+        assert len(leaks) == 113 and cells == 226
+        assert peak - base <= cells * rows.shape[1] * 8 + 2 * ADD_CELLS * 8 + 2 ** 18
 
 
 class TestRecords:
@@ -671,8 +788,10 @@ class TestSweep:
     def test_n11_step_peak_memory(self):
         # criterion 8's below-threshold code at n = 11 (2,048 members, two
         # 32 MiB likelihood tables): with one channel's rows alive at a
-        # time the step's tracemalloc peak above its start is 43.6 MiB;
-        # holding the eve and main rows together it is 75.6 MiB
+        # time and the leakages from one compact table the step's
+        # tracemalloc peak above its start is 37.5 MiB (43.6 with zero-filled
+        # per-dither tables); holding the eve and main rows together it
+        # was 75.6 MiB
         uniform = Pmf.uniform(["a", "b"])
         cfg = SweepConfig((11,), 0.017, 0.619, 2.0, "deterministic", 1, 0, 0.6, uniform,
                           Channel.bsc(0.1, ("a", "b")), Channel.bsc(0.3, ("a", "b")))
@@ -686,7 +805,7 @@ class TestSweep:
         finally:
             tracemalloc.stop()
         assert ts.size == 2 ** 11 and record.n == 11
-        assert peak - base <= 48 * 2 ** 20
+        assert peak - base <= 40 * 2 ** 20
 
     def test_empty_n_list_gives_no_records(self, sweep_dir):
         base, doc = sweep_dir
