@@ -579,14 +579,17 @@ class _DivergenceKernel:
         whose reference over those cells is the first w reference entries:
         bit for bit the kernel's value on such a table.  The float
         operations are those of a call, on p in place, with each row reduced
-        along axis 1 (one log-sum-exp, or one max-ratio at INFINITY).  A row
-        is left NaN, and untouched, where a call takes another path: at
-        order one, where the reference has a zero, for a row with a zero
-        cell, and for a row whose first cell equals the reference's (its
-        table may equal the reference)."""
+        along axis 1 (one log-sum-exp, or one max-ratio at INFINITY); at
+        order one they are :func:`_kl_nats_raw`'s (p / q, log, times p) in
+        one scratch array, and each row is one ``math.fsum``, which is
+        correctly rounded whatever the order of its terms.  A row is left
+        NaN, and untouched, where a call takes another path: where the
+        reference has a zero, for a row with a zero cell, and for a row
+        whose first cell equals the reference's (its table may equal the
+        reference)."""
         a = self.alpha
         out = np.full(p.shape[0], math.nan)
-        if _is_one(a) or not self.all_pos:
+        if not self.all_pos:
             return out
         ok = np.minimum.reduce(p, axis=1) > 0.0
         ok &= p[:, 0] != self.row[0]
@@ -598,6 +601,12 @@ class _DivergenceKernel:
             if math.isinf(a):
                 np.divide(work, ref, out=work)
                 out[ok] = [math.log2(r) for r in np.maximum.reduce(work, axis=1).tolist()]
+                return out
+            if _is_one(a):
+                terms = np.divide(work, ref)
+                np.log(terms, out=terms)
+                terms *= work
+                out[ok] = [_exact_sum(row) for row in terms]
                 return out
             np.log(work, out=work)
             work *= a

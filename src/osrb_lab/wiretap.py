@@ -246,11 +246,13 @@ def decode(code: WiretapCode, f: int, y_seq: int, main: Channel):
     return int(code.m_label[best]), int(code._labeled.members[best])
 
 
-def _likelihood_rows(source, ch: Channel, pos: np.ndarray | None = None) -> np.ndarray:
+def _likelihood_rows(source, ch: Channel, pos: np.ndarray | None = None,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """P(output sequence | member) rows over every output sequence.
 
     ``source`` is a code's TypicalSet or JointTypicalSet and ``pos`` the
-    labeled member positions (all members when None).  Deterministic rows
+    labeled member positions (all members when None).  The rows are written
+    into ``out`` when given, else into a new array.  Deterministic rows
     are exp of ``_channel_log_likelihoods``, built a block of members at a
     time: its last level is written into the block and the exp taken in
     place.  Stochastic rows are
@@ -267,7 +269,7 @@ def _likelihood_rows(source, ch: Channel, pos: np.ndarray | None = None) -> np.n
         raise GuardError(f"output alphabet {k_out}^{n} exceeds guard")
     if members.size * out_count > MATRIX_GUARD:
         raise GuardError("likelihood matrix exceeds the size guard")
-    rows = np.empty((members.size, out_count))
+    rows = np.empty((members.size, out_count)) if out is None else out
     if stochastic:
         if ch.in_labels != source.base.col_labels:
             raise ValueError("channel input must match the joint's X alphabet")
@@ -490,6 +492,65 @@ def _dither_leakages(code: WiretapCode, eve_rows: np.ndarray,
             for f, pos in zip((f0[by_f[heads]] + 1).tolist(), np.split(by_f, heads[1:]))}
 
 
+def _visit_order(item) -> tuple:
+    """(leakage, f) of a ``_dither_leakages`` item: the order in which
+    ``select_f`` visits dithers."""
+    f, (_, _, leak) = item
+    return leak, f
+
+
+def _main_rows_of(main_rows: np.ndarray, slot: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """The main likelihood rows of the members at ``pos``: row ``slot[i]``
+    of ``main_rows`` for member i.  A member without a built row (slot -1)
+    raises; row -1 is never read."""
+    at = slot[pos]
+    if (at < 0).any():
+        raise ValueError("a scored dither has members without a main likelihood row")
+    return main_rows[at]
+
+
+def _scored_main_rows(source, main: Channel, scored: list) -> tuple[np.ndarray, np.ndarray, list]:
+    """``(main_rows, slot, firsts)``: main likelihood rows of the members
+    of every dither that ``select_f`` can score, for codes of one source,
+    with ``slot`` mapping a member position to its row (-1 where none is
+    built), and per code ``{f: (leakage, error)}`` of its first dither.
+    ``scored`` pairs each code with its ``_dither_leakages``.
+
+    Two ``_likelihood_rows`` builds serve every code.  The first covers
+    each code's first dither in (leakage, f) order, which ``select_f``
+    always scores, and scores it; ``(leak + err) + RESIDUE`` then bounds
+    the leakage of any dither that ``select_f`` visits, since its best
+    score is never above that first dither's.  The second covers the
+    members of the dithers within that bound not built yet, and is skipped
+    when there are none.  Each row is the per-position sum whatever rows
+    are built with it, so the scores are those of rows over every member."""
+    slot = np.full(scored[0][0].member_count, -1, dtype=np.int64)
+    wanted = np.zeros(slot.size, dtype=bool)
+    heads = [min(leaks.items(), key=_visit_order) for _, leaks in scored]
+    for _, (pos, _, _) in heads:
+        wanted[pos] = True
+    built = np.flatnonzero(wanted)
+    slot[built] = np.arange(built.size)
+    first_rows = _likelihood_rows(source, main, built)
+    firsts = []
+    for (code, leaks), (f, (pos, weights, leak)) in zip(scored, heads):
+        err = _miss_kernel(code, pos, weights, _main_rows_of(first_rows, slot, pos))
+        firsts.append({f: (leak, err)})
+        bound = (leak + err) + RESIDUE
+        for members, _, other in leaks.values():
+            if other <= bound:
+                wanted[members] = True
+    more = np.flatnonzero(wanted & (slot < 0))
+    if not more.size:
+        return first_rows, slot, firsts
+    slot[more] = np.arange(built.size, built.size + more.size)
+    main_rows = np.empty((built.size + more.size, first_rows.shape[1]))
+    main_rows[:built.size] = first_rows
+    del first_rows
+    _likelihood_rows(source, main, more, out=main_rows[built.size:])
+    return main_rows, slot, firsts
+
+
 def select_f(code: WiretapCode, main: Channel, eve: Channel, alpha, *, shared=None):
     """Pick the dither value f* of a code and return ``(f_star, record)``.
 
@@ -503,25 +564,30 @@ def select_f(code: WiretapCode, main: Channel, eve: Channel, alpha, *, shared=No
     minimum plus RESIDUE, and f_star is that of scoring every dither.
     ``leakage`` and ``error_prob`` score any single dither.  ``shared`` is
     passed by a caller that shares likelihood rows across codes: the
-    code's ``_dither_leakages`` at this order and ``_likelihood_rows`` of
-    ``main`` over every member of ``code.source``.  When None both are
-    built here, and the eve rows are dropped before the main rows are
+    code's ``_dither_leakages`` at this order, main rows and their
+    position -> row map, and ``{f: (leakage, error)}`` of dithers already
+    scored, which are not scored again: those of ``_scored_main_rows`` of
+    a list of codes that includes this one, or any rows and map that cover
+    the dithers visited (one without a row raises).  When None all four
+    are built here, and the eve rows are dropped before the main rows are
     built.
     """
     a = check_alpha(alpha)
     if shared is None:
         leakages = _dither_leakages(code, _likelihood_rows(code.source, eve),
                                     _leakage_kernel(code, eve, a))
-        shared = (leakages, _likelihood_rows(code.source, main))
-    leakages, main_rows = shared
-    best = math.inf
-    scores = {}
-    for f, (pos, weights, leak) in sorted(leakages.items(), key=lambda kv: (kv[1][2], kv[0])):
+        main_rows, slot, [first] = _scored_main_rows(code.source, main, [(code, leakages)])
+        shared = (leakages, main_rows, slot, first)
+    leakages, main_rows, slot, scores = shared
+    scores = dict(scores)
+    best = min((leak + err for leak, err in scores.values()), default=math.inf)
+    for f, (pos, weights, leak) in sorted(leakages.items(), key=_visit_order):
         if leak > best + RESIDUE:
             break
-        err = _miss_kernel(code, pos, weights, main_rows[pos])
-        scores[f] = (leak, err)
-        best = min(best, leak + err)
+        if f not in scores:
+            err = _miss_kernel(code, pos, weights, _main_rows_of(main_rows, slot, pos))
+            scores[f] = (leak, err)
+            best = min(best, leak + err)
     f_star = min(f for f, (leak, err) in scores.items() if leak + err <= best + RESIDUE)
     return f_star, LeakageRecord(f_star, a, *scores[f_star], code.n, code.seed)
 
@@ -655,9 +721,10 @@ class SweepConfig:
 def _run_codes(config: SweepConfig, source, n: int) -> list[ExperimentRecord]:
     """Every code of one n, in code order, in two phases that share one
     channel's likelihood rows at a time: the eve rows and one leakage
-    kernel give every code's dither leakages and are dropped, then the
-    main rows give every code's f* and the decoding errors it needs
-    through ``select_f``."""
+    kernel give every code's dither leakages and are dropped, then main
+    rows of only the members that selection can score
+    (``_scored_main_rows``, two builds for every code) give every code's
+    f* and the decoding errors it needs through ``select_f``."""
     codes = [build_code(source, config.r1, config.r2,
                         derive_seed(config.seed, f"wiretap:n={n}", i))
              for i in range(config.codes)]
@@ -666,12 +733,12 @@ def _run_codes(config: SweepConfig, source, n: int) -> list[ExperimentRecord]:
     kernel = _leakage_kernel(codes[0], config.eve, config.alpha)
     leakages = [_dither_leakages(code, eve_rows, kernel) for code in codes]
     del eve_rows
-    main_rows = _likelihood_rows(source, config.main)
+    main_rows, slot, firsts = _scored_main_rows(source, config.main, list(zip(codes, leakages)))
     main_rows.setflags(write=False)
     records = []
-    for code, leaks in zip(codes, leakages):
+    for code, leaks, first in zip(codes, leakages, firsts):
         f_star, rec = select_f(code, config.main, config.eve, config.alpha,
-                               shared=(leaks, main_rows))
+                               shared=(leaks, main_rows, slot, first))
         records.append(ExperimentRecord(n, config.r1, config.r2, config.alpha,
                                         config.encoder, code.seed, f_star,
                                         rec.leakage, rec.error_prob, code.discards))
@@ -683,7 +750,8 @@ def sweep_experiment(config: SweepConfig) -> list[ExperimentRecord]:
 
     The sweep goes n by n, on one thread.  An n's eve likelihood rows are
     built once and dropped once every code's leakages are scored; its main
-    rows are built next, once, and shared by the codes' error scores
+    rows are built next, for the members of the dithers that selection can
+    score, in two builds shared by the codes' error scores
     (``_run_codes``).  Records come back ordered by (n, code index).
     """
     sources = {}

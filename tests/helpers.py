@@ -502,18 +502,16 @@ def dither_leakages_reference(code, eve, alpha, eve_rows):
     return out
 
 
-def select_f_reference(code, main, eve, alpha, *, shared=None):
+def select_f_reference(code, main, eve, alpha):
     """Full-scan dither selection: every populated dither's leakage and
     decoding error are scored, and ``(f_star, records)`` is returned with
     one LeakageRecord per f in order; f_star is the lowest f whose
     leakage + error_prob lies within RESIDUE of the minimum, and an empty
-    dither's record reads (inf, 1.0).  ``shared`` is that of
-    ``wiretap.select_f``."""
+    dither's record reads (inf, 1.0).  Errors are scored from the full
+    main table, rows over every member."""
     a = check_alpha(alpha)
-    if shared is None:
-        leakages = dither_leakages_reference(code, eve, a, _likelihood_rows(code.source, eve))
-        shared = (leakages, _likelihood_rows(code.source, main))
-    leakages, main_rows = shared
+    leakages = dither_leakages_reference(code, eve, a, _likelihood_rows(code.source, eve))
+    main_rows = _likelihood_rows(code.source, main)
     scores = {f: (leak, _miss_kernel(code, pos, weights, main_rows[pos]))
               for f, (pos, weights, leak) in leakages.items()}
     best = min(leak + err for leak, err in scores.values())

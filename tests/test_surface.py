@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 
 import osrb_lab
-from osrb_lab import cli
+from osrb_lab import cli, wiretap
 from osrb_lab.measures import Channel, JointPmf, Pmf
-from osrb_lab.typicality import joint_typical_set, typical_set
+from osrb_lab.typicality import JointTypicalSet
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -31,13 +31,23 @@ def test_traced_names_resolve():
     assert missing == []
 
 
-def test_tracer_extractors_run_on_small_sweeps(tmp_path, capsys):
+def test_tracer_extractors_run_on_small_sweeps(tmp_path, capsys, monkeypatch):
     # one deterministic and one stochastic sweep through the CLI under the
     # tracer: no wrapped name is missing, no extractor fails, and every
-    # likelihood span counts rows x 2^n cells.  Per (n, channel) the
-    # deterministic rows are one table over the typical members; the
-    # stochastic ones are one table over the union of the u members' x
-    # sets plus one reduction per u member over its own x set
+    # likelihood span counts rows x 2^n cells.  Per n the eve rows are one
+    # build over every member and the main rows one or two builds over the
+    # members selection can score, recorded here.  A deterministic build
+    # is one table over its members; a stochastic one is one table over
+    # the union of the u members' x sets plus one reduction per u member
+    # over its own x set
+    builds = []
+
+    def recording(source, ch, pos=None, out=None):
+        builds.append((source, ch, pos))
+        return likelihood_rows(source, ch, pos, out)
+
+    likelihood_rows = wiretap._likelihood_rows
+    monkeypatch.setattr(wiretap, "_likelihood_rows", recording)
     spans = load_spans()
     source = Pmf(("a", "b"), (0.6, 0.4))
     joint = JointPmf(("u0", "u1"), ("a", "b"), [[0.4, 0.1], [0.1, 0.4]])
@@ -63,13 +73,19 @@ def test_tracer_extractors_run_on_small_sweeps(tmp_path, capsys):
     assert restored
     assert tracer.missing == []
     assert tracer.attr_errors == []
+    # eve is BSC(0.3) and main BSC(0.1)
+    eve = [pos for _, ch, pos in builds if ch.rows[0, 0] == 0.7]
+    main = [pos for _, ch, pos in builds if ch.rows[0, 0] == 0.9]
+    assert len(eve) == 2 * len(ns) and all(pos is None for pos in eve)
+    assert 2 * len(ns) <= len(main) <= 4 * len(ns) and all(pos.size for pos in main)
     want = []
-    for n in ns:
-        # eve and main rows, each built once per n
-        want += [typical_set(source, n, 0.9).size * 2 ** n] * 2
-        x_members = joint_typical_set(joint, n, 0.3).x_members
-        union = np.unique(np.concatenate(x_members)).size
-        want += ([union * 2 ** n] + [xs.size * 2 ** n for xs in x_members]) * 2
+    for ts, _, pos in builds:
+        if isinstance(ts, JointTypicalSet):
+            x_sets = ts.x_members if pos is None else [ts.x_members[i] for i in pos]
+            union = np.unique(np.concatenate(x_sets)).size
+            want += [union * 2 ** ts.n] + [xs.size * 2 ** ts.n for xs in x_sets]
+        else:
+            want.append((ts.size if pos is None else pos.size) * 2 ** ts.n)
     cells = [s["cells"] for s in tracer.spans if s["name"] == "typicality.likelihood"]
     assert sorted(cells) == sorted(want)
     assert spans.layer_metrics(tracer.spans)["typicality.likelihood.calls"] == len(want)

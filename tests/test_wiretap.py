@@ -52,6 +52,7 @@ from osrb_lab.wiretap import (
     _leakage_table,
     _likelihood_rows,
     _miss_kernel,
+    _scored_main_rows,
     build_code,
     decode,
     encode,
@@ -527,13 +528,26 @@ class TestSharedRows:
     @pytest.mark.parametrize("alpha", [1, 2, math.inf])
     @pytest.mark.parametrize("kind", ["deterministic", "stochastic"])
     def test_shared_rows_change_nothing(self, kind, alpha):
-        for code in cross_path_codes(kind):
-            shared = (_dither_leakages(code, _likelihood_rows(code.source, EVE),
-                                       _leakage_kernel(code, EVE, check_alpha(alpha))),
-                      _likelihood_rows(code.source, MAIN))
+        # the three codes share one source: main rows of their scored
+        # dithers built once for all of them with each code's first dither
+        # scored, and the full main table with the identity map and no
+        # dither scored, each give the standalone selection and the full
+        # scan's f* record
+        codes = cross_path_codes(kind)
+        source = codes[0].source
+        assert all(code.source is source for code in codes)
+        eve_rows = _likelihood_rows(source, EVE)
+        leakages = [_dither_leakages(code, eve_rows, _leakage_kernel(code, EVE, check_alpha(alpha)))
+                    for code in codes]
+        main_rows, slot, firsts = _scored_main_rows(source, MAIN, list(zip(codes, leakages)))
+        full = _likelihood_rows(source, MAIN)
+        every = np.arange(full.shape[0])
+        for code, leaks, first in zip(codes, leakages, firsts):
             f_star, recs = select_f_reference(code, MAIN, EVE, alpha)
-            assert select_f(code, MAIN, EVE, alpha, shared=shared) == \
-                select_f(code, MAIN, EVE, alpha) == (f_star, recs[f_star - 1])
+            want = (f_star, recs[f_star - 1])
+            assert select_f(code, MAIN, EVE, alpha, shared=(leaks, main_rows, slot, first)) == want
+            assert select_f(code, MAIN, EVE, alpha, shared=(leaks, full, every, {})) == want
+            assert select_f(code, MAIN, EVE, alpha) == want
 
     def test_blocked_rows_match_one_shot_build(self):
         n = 11
@@ -720,6 +734,106 @@ class TestCompactTable:
         assert peak - base <= cells * rows.shape[1] * 8 + 2 * ADD_CELLS * 8 + 2 ** 18
 
 
+def counted_row_builds(monkeypatch, channel):
+    """Patch ``wiretap._likelihood_rows`` with a wrapper that records the
+    positions of every build through ``channel``; returns that list."""
+    builds = []
+
+    def recording(source, ch, pos=None, out=None):
+        if ch is channel:
+            builds.append(pos)
+        return _likelihood_rows(source, ch, pos, out)
+
+    monkeypatch.setattr(wiretap, "_likelihood_rows", recording)
+    return builds
+
+
+class TestScoredMainRows:
+    def test_n11_step_builds_main_rows_of_candidate_dithers_only(self, monkeypatch):
+        # criterion 8's below-threshold code at n = 11 (the step of
+        # test_n11_step_peak_memory): the main rows come from two builds,
+        # the first dither in (leakage, f) order and then every dither
+        # whose leakage is within its score plus RESIDUE, here 27 + 152 of
+        # 2,048 members; the bound is taken from per-dither references
+        uniform = Pmf.uniform(["a", "b"])
+        main, eve = Channel.bsc(0.1, ("a", "b")), Channel.bsc(0.3, ("a", "b"))
+        cfg = SweepConfig((11,), 0.017, 0.619, 2.0, "deterministic", 1, 0, 0.6, uniform,
+                          main, eve)
+        ts = typical_set(uniform, 11, 0.6)
+        builds = counted_row_builds(monkeypatch, main)
+        [record] = wiretap._run_codes(cfg, ts, 11)
+        monkeypatch.undo()
+        code = build_code(ts, cfg.r1, cfg.r2, derive_seed(0, "wiretap:n=11", 0))
+        leaks = dither_leakages_reference(code, eve, 2.0, _likelihood_rows(ts, eve))
+        first, (first_pos, _, first_leak) = min(leaks.items(), key=lambda kv: (kv[1][2], kv[0]))
+        bound = (first_leak + error_prob(code, first, main)) + wiretap.RESIDUE
+        candidates = np.concatenate([pos for pos, _, leak in leaks.values() if leak <= bound])
+        assert [pos.size for pos in builds] == [27, 152]
+        assert np.array_equal(builds[0], np.sort(first_pos))
+        built = np.concatenate(builds)
+        assert np.array_equal(np.sort(built), np.sort(candidates))
+        f_star, recs = select_f_reference(code, main, eve, 2.0)
+        assert (record.f_star, record.leakage, record.error_prob) == \
+            (f_star, recs[f_star - 1].leakage, recs[f_star - 1].error_prob)
+
+    def test_empty_second_build_is_skipped(self, monkeypatch):
+        # the stochastic wiretap-single code at n = 4, config seed
+        # 1818613427: the first dither's score bounds out the other one, so
+        # no second build runs (a build over no members has no x sets)
+        ux = JointPmf(("u0", "u1"), ("a", "b"), [[0.3125, 0.125], [0.1875, 0.375]])
+        main, eve = Channel.bsc(0.1, ("a", "b")), Channel.bsc(0.3, ("a", "b"))
+        code = build_code(joint_typical_set(ux, 4, 0.3), 0.2, 0.2,
+                          derive_seed(1818613427, "wiretap:n=4", 0))
+        builds = counted_row_builds(monkeypatch, main)
+        f_star, rec = select_f(code, main, eve, math.inf)
+        monkeypatch.undo()
+        assert code.m2 == 2 and len(builds) == 1
+        assert builds[0].size < code.member_count
+        ref_f, recs = select_f_reference(code, main, eve, math.inf)
+        assert (f_star, rec) == (ref_f, recs[ref_f - 1])
+
+    def test_visited_dither_without_row_raises(self):
+        # one message through BSC(0.5): every dither leaks 0, so selection
+        # visits them all, the lowest f first; with rows built for that
+        # dither alone the second one visited has members whose slot is -1
+        ts = typical_set(UNIFORM2, 4, 0.9)
+        code = build_code(ts, 0.0, 0.25, 0)
+        flat = Channel.bsc(0.5, ("a", "b"))
+        leaks = _dither_leakages(code, _likelihood_rows(ts, flat), _leakage_kernel(code, flat, 2.0))
+        assert len(leaks) > 1 and not any(leak for _, _, leak in leaks.values())
+        first = leaks[min(leaks)][0]
+        slot = np.full(code.member_count, -1)
+        slot[first] = np.arange(first.size)
+        rows = _likelihood_rows(ts, MAIN, first)
+        for shared in ((leaks, rows, slot, {}), (leaks, rows[:0], np.full(code.member_count, -1), {})):
+            with pytest.raises(ValueError, match="without a main likelihood row"):
+                select_f(code, MAIN, flat, 2.0, shared=shared)
+
+    def test_main_phase_peak_memory(self):
+        # criterion 8's below-threshold code at n = 11: the tracemalloc
+        # peak of its main phase (_scored_main_rows, then select_f) above
+        # its start is 5.07 MiB, while the second build writes into the
+        # 179 rows (2.80 MiB) next to the first build's 27; joining the
+        # two builds by a copy peaked at 5.61, and the full 2,048-row main
+        # table at 35.57
+        uniform = Pmf.uniform(["a", "b"])
+        main, eve = Channel.bsc(0.1, ("a", "b")), Channel.bsc(0.3, ("a", "b"))
+        ts = typical_set(uniform, 11, 0.6)
+        code = build_code(ts, 0.017, 0.619, derive_seed(0, "wiretap:n=11", 0))
+        leaks = _dither_leakages(code, _likelihood_rows(ts, eve), _leakage_kernel(code, eve, 2.0))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rows, slot, [first] = _scored_main_rows(ts, main, [(code, leaks)])
+            select_f(code, main, eve, 2.0, shared=(leaks, rows, slot, first))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (179, 2 ** 11)
+        assert peak - base <= 6.3 * 2 ** 20
+
+
 class TestRecords:
     def test_leakage_record_validation(self):
         with pytest.raises(ValueError):
@@ -786,12 +900,12 @@ class TestSweep:
         assert len({f for _, f, *_ in got}) > 1
 
     def test_n11_step_peak_memory(self):
-        # criterion 8's below-threshold code at n = 11 (2,048 members, two
-        # 32 MiB likelihood tables): with one channel's rows alive at a
+        # criterion 8's below-threshold code at n = 11 (2,048 members, a
+        # 32 MiB eve likelihood table): with one channel's rows alive at a
         # time and the leakages from one compact table the step's
-        # tracemalloc peak above its start is 37.5 MiB (43.6 with zero-filled
-        # per-dither tables); holding the eve and main rows together it
-        # was 75.6 MiB
+        # tracemalloc peak above its start is 36.8 MiB, set by the eve rows
+        # (37.5 with a full main table, 43.6 with zero-filled per-dither
+        # tables); holding the eve and main rows together it was 75.6 MiB
         uniform = Pmf.uniform(["a", "b"])
         cfg = SweepConfig((11,), 0.017, 0.619, 2.0, "deterministic", 1, 0, 0.6, uniform,
                           Channel.bsc(0.1, ("a", "b")), Channel.bsc(0.3, ("a", "b")))
