@@ -26,7 +26,7 @@ import functools
 import hashlib
 import math
 from collections import Counter
-from itertools import product as iter_product
+from itertools import count as iter_count, product as iter_product
 
 import numpy as np
 
@@ -64,6 +64,18 @@ def philox_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Philox 4x64 generator keyed by (seed, stream)."""
     key = np.array([_mask64(seed), _mask64(stream)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def philox_streams(seed: int):
+    """philox_rng(seed, 0), philox_rng(seed, 1), ... as one generator
+    object, re-keyed in place for each next stream."""
+    rng = philox_rng(seed, 0)
+    fresh = rng.bit_generator.state
+    yield rng
+    for stream in iter_count(1):
+        fresh["state"]["key"][1] = stream
+        rng.bit_generator.state = fresh
+        yield rng
 
 
 # No caller is left: _map_indexed stays, here and imported by wiretap,
@@ -276,9 +288,9 @@ def expected_divergence_mc(
     bins, without building it: the per-trial one-hot and bin table are
     checked against MATRIX_GUARD before the first trial.  Trial t draws its
     binning from the Philox substream keyed by (seed, t); trials run in
-    index order.  The one-hot, both matrix products, the generator (re-keyed
-    per trial) and the divergence kernel's scratch are allocated once per
-    call.
+    index order.  The one-hot, both matrix products, the generator
+    (``philox_streams``) and the divergence kernel's scratch are allocated
+    once per call.
     """
     a = check_alpha(alpha)
     if trials < 1:
@@ -295,15 +307,10 @@ def expected_divergence_mc(
     low = _kron_power(j.probs, n - n // 2)
     pz = _kron_power(j.probs.sum(axis=0), n)
 
-    rng = philox_rng(seed, 0)
-    fresh = rng.bit_generator.state
     tables = _KronTables(high, low, m)
     divergence = _DivergenceKernel(pz / m, a, (m, nz))
     values = []
-    for t in range(trials):
-        if t:
-            fresh["state"]["key"][1] = t
-            rng.bit_generator.state = fresh  # that of philox_rng(seed, t)
+    for _, rng in zip(range(trials), philox_streams(seed)):
         # the draws of integers(1, m + 1), less one
         bins = rng.integers(0, m, size=nx, dtype=np.int64)
         values.append(divergence(tables(bins)))

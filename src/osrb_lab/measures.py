@@ -530,18 +530,18 @@ def _kl_nats_raw(p: np.ndarray, q: np.ndarray) -> float:
 
 
 class _DivergenceKernel:
-    """Divergence of tables p of one shape (rows, k) from the reference
-    that repeats the row q in every row, at one order.
+    """Divergence of tables p of up to ``shape[0]`` rows of k cells from
+    the reference that repeats the row q in every row, at one order.
 
     Built once per reference: it holds q's positive mask, (1 - alpha) log q
-    and the scratch arrays.  At INFINITY and at orders other than one a
-    call allocates nothing table-sized, unless a cell lies outside the
-    support and the Tsallis terms are compacted; order one takes the
-    masked copies of :func:`_kl_nats_raw`.  Each value is bit for bit that
-    of :func:`tsallis_raw` (KL in nats at order one) or, at INFINITY,
-    :func:`d_infinity_raw` in bits, on p and the broadcast reference: the
-    same float operations, in place.  :meth:`rows` evaluates many tables
-    at once.
+    and scratch arrays of ``shape``, sliced to a table's rows.  At INFINITY
+    and at orders other than one a call allocates nothing table-sized,
+    unless a cell lies outside the support and the Tsallis terms are
+    compacted; order one takes the masked copies of :func:`_kl_nats_raw`.
+    Each value is bit for bit that of :func:`tsallis_raw` (KL in nats at
+    order one) or, at INFINITY, :func:`d_infinity_raw` in bits, on p and
+    the broadcast reference: the same float operations, in place.
+    :meth:`tables` evaluates a stack of tables at once.
     """
 
     def __init__(self, row: np.ndarray, alpha: float, shape: tuple[int, int]):
@@ -558,7 +558,8 @@ class _DivergenceKernel:
     def same(self, p: np.ndarray) -> bool:
         """True when every cell of p equals the reference (almost every
         table already differs in its first cell)."""
-        return p.flat[0] == self.row[0] and bool(np.equal(p, self.row, out=self.mask).all())
+        return p.flat[0] == self.row[0] and bool(
+            np.equal(p, self.row, out=self.mask[:p.shape[0]]).all())
 
     def __call__(self, p: np.ndarray) -> float:
         a = self.alpha
@@ -573,44 +574,44 @@ class _DivergenceKernel:
             return math.inf
         return math.expm1(log_phi) / (a - 1.0)
 
-    def rows(self, p: np.ndarray) -> np.ndarray:
-        """Values of the rows of p, shape (g, w) with w at most the
-        reference width, each row taken as the positive cells of a table
-        whose reference over those cells is the first w reference entries:
-        bit for bit the kernel's value on such a table.  The float
-        operations are those of a call, on p in place, with each row reduced
-        along axis 1 (one log-sum-exp, or one max-ratio at INFINITY); at
-        order one they are :func:`_kl_nats_raw`'s (p / q, log, times p) in
-        one scratch array, and each row is one ``math.fsum``, which is
-        correctly rounded whatever the order of its terms.  A row is left
-        NaN, and untouched, where a call takes another path: where the
-        reference has a zero, for a row with a zero cell, and for a row
-        whose first cell equals the reference's (its table may equal the
-        reference)."""
+    def tables(self, p: np.ndarray) -> np.ndarray:
+        """Values of the stack p of g tables, shape (g, r, k): bit for bit
+        the kernel's call on each table; p may be overwritten.  Tables with
+        every cell positive and a first cell other than the reference's,
+        against a positive reference, are reduced together with a call's
+        float operations on p in place, each table one row of r k terms
+        reduced along axis 1 (one log-sum-exp, or one max-ratio at
+        INFINITY); at order one they are :func:`_kl_nats_raw`'s (p / q,
+        log, times p) in one scratch array, and each table is one
+        ``math.fsum``, which is correctly rounded whatever the order of its
+        terms.  Any other table takes the call: one with a zero cell, one
+        that may equal the reference, and every table against a reference
+        with a zero."""
         a = self.alpha
-        out = np.full(p.shape[0], math.nan)
-        if not self.all_pos:
-            return out
-        ok = np.minimum.reduce(p, axis=1) > 0.0
-        ok &= p[:, 0] != self.row[0]
+        out = np.empty(p.shape[0])
+        ok = np.minimum.reduce(p, axis=(1, 2)) > 0.0
+        ok &= p[:, 0, 0] != self.row[0]
+        ok &= self.all_pos
+        for i in np.flatnonzero(~ok).tolist():
+            out[i] = self(p[i])
         if not ok.any():
             return out
         work = p if ok.all() else p[ok]
-        ref = self.row[:p.shape[1]]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if math.isinf(a):
-                np.divide(work, ref, out=work)
-                out[ok] = [math.log2(r) for r in np.maximum.reduce(work, axis=1).tolist()]
+                np.divide(work, self.row, out=work)
+                out[ok] = [math.log2(r) for r in np.maximum.reduce(work, axis=(1, 2)).tolist()]
                 return out
             if _is_one(a):
-                terms = np.divide(work, ref)
+                terms = np.divide(work, self.row)
                 np.log(terms, out=terms)
                 terms *= work
-                out[ok] = [_exact_sum(row) for row in terms]
+                out[ok] = [_exact_sum(table) for table in terms]
                 return out
             np.log(work, out=work)
             work *= a
-            work += self.log_row[:p.shape[1]]
+            work += self.log_row
+            work = work.reshape(work.shape[0], -1)
             log_phi = _logsumexp_steps(work, np.empty(work.shape, dtype=bool), axis=1)
         out[ok] = [math.inf if v == math.inf else math.expm1(v) / (a - 1.0)
                    for v in log_phi[:, 0].tolist()]
@@ -627,23 +628,24 @@ class _DivergenceKernel:
     def log_phi(self, p: np.ndarray) -> float:
         """ln of sum p^alpha q^(1-alpha) over supp(p); inf/-inf at the edges."""
         a = self.alpha
+        mask, buf = self.mask[:p.shape[0]], self.buf[:p.shape[0]]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ok = None
             if not (self.all_pos and p.min() > 0.0):
-                ok = np.greater(p, 0.0, out=self.mask)
+                ok = np.greater(p, 0.0, out=mask)
                 if not self.all_pos:
                     if a > 1.0 and ok[:, ~self.row_pos].any():
                         return math.inf
                     ok &= self.row_pos
-            np.log(p, out=self.buf, where=True if ok is None else ok)
-            self.buf *= a
-            self.buf += self.log_row
-            terms = self.buf.reshape(-1)
+            np.log(p, out=buf, where=True if ok is None else ok)
+            buf *= a
+            buf += self.log_row
+            terms = buf.reshape(-1)
             if ok is not None:
                 terms = terms[ok.reshape(-1)]
                 if not terms.size:
                     return -math.inf
-            return float(_logsumexp_steps(terms, self.mask.reshape(-1)[:terms.size])[0])
+            return float(_logsumexp_steps(terms, mask.reshape(-1)[:terms.size])[0])
 
 
 def _one_shot(p, q, alpha: float):

@@ -7,7 +7,11 @@ and the eavesdropper observation; leakage is the divergence of that law
 from the uniform-message times i.i.d.-output product, computed exactly by
 enumerating output sequences (finite orders use the log-free divergence,
 which reduces to KL in nats at order one; INFINITY uses the max-log-ratio
-divergence in bits).  Decoding error is likewise exact: a posterior-mode
+divergence in bits).  A code's dithers are scored together: the occupied
+(f, m) cells of every dither form one table, and the dithers with the same
+number of occupied messages are one stack of tables, scored against the
+row q / m1 of each message's reference, q the i.i.d. output law.
+Decoding error is likewise exact: a posterior-mode
 decoder over the members sharing f, enumerated over receiver sequences.
 Exactness keeps sweep trends free of estimator noise; blocklengths are
 capped accordingly.
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binning import derive_seed, m_from_rate, philox_rng
+from .binning import derive_seed, m_from_rate, philox_rng, philox_streams
 from .binning import _map_indexed  # noqa: F401 -- unused; the benchmark's tracer resolves it
 from .measures import (
     MATRIX_GUARD,
@@ -146,7 +150,7 @@ def build_code(source, r1: float, r2: float, seed: int) -> WiretapCode:
     ``MAX_ATTEMPTS`` rejections the attempt with the fewest empty cells
     (earliest on ties) is kept and ``discards`` records the full attempt
     budget.  Attempt k draws from the Philox substream keyed by (seed,
-    k), through one generator re-keyed per attempt.
+    k), through ``philox_streams``.
     """
     if r1 < 0.0 or r2 < 0.0:
         raise ValueError("rates must be nonnegative")
@@ -168,12 +172,7 @@ def build_code(source, r1: float, r2: float, seed: int) -> WiretapCode:
         raise GuardError(f"bin grid m1 x m2 = {m1} x {m2} exceeds guard {MATRIX_GUARD}")
     budget = MAX_EMPTY_FRAC * m1 * m2
     best = None
-    rng = philox_rng(seed, 0)
-    fresh = rng.bit_generator.state
-    for attempt in range(MAX_ATTEMPTS):
-        if attempt:
-            fresh["state"]["key"][1] = attempt
-            rng.bit_generator.state = fresh  # that of philox_rng(seed, attempt)
+    for attempt, rng in zip(range(MAX_ATTEMPTS), philox_streams(seed)):
         m_label = rng.integers(1, m1 + 1, size=count)
         f_label = rng.integers(1, m2 + 1, size=count)
         occupied = np.count_nonzero(np.bincount((m_label - 1) * m2 + (f_label - 1)))
@@ -305,20 +304,25 @@ def _decisions(code: WiretapCode, pos: np.ndarray, main_rows: np.ndarray) -> np.
     return np.argmax(prior[:, None] * main_rows, axis=0)
 
 
-def _leakage_table(m0: np.ndarray, f0: np.ndarray, m1: int, weights: np.ndarray,
-                   rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The occupied (f, m) cells of p(m, z^n | f), every dither's, as one table.
+def _compact_leakages(m0: np.ndarray, f0: np.ndarray, m1: int, weights: np.ndarray,
+                      rows: np.ndarray, kernel: _DivergenceKernel) -> dict:
+    """``{f: leakage}`` of every dither, in (k, f) order with k the dither's
+    occupied cell count, clamped by ``_residue_clamped``.  ``kernel`` is a
+    ``_leakage_kernel``.
 
     Member i has the 0-based labels (``m0[i]``, ``f0[i]``), its tilted law
     restricted to its dither ``weights[i]`` and its likelihood row
-    ``rows[i]``; weights[i] * rows[i] goes into cell f0 * m1 + m0.  Returns
-    ``(table, cells)``: table row s is cell ``cells[s]``.  The cells are in
-    (k, f, m) order, k the occupied cell count of f, so each dither's cells
-    are contiguous in m order and the dithers of equal k form one block.
+    ``rows[i]``; weights[i] * rows[i] goes into cell f0 * m1 + m0 of one
+    table of the occupied (f, m) cells of p(m, z^n | f), every dither's.
     A cell's first member is taken in by ``np.take`` and one multiply; the
     others are added in member order, one member per cell per step and
     ADD_CELLS cells per chunk at most, so every cell is summed in the order
-    ``np.add.at`` would sum it.
+    ``np.add.at`` would sum it.  The cells are in (k, f, m) order, so the
+    dithers of equal k form one (dithers, k, k^n) stack for
+    ``kernel.tables``.  A dither's k cells and its (m1, k^n) table, zero
+    in the unoccupied cells, reduce the same positive cells in the same
+    order, and k < m1 cells of mass 1 cannot equal k rows of q / m1, so
+    each value is the kernel's call on that table, bit for bit.
     """
     cell = f0 * m1 + m0
     order = np.argsort(cell, kind="stable")
@@ -348,34 +352,13 @@ def _leakage_table(m0: np.ndarray, f0: np.ndarray, m1: int, weights: np.ndarray,
             contrib = np.take(rows, members, axis=0)
             contrib *= weights[members, None]
             table[slot[cell_of[part]]] += contrib
-    return table, cells[by_k]
-
-
-def _table_leakages(table: np.ndarray, cells: np.ndarray, m1: int,
-                    kernel: _DivergenceKernel) -> dict:
-    """``{f: leakage}`` of every dither of a ``_leakage_table``, clamped by
-    ``_residue_clamped``; the table is overwritten.  ``kernel`` is a
-    ``_leakage_kernel``.  Each block of dithers with k cells is one (g, k
-    k^n) view evaluated by ``kernel.rows``; a row it leaves NaN takes the
-    kernel's call on its (m1, k^n) table, zero in the unoccupied cells.
-    Either way the value is that call's, bit for bit."""
-    width = table.shape[1]
-    f = cells // m1
-    heads = np.flatnonzero(np.diff(f, prepend=-1))
-    k = np.diff(heads, append=f.size)
-    starts = np.flatnonzero(np.diff(k, prepend=0))
-    out = {}
-    for s, e in zip(starts.tolist(), np.append(starts[1:], k.size).tolist()):
-        cnt, lo = int(k[s]), int(heads[s])
-        block = table[lo:lo + (e - s) * cnt].reshape(e - s, cnt * width)
-        values = kernel.rows(block)
-        for i in np.flatnonzero(np.isnan(values)).tolist():
-            full = np.zeros((m1, width))
-            full[cells[lo + i * cnt:lo + (i + 1) * cnt] % m1] = block[i].reshape(cnt, width)
-            values[i] = kernel(full.reshape(1, -1))
-        for dither, value in zip(f[heads[s:e]].tolist(), values.tolist()):
-            out[dither + 1] = _residue_clamped(value)
-    return out
+    values = []
+    lo = 0
+    for size, group in zip(*np.unique(k, return_counts=True)):
+        values += kernel.tables(table[lo:lo + size * group].reshape(group, size, -1)).tolist()
+        lo += size * group
+    dithers = cells[f_heads[np.argsort(k, kind="stable")]] // m1 + 1
+    return {f: _residue_clamped(value) for f, value in zip(dithers.tolist(), values)}
 
 
 def _residue_clamped(value: float) -> float:
@@ -387,19 +370,17 @@ def _residue_clamped(value: float) -> float:
 
 def _leakage_kernel(code: WiretapCode, eve: Channel, a: float) -> _DivergenceKernel:
     """The order-``a`` divergence kernel of the leakage target, uniform
-    messages times the i.i.d. output law of the single-letter X marginal,
-    as one (m1 k^n)-cell row.  Every message's k^n cells hold the same
-    q / m1, so the first k blocks of k^n cells are the reference of any k
-    cells of a dither.  It depends on the code only through its source,
-    n and m1, which every code of a sweep's n shares."""
+    messages times the i.i.d. output law q of the single-letter X marginal:
+    the row q / m1 of every message's k^n cells, with scratch for tables of
+    up to m1 such rows.  It depends on the code only through its source, n
+    and m1, which every code of a sweep's n shares."""
     x_law = code.source.base
     if code.kind == STOCHASTIC:
         # Pmf() renormalizes the marginal once more; recorded leakages
         # depend on those last bits
         x_law = Pmf(x_law.col_labels, x_law.col_marginal().probs)
-    q = _kron_power(eve.output(x_law).probs, code.n) / code.m1
-    target = np.tile(q, code.m1)
-    return _DivergenceKernel(target, a, (1, target.size))
+    q = _kron_power(eve.output(x_law).probs, code.n)
+    return _DivergenceKernel(q / code.m1, a, (code.m1, q.size))
 
 
 def _miss_kernel(code: WiretapCode, pos: np.ndarray, weights: np.ndarray,
@@ -432,9 +413,9 @@ def leakage(code: WiretapCode, f: int, eve: Channel, alpha) -> float:
     """
     a = check_alpha(alpha)
     pos, weights = _dither_members(code, f)
-    table, cells = _leakage_table(code.m_label[pos] - 1, code.f_label[pos] - 1, code.m1,
-                                  weights, _likelihood_rows(code.source, eve, pos))
-    [value] = _table_leakages(table, cells, code.m1, _leakage_kernel(code, eve, a)).values()
+    [value] = _compact_leakages(code.m_label[pos] - 1, code.f_label[pos] - 1, code.m1, weights,
+                                _likelihood_rows(code.source, eve, pos),
+                                _leakage_kernel(code, eve, a)).values()
     return value
 
 
@@ -470,12 +451,13 @@ class LeakageRecord:
 def _dither_leakages(code: WiretapCode, eve_rows: np.ndarray,
                      kernel: _DivergenceKernel) -> dict:
     """``{f: (positions, restricted weights, leakage)}`` of every populated
-    dither f, in increasing f: the members carrying f, their tilted law
-    restricted to f, and the leakage under f at the order of ``kernel``, a
-    ``_leakage_kernel`` of the code.  ``eve_rows`` are ``_likelihood_rows``
-    of the eavesdropper channel over every member of ``code.source``.  The
-    weights take one ``_restricted_weights`` per set of dithers with equal
-    member counts, and the leakages one ``_leakage_table``."""
+    dither f, in (leakage, f) order, the order in which ``select_f`` visits
+    them: the members carrying f, their tilted law restricted to f, and the
+    leakage under f at the order of ``kernel``, a ``_leakage_kernel`` of the
+    code.  ``eve_rows`` are ``_likelihood_rows`` of the eavesdropper channel
+    over every member of ``code.source``.  The weights take one
+    ``_restricted_weights`` per set of dithers with equal member counts, and
+    the leakages one ``_compact_leakages``."""
     f0 = code.f_label - 1
     by_f = np.argsort(f0, kind="stable")
     heads = np.flatnonzero(np.diff(f0[by_f], prepend=-1))
@@ -486,17 +468,10 @@ def _dither_leakages(code: WiretapCode, eve_rows: np.ndarray,
     for count in set(counts.tolist()):
         members = by_f[heads[counts == count, None] + np.arange(count)]
         weights[members] = _restricted_weights(code._labeled.log_probs[members])
-    table, cells = _leakage_table(code.m_label - 1, f0, code.m1, weights, eve_rows)
-    leaks = _table_leakages(table, cells, code.m1, kernel)
-    return {f: (pos, weights[pos], leaks[f])
-            for f, pos in zip((f0[by_f[heads]] + 1).tolist(), np.split(by_f, heads[1:]))}
-
-
-def _visit_order(item) -> tuple:
-    """(leakage, f) of a ``_dither_leakages`` item: the order in which
-    ``select_f`` visits dithers."""
-    f, (_, _, leak) = item
-    return leak, f
+    leaks = _compact_leakages(code.m_label - 1, f0, code.m1, weights, eve_rows, kernel)
+    positions = dict(zip((f0[by_f[heads]] + 1).tolist(), np.split(by_f, heads[1:])))
+    return {f: (positions[f], weights[positions[f]], leak)
+            for leak, f in sorted((leak, f) for f, leak in leaks.items())}
 
 
 def _main_rows_of(main_rows: np.ndarray, slot: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -521,12 +496,13 @@ def _scored_main_rows(source, main: Channel, scored: list) -> tuple[np.ndarray, 
     always scores, and scores it; ``(leak + err) + RESIDUE`` then bounds
     the leakage of any dither that ``select_f`` visits, since its best
     score is never above that first dither's.  The second covers the
-    members of the dithers within that bound not built yet, and is skipped
-    when there are none.  Each row is the per-position sum whatever rows
+    members of the dithers within that bound not built yet, read in
+    (leakage, f) order up to the first dither past it, and is skipped when
+    there are none.  Each row is the per-position sum whatever rows
     are built with it, so the scores are those of rows over every member."""
     slot = np.full(scored[0][0].member_count, -1, dtype=np.int64)
     wanted = np.zeros(slot.size, dtype=bool)
-    heads = [min(leaks.items(), key=_visit_order) for _, leaks in scored]
+    heads = [next(iter(leaks.items())) for _, leaks in scored]
     for _, (pos, _, _) in heads:
         wanted[pos] = True
     built = np.flatnonzero(wanted)
@@ -538,8 +514,9 @@ def _scored_main_rows(source, main: Channel, scored: list) -> tuple[np.ndarray, 
         firsts.append({f: (leak, err)})
         bound = (leak + err) + RESIDUE
         for members, _, other in leaks.values():
-            if other <= bound:
-                wanted[members] = True
+            if other > bound:
+                break
+            wanted[members] = True
     more = np.flatnonzero(wanted & (slot < 0))
     if not more.size:
         return first_rows, slot, firsts
@@ -564,13 +541,13 @@ def select_f(code: WiretapCode, main: Channel, eve: Channel, alpha, *, shared=No
     minimum plus RESIDUE, and f_star is that of scoring every dither.
     ``leakage`` and ``error_prob`` score any single dither.  ``shared`` is
     passed by a caller that shares likelihood rows across codes: the
-    code's ``_dither_leakages`` at this order, main rows and their
-    position -> row map, and ``{f: (leakage, error)}`` of dithers already
-    scored, which are not scored again: those of ``_scored_main_rows`` of
-    a list of codes that includes this one, or any rows and map that cover
-    the dithers visited (one without a row raises).  When None all four
-    are built here, and the eve rows are dropped before the main rows are
-    built.
+    code's ``_dither_leakages`` at this order, visited in its (leakage, f)
+    order, main rows and their position -> row map, and ``{f: (leakage,
+    error)}`` of dithers already scored, which are not scored again: those
+    of ``_scored_main_rows`` of a list of codes that includes this one, or
+    any rows and map that cover the dithers visited (one without a row
+    raises).  When None all four are built here, and the eve rows are
+    dropped before the main rows are built.
     """
     a = check_alpha(alpha)
     if shared is None:
@@ -581,7 +558,7 @@ def select_f(code: WiretapCode, main: Channel, eve: Channel, alpha, *, shared=No
     leakages, main_rows, slot, scores = shared
     scores = dict(scores)
     best = min((leak + err for leak, err in scores.values()), default=math.inf)
-    for f, (pos, weights, leak) in sorted(leakages.items(), key=_visit_order):
+    for f, (pos, weights, leak) in leakages.items():
         if leak > best + RESIDUE:
             break
         if f not in scores:

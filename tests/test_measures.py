@@ -365,41 +365,38 @@ class TestDivergences:
                 assert (d_infinity_raw(p, q, bits=bits)
                         == divergence_reference(p, q, math.inf, bits=bits)), case
 
-    def test_kernel_rows_match_one_shot_per_row_bit_for_bit(self):
-        # blocks of g rows of w cells against the first w entries of a
-        # longer positive reference: each value is the one-shot divergence
-        # of the row and those entries (KL in nats at and near order one);
-        # a row with a zero cell or with the reference's first cell comes
-        # back NaN and untouched, as does every row against a reference
-        # with a zero
+    def test_kernel_tables_match_one_shot_per_table_bit_for_bit(self):
+        # stacks of g tables of r rows of k cells, r up to the scratch's
+        # rows, against a reference row with and without a zero: each value
+        # is the one-shot divergence of the table and the broadcast
+        # reference (KL in nats at and near order one) and none is NaN,
+        # including tables with a zero cell, tables whose first cell is the
+        # reference's and tables equal to the broadcast reference
         rng = np.random.default_rng(22)
-        left_rows = batched_rows = 0
+        batched = called = 0
         for case in range(80):
-            width = int(rng.integers(1, 200))
-            ref = rng.uniform(0.05, 1.0, size=width * int(rng.integers(1, 5)))
-            ref /= ref.sum()
-            if case % 10 == 9:
-                ref[int(rng.integers(ref.size))] = 0.0
-            w = width * int(rng.integers(1, ref.size // width + 1))
-            p = rng.uniform(size=(int(rng.integers(1, 30)), w)) / w
-            p[rng.random(p.shape[0]) < 0.2, int(rng.integers(w))] = 0.0
-            p[rng.random(p.shape[0]) < 0.1, 0] = ref[0]
+            k = int(rng.integers(2, 120))
+            row = rng.uniform(0.05, 1.0, size=k)
+            if case % 5 == 4:
+                row[int(rng.integers(k))] = 0.0
+            rows = int(rng.integers(1, 5))
+            row /= row.sum() * rows
+            r, g = int(rng.integers(1, rows + 1)), int(rng.integers(1, 30))
+            p = rng.uniform(size=(g, r, k)) / (r * k)
+            p[rng.random(g) < 0.2, int(rng.integers(r)), int(rng.integers(k))] = 0.0
+            p[rng.random(g) < 0.1, 0, 0] = row[0]
+            p[rng.random(g) < 0.1] = row
             for alpha in (0.3, 1, 1 + 5e-7, 2, 7.5, math.inf):
-                kernel = _DivergenceKernel(ref, alpha, (1, ref.size))
-                block = p.copy()
-                got = kernel.rows(block)
-                for i, row in enumerate(p):
-                    left = ref.min() == 0.0 or row.min() == 0.0 or row[0] == ref[0]
-                    assert bool(np.isnan(got[i])) == left, (case, alpha, i)
-                    if left:
-                        left_rows += 1
-                        assert np.array_equal(block[i], row)
-                        continue
-                    batched_rows += 1
-                    want = (d_infinity_raw(row, ref[:w]) if math.isinf(alpha)
-                            else tsallis_raw(row, ref[:w], alpha))
+                got = _DivergenceKernel(row, alpha, (rows, k)).tables(p.copy())
+                for i, table in enumerate(p):
+                    want = divergence_reference(table, np.broadcast_to(row, table.shape), alpha)
+                    assert not math.isnan(got[i]), (case, alpha, i)
                     assert got[i].hex() == want.hex(), (case, alpha, i)
-        assert left_rows and batched_rows > 1000
+                    if row.min() > 0.0 and table.min() > 0.0 and table[0, 0] != row[0]:
+                        batched += 1
+                    else:
+                        called += 1
+        assert batched > 1000 and called > 100
 
     def test_alphabet_mismatch(self):
         other = Pmf(("x", "y"), (0.5, 0.5))

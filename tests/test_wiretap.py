@@ -2,6 +2,7 @@ import json
 import math
 import os
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -49,7 +50,6 @@ from osrb_lab.wiretap import (
     WiretapCode,
     _dither_leakages,
     _leakage_kernel,
-    _leakage_table,
     _likelihood_rows,
     _miss_kernel,
     _scored_main_rows,
@@ -504,22 +504,28 @@ Z_EVE = Channel(("a", "b"), ("y", "z"), [[1.0, 0.0], [0.25, 0.75]])
 ERASURE_EVE = Channel(("a", "b"), ("0", "e", "1"), [[0.6, 0.4, 0.0], [0.0, 0.4, 0.6]])
 
 
-def counted_table_calls(monkeypatch):
-    """Patch the divergence kernel's rows and call entries with wrappers
-    that count the rows each one evaluates; returns the count dict."""
-    counts = {"rows": 0, "call": 0}
-    rows, call = _DivergenceKernel.rows, _DivergenceKernel.__call__
+def counted_table_calls(monkeypatch, stacks=None):
+    """Patch the divergence kernel's tables and call entries with wrappers
+    that count the tables evaluated: ``batched`` those that ``tables``
+    reduces together, ``call`` those that take the per-table call.  A copy
+    of each stack handed to ``tables`` is appended to ``stacks`` when
+    given.  Returns the count dict."""
+    counts = {"batched": 0, "call": 0}
+    tables, call = _DivergenceKernel.tables, _DivergenceKernel.__call__
 
-    def counting_rows(self, p):
-        out = rows(self, p)
-        counts["rows"] += int(np.count_nonzero(~np.isnan(out)))
+    def counting_tables(self, p):
+        if stacks is not None:
+            stacks.append(p.copy())
+        called = counts["call"]
+        out = tables(self, p)
+        counts["batched"] += p.shape[0] - (counts["call"] - called)
         return out
 
     def counting_call(self, p):
         counts["call"] += 1
         return call(self, p)
 
-    monkeypatch.setattr(_DivergenceKernel, "rows", counting_rows)
+    monkeypatch.setattr(_DivergenceKernel, "tables", counting_tables)
     monkeypatch.setattr(_DivergenceKernel, "__call__", counting_call)
     return counts
 
@@ -624,45 +630,57 @@ class TestSharedRows:
 
     @pytest.mark.parametrize("block_cells", [BLOCK_CELLS, 1])
     def test_leakage_tables_match_per_dither_add_at(self, monkeypatch, block_cells):
-        # every occupied (f, m) cell of the compact table is np.add.at's
-        # cell as int64 bit patterns, with the cells in (k, f, m) order;
-        # at 1 the rows come one member per block and the later-rank adds
-        # one row per chunk.  The zero-entry and 3-output channels leave
-        # rows to the per-table call, whose values equal the per-dither
-        # one-shot divergence as well
+        # the stacks that _compact_leakages hands the kernel hold every
+        # occupied (f, m) cell in (k, f, m) order, k the dither's occupied
+        # cell count, one (dithers, k, k^n) stack per k in increasing k, and
+        # each cell is np.add.at's as int64 bit patterns; at 1 the rows
+        # come one member per block and the later-rank adds one row per
+        # chunk.  The zero-entry and 3-output channels leave tables to the
+        # per-table call, and every value, in (k, f) order, equals the
+        # per-dither one-shot divergence.  The cross-path codes occupy
+        # every cell; the 4 x 4 grids on 16 members give dithers of 1 to 4
+        # occupied cells
         monkeypatch.setattr(wiretap, "BLOCK_CELLS", block_cells)
         monkeypatch.setattr(wiretap, "ADD_CELLS", min(ADD_CELLS, block_cells))
-        counts = counted_table_calls(monkeypatch)
+        stacks = []
+        counts = counted_table_calls(monkeypatch, stacks)
         rng = np.random.default_rng(3)
+        codes = cross_path_codes("deterministic") + cross_path_codes("stochastic")
+        codes += [build_code(codes[0].source, 0.5, 0.5, seed) for seed in range(3)]
         for eve in (EVE, Z_EVE, ERASURE_EVE):
-            for code in cross_path_codes("deterministic") + cross_path_codes("stochastic"):
+            for code in codes:
                 rows = _likelihood_rows(code.source, eve)
+                width = rows.shape[1]
                 weights = rng.uniform(0.01, 1.0, size=code.member_count)
-                table, cells = _leakage_table(code.m_label - 1, code.f_label - 1, code.m1,
-                                              weights, rows)
-                f, m = cells // code.m1 + 1, cells % code.m1 + 1
-                k = np.bincount(f)[f]
-                assert np.array_equal(np.lexsort((m, f, k)), np.arange(cells.size))
-                assert set(zip(f.tolist(), m.tolist())) == \
-                    set(zip(code.f_label.tolist(), code.m_label.tolist()))
+                occupied = set(zip(code.f_label.tolist(), code.m_label.tolist()))
+                k = Counter(f for f, _ in occupied)
+                cells = sorted(occupied, key=lambda fm: (k[fm[0]], fm))
                 per_dither = {}
-                for fs in set(f.tolist()):
-                    pos = code.f_positions(fs)
-                    ref = np.zeros((code.m1, rows.shape[1]))
+                for f in k:
+                    pos = code.f_positions(f)
+                    ref = np.zeros((code.m1, width))
                     np.add.at(ref, code.m_label[pos] - 1, weights[pos, None] * rows[pos])
-                    per_dither[fs] = ref
-                for s, (fs, ms) in enumerate(zip(f.tolist(), m.tolist())):
-                    assert np.array_equal(table[s].view(np.int64),
-                                          per_dither[fs][ms - 1].view(np.int64))
+                    per_dither[f] = ref
                 target = leakage_target_reference(code, eve)
                 for alpha in (2, math.inf):
-                    got = wiretap._table_leakages(table.copy(), cells, code.m1,
-                                                  _leakage_kernel(code, eve, alpha))
-                    for fs, ref in per_dither.items():
+                    stacks.clear()
+                    kernel = _leakage_kernel(code, eve, alpha)
+                    got = wiretap._compact_leakages(code.m_label - 1, code.f_label - 1, code.m1,
+                                                    weights, rows, kernel)
+                    groups = sorted(Counter(k.values()).items())
+                    assert [stack.shape for stack in stacks] == \
+                        [(group, size, width) for size, group in groups]
+                    table = np.concatenate([stack.reshape(-1, width) for stack in stacks])
+                    assert len(table) == len(cells)
+                    for row, (f, m) in zip(table, cells):
+                        assert np.array_equal(row.view(np.int64),
+                                              per_dither[f][m - 1].view(np.int64))
+                    assert list(got) == sorted(k, key=lambda f: (k[f], f))
+                    for f, ref in per_dither.items():
                         want = (d_infinity_raw(ref, target) if alpha == math.inf
                                 else tsallis_raw(ref, target, alpha))
-                        assert got[fs] == wiretap._residue_clamped(want)
-        assert counts["rows"] and counts["call"]
+                        assert got[f] == wiretap._residue_clamped(want)
+        assert counts["batched"] and counts["call"]
 
     def test_sweep_repeated_n_and_thread_count(self, sweep_dir):
         base, doc = sweep_dir
@@ -679,7 +697,8 @@ class TestCompactTable:
         # a source x {BSC, Z-channel with a zero entry, binary erasure with
         # 3 outputs} x 3 rate pairs x 3 seeds x 5 orders: positions,
         # weights and leakages equal the per-dither reference bit for bit,
-        # and both the batched rows and the per-table call ran
+        # the dithers come in the reference's (leakage, f) order, and both
+        # the batched tables and the per-table call ran
         if kind == "deterministic-0.6":
             source = typical_set(Pmf(("a", "b"), (0.6, 0.4)), 6, 0.9)
         elif kind == "deterministic-uniform":
@@ -697,7 +716,7 @@ class TestCompactTable:
                     for alpha in (0.5, 1.0, 2.0, 3.0, math.inf):
                         got = _dither_leakages(code, rows, _leakage_kernel(code, eve, alpha))
                         want = dither_leakages_reference(code, eve, alpha, rows)
-                        assert list(got) == list(want)
+                        assert list(got) == sorted(want, key=lambda f: (want[f][2], f))
                         for f, (pos, weights, leak) in got.items():
                             ref_pos, ref_weights, ref_leak = want[f]
                             assert np.array_equal(pos, ref_pos)
@@ -706,7 +725,7 @@ class TestCompactTable:
                             assert leak.hex() == ref_leak.hex()
                             compared += 1
         assert compared > 400
-        assert counts["rows"] and counts["call"]
+        assert counts["batched"] and counts["call"]
 
     def test_dither_leakages_peak_memory(self):
         # criterion 8's below-threshold code at n = 11 (113 dithers in 226
