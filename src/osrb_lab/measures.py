@@ -11,7 +11,12 @@ Conventions used throughout the package:
   terms contribute zero.
 * Orders within 1e-6 of one dispatch to the Shannon/KL formulas.
 * Every divergence returns exactly 0.0 when both arguments hold
-  elementwise-equal probability vectors.
+  elementwise-equal probability vectors; the public entropies and
+  divergences never return -0.0.
+* Every divergence is a ``_DivergenceKernel`` evaluation, one method per
+  convention: the max ratio at INFINITY, the KL sum at order one and the
+  log power sum at every other order.  The public divergence functions
+  are one-shot kernels.
 
 Sums over alphabets use compensated accumulation (``math.fsum``); power
 sums with large or tiny exponents are evaluated in the log domain.
@@ -435,21 +440,21 @@ def _require_same_alphabet(p: Pmf, q: Pmf) -> None:
 
 
 def shannon_entropy(p: Pmf) -> float:
-    """Shannon entropy in bits."""
+    """Shannon entropy in bits; never -0.0."""
     probs = p.probs[p.probs > 0.0]
-    return -math.fsum(x * math.log2(x) for x in probs.tolist())
+    return 0.0 - math.fsum(x * math.log2(x) for x in probs.tolist())
 
 
 def renyi_entropy(p: Pmf, alpha) -> float:
-    """Renyi entropy of order alpha, in bits."""
+    """Renyi entropy of order alpha, in bits; never -0.0."""
     a = check_alpha(alpha)
     if math.isinf(a):
-        return -math.log2(float(np.max(p.probs)))
+        return 0.0 - math.log2(float(np.max(p.probs)))
     if _is_one(a):
         return shannon_entropy(p)
     probs = p.probs[p.probs > 0.0]
     log_sum = float(logsumexp(a * np.log(probs)))
-    return log_sum / ((1.0 - a) * LN2)
+    return log_sum / ((1.0 - a) * LN2) + 0.0
 
 
 def conditional_entropy(j: JointPmf) -> float:
@@ -480,13 +485,14 @@ def cond_renyi_entropy(j: JointPmf, alpha) -> float:
     For finite order a != 1 this is log2(sum_z p(z) sum_x p(x|z)^a)
     divided by (1 - a), which equals log2|X| - D_a(P_XZ || U_X x P_Z)
     (Fehr-Berens, IEEE T-IT 2014); order one gives H(X|Z) and INFINITY
-    gives -log2 max p(x|z) over columns of positive mass.
+    gives -log2 max p(x|z) over columns of positive mass.  Float residue
+    in (-1e-9, 0] is reported as 0.0.
     """
     a = check_alpha(alpha)
     pz, cond = j.col_conditionals()
     pos_cols = pz > 0.0
     if math.isinf(a):
-        return -math.log2(float(np.max(cond[:, pos_cols])))
+        return 0.0 - math.log2(float(np.max(cond[:, pos_cols])))
     if _is_one(a):
         return conditional_entropy(j)
     log_terms = []
@@ -495,7 +501,7 @@ def cond_renyi_entropy(j: JointPmf, alpha) -> float:
         col = col[col > 0.0]
         log_terms.append(math.log(pz[z]) + float(logsumexp(a * np.log(col))))
     value = float(logsumexp(log_terms)) / ((1.0 - a) * LN2)
-    if -1e-9 < value < 0.0:
+    if -1e-9 < value <= 0.0:
         return 0.0
     return value
 
@@ -515,33 +521,24 @@ def is_singleton(j: JointPmf, atol: float = 1e-12) -> bool:
 # Divergences
 
 
-def _kl_nats_raw(p: np.ndarray, q: np.ndarray) -> float:
-    """sum p log(p/q) over supp(p) in nats, p and q of one shape (q may be
-    a broadcast view); the terms are formed in one array."""
-    pos = p > 0.0
-    terms = q[pos]
-    if np.any(terms == 0.0):
-        return math.inf
-    pp = p[pos]
-    np.divide(pp, terms, out=terms)
-    np.log(terms, out=terms)
-    terms *= pp
-    return _exact_sum(terms)
-
-
 class _DivergenceKernel:
-    """Divergence of tables p of up to ``shape[0]`` rows of k cells from
-    the reference that repeats the row q in every row, at one order.
+    """Every divergence of the package, at one order: tables p of up to
+    ``shape[0]`` rows of k cells against the reference that repeats the row
+    q in every row.
 
-    Built once per reference: it holds q's positive mask, (1 - alpha) log q
-    and scratch arrays of ``shape``, sliced to a table's rows.  At INFINITY
-    and at orders other than one a call allocates nothing table-sized,
-    unless a cell lies outside the support and the Tsallis terms are
-    compacted; order one takes the masked copies of :func:`_kl_nats_raw`.
-    Each value is bit for bit that of :func:`tsallis_raw` (KL in nats at
-    order one) or, at INFINITY, :func:`d_infinity_raw` in bits, on p and
-    the broadcast reference: the same float operations, in place.
-    :meth:`tables` evaluates a stack of tables at once.
+    Each convention is evaluated in one method: :meth:`max_ratio` at
+    INFINITY and :meth:`kl` at order one, both on a (g, r, k) stack of g
+    tables, and :meth:`log_phi` at every other order, on one table.  A
+    table equal to the reference gives a ratio of exactly 1.0 and KL terms
+    of exactly 0.0, so only the other orders test for equality.  A call
+    gives one table's Tsallis value (KL in nats at order one, D_inf in bits
+    at INFINITY), :meth:`tables` those of a stack and :meth:`renyi` one
+    table's Renyi value; the public divergence functions are one-shot
+    kernels.  Built once per reference: it holds q's positive mask and, at
+    the other orders, (1 - alpha) log q and scratch arrays of ``shape``,
+    sliced to a table's rows, so that a call there allocates nothing
+    table-sized unless a cell lies outside the support and the terms are
+    compacted.
     """
 
     def __init__(self, row: np.ndarray, alpha: float, shape: tuple[int, int]):
@@ -549,10 +546,10 @@ class _DivergenceKernel:
         self.alpha = alpha
         self.row_pos = row > 0.0
         self.all_pos = bool(self.row_pos.all())
-        self.mask = np.empty(shape, dtype=bool)
         if not (math.isinf(alpha) or _is_one(alpha)):
             with np.errstate(divide="ignore"):
                 self.log_row = (1.0 - alpha) * np.log(row)
+            self.mask = np.empty(shape, dtype=bool)
             self.buf = np.empty(shape)
 
     def same(self, p: np.ndarray) -> bool:
@@ -563,31 +560,44 @@ class _DivergenceKernel:
 
     def __call__(self, p: np.ndarray) -> float:
         a = self.alpha
+        if math.isinf(a):
+            return math.log2(self.max_ratio(p[None])[0])
+        if _is_one(a):
+            return float(self.kl(p[None])[0])
         if self.same(p):
             return 0.0
-        if math.isinf(a):
-            return math.log2(self.max_ratio(p))
-        if _is_one(a):
-            return _kl_nats_raw(p, np.broadcast_to(self.row, p.shape))
         log_phi = self.log_phi(p)
         if log_phi == math.inf:
             return math.inf
         return math.expm1(log_phi) / (a - 1.0)
 
+    def renyi(self, p: np.ndarray, bits: bool = True) -> float:
+        """Renyi divergence of the one table p, in bits or nats; never -0.0."""
+        a = self.alpha
+        if math.isinf(a):
+            ratio = float(self.max_ratio(p[None])[0])
+            return math.log2(ratio) if bits else math.log(ratio)
+        if _is_one(a):
+            v = float(self.kl(p[None])[0])
+        else:
+            v = 0.0 if self.same(p) else self.log_phi(p) / (a - 1.0)
+        return (v / LN2 if bits else v) + 0.0
+
     def tables(self, p: np.ndarray) -> np.ndarray:
         """Values of the stack p of g tables, shape (g, r, k): bit for bit
-        the kernel's call on each table; p may be overwritten.  Tables with
-        every cell positive and a first cell other than the reference's,
-        against a positive reference, are reduced together with a call's
-        float operations on p in place, each table one row of r k terms
-        reduced along axis 1 (one log-sum-exp, or one max-ratio at
-        INFINITY); at order one they are :func:`_kl_nats_raw`'s (p / q,
-        log, times p) in one scratch array, and each table is one
-        ``math.fsum``, which is correctly rounded whatever the order of its
-        terms.  Any other table takes the call: one with a zero cell, one
-        that may equal the reference, and every table against a reference
-        with a zero."""
+        the kernel's call on each table; p may be overwritten.  At INFINITY
+        and at order one every table is evaluated at once.  At other orders
+        the tables with every cell positive and a first cell other than the
+        reference's, against a positive reference, are reduced together
+        with a call's float operations on p in place, each table one row of
+        r k terms and one log-sum-exp along axis 1; any other table takes
+        the call: one with a zero cell, one that may equal the reference,
+        and every table against a reference with a zero."""
         a = self.alpha
+        if math.isinf(a):
+            return np.array([math.log2(r) for r in self.max_ratio(p).tolist()])
+        if _is_one(a):
+            return self.kl(p)
         out = np.empty(p.shape[0])
         ok = np.minimum.reduce(p, axis=(1, 2)) > 0.0
         ok &= p[:, 0, 0] != self.row[0]
@@ -598,16 +608,6 @@ class _DivergenceKernel:
             return out
         work = p if ok.all() else p[ok]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if math.isinf(a):
-                np.divide(work, self.row, out=work)
-                out[ok] = [math.log2(r) for r in np.maximum.reduce(work, axis=(1, 2)).tolist()]
-                return out
-            if _is_one(a):
-                terms = np.divide(work, self.row)
-                np.log(terms, out=terms)
-                terms *= work
-                out[ok] = [_exact_sum(table) for table in terms]
-                return out
             np.log(work, out=work)
             work *= a
             work += self.log_row
@@ -617,13 +617,30 @@ class _DivergenceKernel:
                    for v in log_phi[:, 0].tolist()]
         return out
 
-    def max_ratio(self, p: np.ndarray) -> float:
-        """max p/q over supp(p), inf where p > 0 = q.  Dividing by q > 0
-        keeps order, so the column maxima give the max of the ratios."""
-        col_max = p.max(axis=0)
-        if col_max[~self.row_pos].any():
-            return math.inf
-        return float(np.max(col_max[self.row_pos] / self.row[self.row_pos]))
+    def max_ratio(self, p: np.ndarray) -> np.ndarray:
+        """max p/q over supp(p) of each table of the stack p, shape
+        (g, r, k); inf where p > 0 = q.  Dividing by q > 0 keeps order, so
+        the column maxima give the max of the ratios, and a table equal to
+        the reference gives exactly 1.0."""
+        col_max = np.maximum.reduce(p, axis=1)
+        ratio = np.divide(col_max, self.row, where=self.row_pos,
+                          out=np.where(col_max > 0.0, math.inf, 0.0))
+        return np.maximum.reduce(ratio, axis=1)
+
+    def kl(self, p: np.ndarray) -> np.ndarray:
+        """sum p ln(p/q) over supp(p) of each table of the stack p, shape
+        (g, r, k), in nats.  The terms (p / q, log, times p) of every table
+        are formed in one array, and each table is one ``math.fsum``, which
+        is correctly rounded whatever the order of its terms.  A cell with
+        p = 0 gives the term 0.0, so a table equal to the reference gives
+        exactly 0.0.  As q <= 1, p / q never rounds to 0, so no term is
+        -inf, and a term where p > 0 = q is inf."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.divide(p, self.row)
+            np.log(terms, out=terms)
+            terms *= p
+        np.copyto(terms, 0.0, where=p == 0.0)
+        return np.array([_exact_sum(table) for table in terms])
 
     def log_phi(self, p: np.ndarray) -> float:
         """ln of sum p^alpha q^(1-alpha) over supp(p); inf/-inf at the edges."""
@@ -661,24 +678,17 @@ def tsallis_raw(p: np.ndarray, q: np.ndarray, alpha: float) -> float:
     if math.isinf(a):
         raise InfiniteOrderError("Tsallis divergence has no INFINITY order")
     kernel, p = _one_shot(p, q, a)
-    return kernel(p)
+    return kernel(p) + 0.0
 
 
 def d_infinity_raw(p: np.ndarray, q: np.ndarray, bits: bool = True) -> float:
     kernel, p = _one_shot(p, q, math.inf)
-    if kernel.same(p):
-        return 0.0
-    ratio = kernel.max_ratio(p)
-    return math.log2(ratio) if bits else math.log(ratio)
+    return kernel.renyi(p, bits)
 
 
 def kl_divergence(p: Pmf, q: Pmf, bits: bool = True) -> float:
     """KL divergence D(p || q), bits by default."""
-    _require_same_alphabet(p, q)
-    if np.array_equal(p.probs, q.probs):
-        return 0.0
-    v = _kl_nats_raw(p.probs, q.probs)
-    return v / LN2 if bits else v
+    return renyi_divergence(p, q, 1.0, bits)
 
 
 def total_variation(p: Pmf, q: Pmf) -> float:
@@ -696,17 +706,8 @@ def tsallis_divergence(p: Pmf, q: Pmf, alpha) -> float:
 def renyi_divergence(p: Pmf, q: Pmf, alpha, bits: bool = True) -> float:
     """Renyi divergence of order alpha; KL at one, max-ratio log at INFINITY."""
     _require_same_alphabet(p, q)
-    a = check_alpha(alpha)
-    if math.isinf(a):
-        return d_infinity_raw(p.probs, q.probs, bits=bits)
-    kernel, probs = _one_shot(p.probs, q.probs, a)
-    if kernel.same(probs):
-        return 0.0
-    if _is_one(a):
-        v = _kl_nats_raw(p.probs, q.probs)
-    else:
-        v = kernel.log_phi(probs) / (a - 1.0)
-    return v / LN2 if bits else v
+    kernel, probs = _one_shot(p.probs, q.probs, check_alpha(alpha))
+    return kernel.renyi(probs, bits)
 
 
 def d_infinity(p: Pmf, q: Pmf, bits: bool = True) -> float:

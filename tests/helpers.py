@@ -1,5 +1,6 @@
 """Randomized instance generators and checks shared across the test modules."""
 
+import itertools
 import math
 import os
 import resource
@@ -11,7 +12,7 @@ import numpy as np
 
 import osrb_lab
 from osrb_lab.binning import (
-    _divergence_of_induced,
+    ENUM_GUARD,
     expected_tsallis_exact_iid,
     m_from_rate,
     pairwise_sum,
@@ -20,9 +21,11 @@ from osrb_lab.binning import (
 from osrb_lab.measures import (
     ALPHA_ONE_WINDOW,
     Channel,
+    GuardError,
     JointPmf,
     LN2,
     Pmf,
+    _DivergenceKernel,
     _kron_power,
     check_alpha,
     cond_renyi_entropy,
@@ -580,6 +583,36 @@ def aggregate_kron_reference(assignment, high, low, m):
     return np.matmul(high.T, t).reshape(m, -1)
 
 
+def _divergence_of_induced(agg, pz, m, alpha):
+    """One-shot divergence of the bin table P(b, z) from the uniform-bin
+    reference (1/m) p(z): tsallis_raw, or d_infinity_raw in bits at
+    INFINITY, against the broadcast reference."""
+    ref = np.broadcast_to(pz / m, agg.shape)
+    if math.isinf(alpha):
+        return d_infinity_raw(agg, ref, bits=True)
+    return tsallis_raw(agg, ref, alpha)
+
+
+def enum_reference(j, n, m, alpha):
+    """expected_divergence_enum one binning at a time: every assignment of
+    the n-fold extension's rows to m bins, its table summed with np.add.at
+    and scored by the one-shot :func:`_divergence_of_induced`, and the
+    mean one ``math.fsum`` over the m^(k^n) binnings; GuardError past
+    ENUM_GUARD binnings."""
+    a = check_alpha(alpha)
+    jn = j if n == 1 else j.product_power(n)
+    items = jn.shape[0]
+    if m > 1 and m ** items > ENUM_GUARD:
+        raise GuardError(f"{m}^{items} binnings")
+    pz = jn.probs.sum(axis=0)
+    values = []
+    for bins in itertools.product(range(m), repeat=items):
+        table = np.zeros((m, pz.size))
+        np.add.at(table, np.array(bins, dtype=np.int64), jn.probs)
+        values.append(_divergence_of_induced(table, pz, m, a))
+    return math.fsum(values) / m ** items
+
+
 def mc_reference(j, n, rate, alpha, trials, seed):
     """expected_divergence_mc with everything built per trial: a new
     philox_rng(seed, t), a fresh table and the one-shot divergence."""
@@ -599,6 +632,32 @@ def mc_reference(j, n, rate, alpha, trials, seed):
         return mean, 0.0
     var = pairwise_sum((v - mean) ** 2 for v in values) / (trials - 1)
     return mean, math.sqrt(var / trials)
+
+
+def counted_table_calls(monkeypatch, stacks=None):
+    """Patch the divergence kernel's tables and call entries with wrappers
+    that count the tables evaluated: ``batched`` those that ``tables``
+    reduces together, ``call`` those that take the per-table call.  A copy
+    of each stack handed to ``tables`` is appended to ``stacks`` when
+    given.  Returns the count dict."""
+    counts = {"batched": 0, "call": 0}
+    tables, call = _DivergenceKernel.tables, _DivergenceKernel.__call__
+
+    def counting_tables(self, p):
+        if stacks is not None:
+            stacks.append(p.copy())
+        called = counts["call"]
+        out = tables(self, p)
+        counts["batched"] += p.shape[0] - (counts["call"] - called)
+        return out
+
+    def counting_call(self, p):
+        counts["call"] += 1
+        return call(self, p)
+
+    monkeypatch.setattr(_DivergenceKernel, "tables", counting_tables)
+    monkeypatch.setattr(_DivergenceKernel, "__call__", counting_call)
+    return counts
 
 
 def run_capped(argv, cwd=None, cap=2 ** 30, timeout=2, code=None):

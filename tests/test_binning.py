@@ -9,6 +9,7 @@ import pytest
 
 from helpers import (
     dyadic_joint,
+    enum_reference,
     exact_mean_oracle,
     mc_reference,
     order_two_transition_problems,
@@ -31,6 +32,7 @@ from osrb_lab.binning import (
 
 FLIP = JointPmf(("x0", "x1"), ("z0", "z1"),
                 np.array([[0.75, 0.25], [0.25, 0.75]]) * 0.5)
+ENUM_ALPHAS = (0.5, 1.0, 1.0 + 5e-7, 2.0, 3.0, 7.5, math.inf)
 
 
 class TestSampling:
@@ -85,6 +87,36 @@ class TestInduced:
             for z, p in enumerate(row):
                 agg[lab - 1][z] += p
         assert np.array_equal(_aggregate(assignment, j.probs, m), np.array(agg))
+
+    @pytest.mark.parametrize("case", range(7))
+    def test_enum_matches_one_shot_reference_bit_for_bit(self, case):
+        # FLIP and six seeded two-letter joints, the last three with a zero
+        # cell and case 5 also with a zero column, so that its reference
+        # has a zero: at n = 1..3, m = 1..3 and seven orders the mean is
+        # .hex()-equal to the one-shot divergence of every binning's table,
+        # summed and divided as enum does.  The 3^8 binnings of n = 3,
+        # m = 3 run on FLIP only, to keep the test short.  A three-letter
+        # joint at n = 3 raises the same guard error on both
+        j = FLIP
+        if case:
+            probs = random_joint(np.random.default_rng([25, case]), 2, case % 3 + 2).probs.copy()
+            if case >= 4:
+                probs[case % 2, 0] = 0.0
+            if case == 5:
+                probs[:, -1] = 0.0
+            j = JointPmf(FLIP.row_labels, tuple(f"z{i}" for i in range(probs.shape[1])),
+                         probs / probs.sum())
+        for n, m, alpha in itertools.product((1, 2, 3), (1, 2, 3), ENUM_ALPHAS):
+            if case and (n, m) == (3, 3):
+                continue
+            want = enum_reference(j, n, m, alpha)
+            assert expected_divergence_enum(j, n, m, alpha).hex() == want.hex(), (n, m, alpha)
+        big = JointPmf(("x0", "x1", "x2"), ("z0", "z1"), np.full((3, 2), 1 / 6))
+        for m in (2, 3):
+            with pytest.raises(GuardError):
+                enum_reference(big, 3, m, 2.0)
+            with pytest.raises(GuardError):
+                expected_divergence_enum(big, 3, m, 2.0)
 
 
 class TestPartitionMachinery:

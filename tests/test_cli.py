@@ -12,7 +12,7 @@ import pytest
 
 import osrb_lab
 from helpers import run_capped
-from osrb_lab import measures
+from osrb_lab import binning, measures, wiretap
 from osrb_lab.cli import (
     OSRB_FIELDS,
     ValidationError,
@@ -490,6 +490,73 @@ for argv in json.loads(sys.argv[1]):
     results.append([code, out.getvalue(), err.getvalue(), record])
 print(json.dumps(results))
 """
+
+
+class TestZeroValues:
+    def test_zero_values_print_without_sign(self, files, capsys):
+        # H_alpha(X|Z) = 0 on a noiseless joint, a point-mass input, and a
+        # pmf pair one ulp apart at order 0.5 used to print -0
+        JointPmf(("x0", "x1"), ("z0", "z1"), [[0.5, 0.0], [0.0, 0.5]]).save(files / "diag.json")
+        Pmf(("a", "b"), (0.5000000000000001, 0.4999999999999999)).save(files / "near.json")
+        out = path(files, "zero.csv")
+        runs = [
+            ["rates", "--task", "threshold", "--alpha", "2,inf",
+             "--joint", path(files, "diag.json"), "--out", out],
+            ["rates", "--task", "threshold", "--encoder", "typical", "--alpha", "2,inf",
+             "--input", path(files, "point.json"), "--eve", path(files, "eve.json")],
+            ["rates", "--task", "secrecy", "--alpha", "2,inf", "--input", path(files, "point.json"),
+             "--main", path(files, "main.json"), "--eve", path(files, "eve.json")],
+        ] + [["measure", "--kind", kind, "--alpha", "0.5", "--p", path(files, "half.json"),
+              "--q", path(files, "near.json")] for kind in ("renyi", "tsallis")]
+        printed = []
+        for argv in runs:
+            assert main(argv) == 0
+            printed += capsys.readouterr().out.splitlines()
+        with open(out) as fh:
+            records = fh.read()
+        assert "-0" not in records and "-0" not in "\n".join(printed)
+        assert records.splitlines()[1:] == ["threshold,iid_deterministic,2,0,",
+                                            "threshold,iid_deterministic,inf,0,"]
+        assert [line.split()[-1] for line in printed[:6]] == ["value=0"] * 6
+        assert printed[6:] == ["0.000000", "0.000000"]
+
+
+class TestDivergenceFunnel:
+    def test_osrb_and_wiretap_never_call_one_shot_divergences(self, files, capsys, monkeypatch):
+        # enum, mc and the wiretap sweep score their tables with their own
+        # divergence kernels: with binning's and wiretap's tsallis_raw and
+        # d_infinity_raw raising, osrb in every mode and two small wiretap
+        # sweeps print what they print unpatched
+        JointPmf(("u0", "u1"), ("a", "b"), [[0.4, 0.1], [0.1, 0.4]]).save(files / "ux.json")
+        osrb = ["osrb", "--joint", path(files, "flip.json"), "--rate", "0.5"]
+        runs = [osrb + ["--mode", "exact", "--alpha", "2", "--n", "1..3"]]
+        runs += [osrb + ["--mode", "enum", "--alpha", a, "--n", "1,2"]
+                 for a in ("0.5", "1", "2", "inf")]
+        runs += [osrb + ["--mode", "mc", "--alpha", a, "--n", "4", "--trials", "16"]
+                 for a in ("0.5", "1", "2", "inf")]
+        for encoder, alpha, source, eps in (("deterministic", 1, "half.json", 0.9),
+                                            ("stochastic", "inf", "ux.json", 0.3)):
+            doc = {"n": [3, 4], "r1": 0.25, "r2": 0.25, "alpha": alpha, "encoder": encoder,
+                   "codes": 2, "seed": 5, "eps": eps, "source": source,
+                   "main": "main.json", "eve": "eve.json"}
+            cfg = files / f"{encoder}-cfg.json"
+            cfg.write_text(json.dumps(doc))
+            runs.append(["wiretap", "--config", str(cfg)])
+
+        def printed():
+            for argv in runs:
+                assert main(argv) == 0
+            return capsys.readouterr().out
+
+        unpatched = printed()
+
+        def one_shot(*args, **kwargs):
+            raise AssertionError("one-shot divergence called")
+        for module in (binning, wiretap):
+            monkeypatch.setattr(module, "tsallis_raw", one_shot)
+            monkeypatch.setattr(module, "d_infinity_raw", one_shot)
+        assert printed() == unpatched
+        assert unpatched.count("\n") == 3 + 8 + 4 + 8
 
 
 class TestParserReuse:

@@ -11,6 +11,7 @@ from scipy.special import logsumexp as scipy_logsumexp
 
 from helpers import (
     binary_entropy,
+    counted_table_calls,
     divergence_reference,
     logsumexp_reference,
     product_power_oracle,
@@ -19,6 +20,7 @@ from helpers import (
     random_pmf,
 )
 from osrb_lab.measures import (
+    ALPHA_ONE_WINDOW,
     FSUM_CHUNK,
     AlphabetMismatchError,
     Channel,
@@ -365,38 +367,50 @@ class TestDivergences:
                 assert (d_infinity_raw(p, q, bits=bits)
                         == divergence_reference(p, q, math.inf, bits=bits)), case
 
-    def test_kernel_tables_match_one_shot_per_table_bit_for_bit(self):
+    def test_kernel_tables_match_one_shot_per_table_bit_for_bit(self, monkeypatch):
         # stacks of g tables of r rows of k cells, r up to the scratch's
-        # rows, against a reference row with and without a zero: each value
+        # rows, against a reference row with and without zeros: each value
         # is the one-shot divergence of the table and the broadcast
-        # reference (KL in nats at and near order one) and none is NaN,
-        # including tables with a zero cell, tables whose first cell is the
-        # reference's and tables equal to the broadcast reference
+        # reference (KL in nats at and near order one) and none is NaN.
+        # The stacks hold tables with a zero cell, with a zero row, zero
+        # where the reference is zero, positive there (outside the
+        # support), whose first cell is the reference's and equal to the
+        # broadcast reference.  At INFINITY and at order one every table
+        # is evaluated with the stack; at other orders exactly the tables
+        # with a zero cell, one starting with the reference's first cell,
+        # and every table against a reference with a zero take the call
+        counts = counted_table_calls(monkeypatch)
         rng = np.random.default_rng(22)
-        batched = called = 0
+        whole = {"batched": 0, "call": 0}
         for case in range(80):
             k = int(rng.integers(2, 120))
             row = rng.uniform(0.05, 1.0, size=k)
             if case % 5 == 4:
-                row[int(rng.integers(k))] = 0.0
+                row[rng.choice(k, size=int(rng.integers(1, k)), replace=False)] = 0.0
             rows = int(rng.integers(1, 5))
             row /= row.sum() * rows
             r, g = int(rng.integers(1, rows + 1)), int(rng.integers(1, 30))
             p = rng.uniform(size=(g, r, k)) / (r * k)
             p[rng.random(g) < 0.2, int(rng.integers(r)), int(rng.integers(k))] = 0.0
+            if r > 1:
+                p[rng.random(g) < 0.1, int(rng.integers(r))] = 0.0
+            p[np.ix_(rng.random(g) < 0.5, np.arange(r), row == 0.0)] = 0.0
             p[rng.random(g) < 0.1, 0, 0] = row[0]
             p[rng.random(g) < 0.1] = row
+            calls = sum(not (row.min() > 0.0 and table.min() > 0.0 and table[0, 0] != row[0])
+                        for table in p)
             for alpha in (0.3, 1, 1 + 5e-7, 2, 7.5, math.inf):
+                counts.update(batched=0, call=0)
                 got = _DivergenceKernel(row, alpha, (rows, k)).tables(p.copy())
                 for i, table in enumerate(p):
                     want = divergence_reference(table, np.broadcast_to(row, table.shape), alpha)
                     assert not math.isnan(got[i]), (case, alpha, i)
                     assert got[i].hex() == want.hex(), (case, alpha, i)
-                    if row.min() > 0.0 and table.min() > 0.0 and table[0, 0] != row[0]:
-                        batched += 1
-                    else:
-                        called += 1
-        assert batched > 1000 and called > 100
+                whole_stack = math.isinf(alpha) or abs(alpha - 1.0) < ALPHA_ONE_WINDOW
+                assert counts["call"] == (0 if whole_stack else calls), (case, alpha)
+                if not whole_stack:
+                    whole = {key: whole[key] + counts[key] for key in whole}
+        assert whole["batched"] > 1000 and whole["call"] > 100
 
     def test_alphabet_mismatch(self):
         other = Pmf(("x", "y"), (0.5, 0.5))

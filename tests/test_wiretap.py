@@ -10,6 +10,7 @@ import pytest
 from helpers import (
     build_code_attempts_reference,
     channel_log_likelihoods_reference,
+    counted_table_calls,
     dither_leakages_reference,
     label_masses,
     leakage_target_reference,
@@ -23,7 +24,6 @@ from osrb_lab.measures import (
     GuardError,
     JointPmf,
     Pmf,
-    _DivergenceKernel,
     check_alpha,
     cond_renyi_entropy,
     conditional_entropy,
@@ -504,32 +504,6 @@ Z_EVE = Channel(("a", "b"), ("y", "z"), [[1.0, 0.0], [0.25, 0.75]])
 ERASURE_EVE = Channel(("a", "b"), ("0", "e", "1"), [[0.6, 0.4, 0.0], [0.0, 0.4, 0.6]])
 
 
-def counted_table_calls(monkeypatch, stacks=None):
-    """Patch the divergence kernel's tables and call entries with wrappers
-    that count the tables evaluated: ``batched`` those that ``tables``
-    reduces together, ``call`` those that take the per-table call.  A copy
-    of each stack handed to ``tables`` is appended to ``stacks`` when
-    given.  Returns the count dict."""
-    counts = {"batched": 0, "call": 0}
-    tables, call = _DivergenceKernel.tables, _DivergenceKernel.__call__
-
-    def counting_tables(self, p):
-        if stacks is not None:
-            stacks.append(p.copy())
-        called = counts["call"]
-        out = tables(self, p)
-        counts["batched"] += p.shape[0] - (counts["call"] - called)
-        return out
-
-    def counting_call(self, p):
-        counts["call"] += 1
-        return call(self, p)
-
-    monkeypatch.setattr(_DivergenceKernel, "tables", counting_tables)
-    monkeypatch.setattr(_DivergenceKernel, "__call__", counting_call)
-    return counts
-
-
 class TestSharedRows:
     @pytest.mark.parametrize("alpha", [1, 2, math.inf])
     @pytest.mark.parametrize("kind", ["deterministic", "stochastic"])
@@ -635,8 +609,8 @@ class TestSharedRows:
         # cell count, one (dithers, k, k^n) stack per k in increasing k, and
         # each cell is np.add.at's as int64 bit patterns; at 1 the rows
         # come one member per block and the later-rank adds one row per
-        # chunk.  The zero-entry and 3-output channels leave tables to the
-        # per-table call, and every value, in (k, f) order, equals the
+        # chunk.  At order 2 the zero-entry and 3-output channels leave
+        # tables to the per-table call, and at both orders every value, in (k, f) order, equals the
         # per-dither one-shot divergence.  The cross-path codes occupy
         # every cell; the 4 x 4 grids on 16 members give dithers of 1 to 4
         # occupied cells
