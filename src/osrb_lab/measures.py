@@ -621,11 +621,16 @@ class _DivergenceKernel:
         """max p/q over supp(p) of each table of the stack p, shape
         (g, r, k); inf where p > 0 = q.  Dividing by q > 0 keeps order, so
         the column maxima give the max of the ratios, and a table equal to
-        the reference gives exactly 1.0."""
+        the reference gives exactly 1.0.  A ratio p/q >= p never rounds to
+        0, so only a table with no positive cell would give 0; it raises
+        ValueError."""
         col_max = np.maximum.reduce(p, axis=1)
         ratio = np.divide(col_max, self.row, where=self.row_pos,
                           out=np.where(col_max > 0.0, math.inf, 0.0))
-        return np.maximum.reduce(ratio, axis=1)
+        ratio = np.maximum.reduce(ratio, axis=1)
+        if not ratio.all():
+            raise ValueError("D_inf of a table with no positive cell is undefined")
+        return ratio
 
     def kl(self, p: np.ndarray) -> np.ndarray:
         """sum p ln(p/q) over supp(p) of each table of the stack p, shape

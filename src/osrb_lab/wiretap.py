@@ -10,7 +10,10 @@ which reduces to KL in nats at order one; INFINITY uses the max-log-ratio
 divergence in bits).  A code's dithers are scored together: the occupied
 (f, m) cells of every dither form one table, and the dithers with the same
 number of occupied messages are one stack of tables, scored against the
-row q / m1 of each message's reference, q the i.i.d. output law.
+row q / m1 of each message's reference, q the i.i.d. output law.  The
+eavesdropper likelihood rows are streamed into those tables a block of
+members at a time, so no full (members x k^n) eavesdropper table is built
+unless the codes' tables together would outgrow it.
 Decoding error is likewise exact: a posterior-mode
 decoder over the members sharing f, enumerated over receiver sequences.
 Exactness keeps sweep trends free of estimator noise; blocklengths are
@@ -245,6 +248,18 @@ def decode(code: WiretapCode, f: int, y_seq: int, main: Channel):
     return int(code.m_label[best]), int(code._labeled.members[best])
 
 
+def _output_count(ch: Channel, n: int, rows: int) -> int:
+    """k^n, the output sequences of ``ch`` at blocklength n, once the size
+    guards admit ``rows`` likelihood rows over them."""
+    k_out = len(ch.out_labels)
+    out_count = k_out ** n
+    if out_count > OUTPUT_GUARD:
+        raise GuardError(f"output alphabet {k_out}^{n} exceeds guard")
+    if rows * out_count > MATRIX_GUARD:
+        raise GuardError("likelihood matrix exceeds the size guard")
+    return out_count
+
+
 def _likelihood_rows(source, ch: Channel, pos: np.ndarray | None = None,
                      out: np.ndarray | None = None) -> np.ndarray:
     """P(output sequence | member) rows over every output sequence.
@@ -262,12 +277,7 @@ def _likelihood_rows(source, ch: Channel, pos: np.ndarray | None = None,
     labeled = source.u_set if stochastic else source
     members = labeled.members if pos is None else labeled.members[pos]
     n = source.n
-    k_out = len(ch.out_labels)
-    out_count = k_out ** n
-    if out_count > OUTPUT_GUARD:
-        raise GuardError(f"output alphabet {k_out}^{n} exceeds guard")
-    if members.size * out_count > MATRIX_GUARD:
-        raise GuardError("likelihood matrix exceeds the size guard")
+    out_count = _output_count(ch, n, members.size)
     rows = np.empty((members.size, out_count)) if out is None else out
     if stochastic:
         if ch.in_labels != source.base.col_labels:
@@ -304,61 +314,139 @@ def _decisions(code: WiretapCode, pos: np.ndarray, main_rows: np.ndarray) -> np.
     return np.argmax(prior[:, None] * main_rows, axis=0)
 
 
-def _compact_leakages(m0: np.ndarray, f0: np.ndarray, m1: int, weights: np.ndarray,
-                      rows: np.ndarray, kernel: _DivergenceKernel) -> dict:
-    """``{f: leakage}`` of every dither, in (k, f) order with k the dither's
-    occupied cell count, clamped by ``_residue_clamped``.  ``kernel`` is a
-    ``_leakage_kernel``.
+class _LeakageTable:
+    """One code's table of the occupied (f, m) cells of p(m, z^n | f), every
+    dither's, over the members at ``pos`` (every member when None), filled
+    a block of eve likelihood rows at a time.
 
-    Member i has the 0-based labels (``m0[i]``, ``f0[i]``), its tilted law
-    restricted to its dither ``weights[i]`` and its likelihood row
-    ``rows[i]``; weights[i] * rows[i] goes into cell f0 * m1 + m0 of one
-    table of the occupied (f, m) cells of p(m, z^n | f), every dither's.
-    A cell's first member is taken in by ``np.take`` and one multiply; the
-    others are added in member order, one member per cell per step and
-    ADD_CELLS cells per chunk at most, so every cell is summed in the order
-    ``np.add.at`` would sum it.  The cells are in (k, f, m) order, so the
-    dithers of equal k form one (dithers, k, k^n) stack for
-    ``kernel.tables``.  A dither's k cells and its (m1, k^n) table, zero
-    in the unoccupied cells, reduce the same positive cells in the same
-    order, and k < m1 cells of mass 1 cannot equal k rows of q / m1, so
-    each value is the kernel's call on that table, bit for bit.
+    Member i of ``pos`` has the 0-based labels (m0, f0), its tilted law
+    restricted to its dither ``weights[i]``, one ``_restricted_weights``
+    per set of dithers with equal member counts, and its cell f0 * m1 + m0
+    at row ``slots[i]`` of the table.  The rows are in (k, f, m) order, k
+    the dither's occupied cell count, so the dithers of equal k form one
+    (dithers, k, k^n) stack for ``kernel.tables``.  A dither's k cells and
+    its (m1, k^n) table, zero in the unoccupied cells, reduce the same
+    positive cells in the same order, and k < m1 cells of mass 1 cannot
+    equal k rows of q / m1, so each leakage is the kernel's call on that
+    table, bit for bit.
     """
-    cell = f0 * m1 + m0
-    order = np.argsort(cell, kind="stable")
-    by_cell = cell[order]
-    first = np.empty(order.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(by_cell[1:], by_cell[:-1], out=first[1:])
-    heads = np.flatnonzero(first)
-    cells = by_cell[heads]
-    f_heads = np.flatnonzero(np.diff(cells // m1, prepend=-1))
-    k = np.diff(f_heads, append=cells.size)
-    by_k = np.argsort(np.repeat(k, k), kind="stable")
-    slot = np.empty(cells.size, dtype=np.int64)
-    slot[by_k] = np.arange(cells.size)
-    top = order[heads[by_k]]
-    table = np.take(rows, top, axis=0)
-    table *= weights[top, None]
-    cell_of = np.cumsum(first) - 1
-    rank = np.arange(order.size) - heads[cell_of]
-    rest = np.flatnonzero(~first)
-    rest = rest[np.argsort(rank[rest], kind="stable")]
-    step = max(1, ADD_CELLS // rows.shape[1])
-    for same_rank in np.split(rest, np.flatnonzero(np.diff(rank[rest])) + 1):
-        for lo in range(0, same_rank.size, step):
-            part = same_rank[lo:lo + step]
-            members = order[part]
-            contrib = np.take(rows, members, axis=0)
-            contrib *= weights[members, None]
-            table[slot[cell_of[part]]] += contrib
-    values = []
-    lo = 0
-    for size, group in zip(*np.unique(k, return_counts=True)):
-        values += kernel.tables(table[lo:lo + size * group].reshape(group, size, -1)).tolist()
-        lo += size * group
-    dithers = cells[f_heads[np.argsort(k, kind="stable")]] // m1 + 1
-    return {f: _residue_clamped(value) for f, value in zip(dithers.tolist(), values)}
+
+    def __init__(self, code: WiretapCode, pos: np.ndarray | None):
+        m0, f0 = code.m_label - 1, code.f_label - 1
+        log_probs = code._labeled.log_probs
+        if pos is not None:
+            m0, f0, log_probs = m0[pos], f0[pos], log_probs[pos]
+        by_f = np.argsort(f0, kind="stable")
+        heads = np.flatnonzero(np.diff(f0[by_f], prepend=-1))
+        if not heads.size:
+            raise ValueError("every dither value is empty")
+        counts = np.diff(heads, append=by_f.size)
+        self.weights = np.empty(f0.size)
+        for count in set(counts.tolist()):
+            members = by_f[heads[counts == count, None] + np.arange(count)]
+            self.weights[members] = _restricted_weights(log_probs[members])
+        self.members = dict(zip((f0[by_f[heads]] + 1).tolist(), np.split(by_f, heads[1:])))
+        self.pos = pos
+        cells, cell_of = np.unique(f0 * code.m1 + m0, return_inverse=True)
+        f_heads = np.flatnonzero(np.diff(cells // code.m1, prepend=-1))
+        self.k = np.diff(f_heads, append=cells.size)
+        by_k = np.argsort(np.repeat(self.k, self.k), kind="stable")
+        slot = np.empty(cells.size, dtype=np.int64)
+        slot[by_k] = np.arange(cells.size)
+        self.slots = slot[cell_of]
+        self.dithers = (cells[f_heads[np.argsort(self.k, kind="stable")]] // code.m1 + 1).tolist()
+        self.size = cells.size
+        self.table = None
+
+    def add(self, lo: int, rows: np.ndarray):
+        """Add weights[i] * rows[i - lo] into row slots[i] of the table for
+        the members i = lo, lo + 1, ... whose eve rows ``rows`` holds.  The
+        table starts at zero and every product is >= 0, so a cell's first
+        add is exact (rank 0 of the first block is written, not added);
+        the block's members go in rank order, rank i the count of the
+        block's earlier members in i's cell, one rank and ADD_CELLS cells
+        per fancy add at most, so no cell repeats within an add and every
+        cell sums its members in the order ``np.add.at`` would, over blocks
+        taken in member order."""
+        fresh = self.table is None
+        if fresh:
+            self.table = np.zeros((self.size, rows.shape[1]))
+        slots = self.slots[lo:lo + rows.shape[0]]
+        weights = self.weights[lo:lo + rows.shape[0]]
+        order = np.argsort(slots, kind="stable")
+        by_slot = slots[order]
+        first = np.empty(order.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(by_slot[1:], by_slot[:-1], out=first[1:])
+        rank = np.arange(order.size) - np.flatnonzero(first)[np.cumsum(first) - 1]
+        by_rank = np.argsort(rank, kind="stable")
+        order, rank = order[by_rank], rank[by_rank]
+        step = max(1, ADD_CELLS // rows.shape[1])
+        for same_rank in np.split(order, np.flatnonzero(np.diff(rank)) + 1):
+            for start in range(0, same_rank.size, step):
+                part = same_rank[start:start + step]
+                contrib = np.take(rows, part, axis=0)
+                contrib *= weights[part, None]
+                if fresh:
+                    self.table[slots[part]] = contrib
+                else:
+                    self.table[slots[part]] += contrib
+            fresh = False
+
+    def leakages(self, kernel: _DivergenceKernel) -> dict:
+        """``{f: (positions, restricted weights, leakage)}`` of every dither,
+        in (leakage, f) order, each leakage clamped by ``_residue_clamped``;
+        the table is reduced one equal-k stack at a time and dropped."""
+        table, self.table = self.table, None
+        values = []
+        lo = 0
+        for size, group in zip(*np.unique(self.k, return_counts=True)):
+            values += kernel.tables(table[lo:lo + size * group].reshape(group, size, -1)).tolist()
+            lo += size * group
+        out = {}
+        for leak, f in sorted(zip(map(_residue_clamped, values), self.dithers)):
+            members = self.members[f]
+            out[f] = (members if self.pos is None else self.pos[members],
+                      self.weights[members], leak)
+        return out
+
+
+def _dither_leakages(codes: list[WiretapCode], eve: Channel, kernel: _DivergenceKernel,
+                     pos: np.ndarray | None = None) -> list[dict]:
+    """Per code of ``codes``, all of one source, ``{f: (positions,
+    restricted weights, leakage)}`` of every dither populated among the
+    members at ``pos`` (every member when None), in (leakage, f) order, the
+    order in which ``select_f`` visits them: the members carrying f, their
+    tilted law restricted to f, and the leakage under f at the order of
+    ``kernel``, a ``_leakage_kernel`` of the codes.
+
+    The size guards apply to the eve rows of every member before any is
+    built.  The rows are then built in blocks of BLOCK_CELLS cells, in
+    member order, into one reused buffer, and each block is added into
+    every code's ``_LeakageTable`` before the next is built; a table is
+    reduced after the last block.  When the codes' occupied cells together
+    outnumber the members, the whole member set is one block, and each
+    code's table is filled, reduced and dropped before the next code's is
+    made.  A row does not depend on the rows built with it, so every
+    leakage is bit for bit that of the full eve table."""
+    source = codes[0].source
+    count = codes[0].member_count if pos is None else pos.size
+    out_count = _output_count(eve, source.n, count)
+    tables = [_LeakageTable(code, pos) for code in codes]
+    whole = sum(table.size for table in tables) > count
+    step = count if whole else max(1, BLOCK_CELLS // out_count)
+    positions = np.arange(count) if pos is None else pos
+    rows = np.empty((min(step, count), out_count))
+    leaks = []
+    for lo in range(0, count, step):
+        block = rows[:count - lo]
+        at = pos if step >= count else positions[lo:lo + step]
+        _likelihood_rows(source, eve, at, out=block)
+        for table in tables:
+            table.add(lo, block)
+            if lo + step >= count:
+                leaks.append(table.leakages(kernel))
+    return leaks
 
 
 def _residue_clamped(value: float) -> float:
@@ -412,11 +500,9 @@ def leakage(code: WiretapCode, f: int, eve: Channel, alpha) -> float:
     output law.  Computed by full enumeration of z sequences.
     """
     a = check_alpha(alpha)
-    pos, weights = _dither_members(code, f)
-    [value] = _compact_leakages(code.m_label[pos] - 1, code.f_label[pos] - 1, code.m1, weights,
-                                _likelihood_rows(code.source, eve, pos),
-                                _leakage_kernel(code, eve, a)).values()
-    return value
+    pos, _ = _dither_members(code, f)
+    [leaks] = _dither_leakages([code], eve, _leakage_kernel(code, eve, a), pos)
+    return leaks[f][2]
 
 
 def error_prob(code: WiretapCode, f: int, main: Channel) -> float:
@@ -446,32 +532,6 @@ class LeakageRecord:
             raise ValueError("leakage must be nonnegative")
         if not 0.0 <= self.error_prob <= 1.0:
             raise ValueError("error_prob must lie in [0, 1]")
-
-
-def _dither_leakages(code: WiretapCode, eve_rows: np.ndarray,
-                     kernel: _DivergenceKernel) -> dict:
-    """``{f: (positions, restricted weights, leakage)}`` of every populated
-    dither f, in (leakage, f) order, the order in which ``select_f`` visits
-    them: the members carrying f, their tilted law restricted to f, and the
-    leakage under f at the order of ``kernel``, a ``_leakage_kernel`` of the
-    code.  ``eve_rows`` are ``_likelihood_rows`` of the eavesdropper channel
-    over every member of ``code.source``.  The weights take one
-    ``_restricted_weights`` per set of dithers with equal member counts, and
-    the leakages one ``_compact_leakages``."""
-    f0 = code.f_label - 1
-    by_f = np.argsort(f0, kind="stable")
-    heads = np.flatnonzero(np.diff(f0[by_f], prepend=-1))
-    if not heads.size:
-        raise ValueError("every dither value is empty")
-    counts = np.diff(heads, append=by_f.size)
-    weights = np.empty(code.member_count)
-    for count in set(counts.tolist()):
-        members = by_f[heads[counts == count, None] + np.arange(count)]
-        weights[members] = _restricted_weights(code._labeled.log_probs[members])
-    leaks = _compact_leakages(code.m_label - 1, f0, code.m1, weights, eve_rows, kernel)
-    positions = dict(zip((f0[by_f[heads]] + 1).tolist(), np.split(by_f, heads[1:])))
-    return {f: (positions[f], weights[positions[f]], leak)
-            for leak, f in sorted((leak, f) for f, leak in leaks.items())}
 
 
 def _main_rows_of(main_rows: np.ndarray, slot: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -546,13 +606,12 @@ def select_f(code: WiretapCode, main: Channel, eve: Channel, alpha, *, shared=No
     error)}`` of dithers already scored, which are not scored again: those
     of ``_scored_main_rows`` of a list of codes that includes this one, or
     any rows and map that cover the dithers visited (one without a row
-    raises).  When None all four are built here, and the eve rows are
-    dropped before the main rows are built.
+    raises).  When None all four are built here: the code's leakages from
+    eve rows streamed into its compact table, then the main rows.
     """
     a = check_alpha(alpha)
     if shared is None:
-        leakages = _dither_leakages(code, _likelihood_rows(code.source, eve),
-                                    _leakage_kernel(code, eve, a))
+        [leakages] = _dither_leakages([code], eve, _leakage_kernel(code, eve, a))
         main_rows, slot, [first] = _scored_main_rows(code.source, main, [(code, leakages)])
         shared = (leakages, main_rows, slot, first)
     leakages, main_rows, slot, scores = shared
@@ -697,19 +756,17 @@ class SweepConfig:
 
 def _run_codes(config: SweepConfig, source, n: int) -> list[ExperimentRecord]:
     """Every code of one n, in code order, in two phases that share one
-    channel's likelihood rows at a time: the eve rows and one leakage
-    kernel give every code's dither leakages and are dropped, then main
+    channel's likelihood rows at a time: one leakage kernel and the eve
+    rows, streamed in blocks into every code's compact table
+    (``_dither_leakages``), give every code's dither leakages, then main
     rows of only the members that selection can score
     (``_scored_main_rows``, two builds for every code) give every code's
     f* and the decoding errors it needs through ``select_f``."""
     codes = [build_code(source, config.r1, config.r2,
                         derive_seed(config.seed, f"wiretap:n={n}", i))
              for i in range(config.codes)]
-    eve_rows = _likelihood_rows(source, config.eve)
-    eve_rows.setflags(write=False)
     kernel = _leakage_kernel(codes[0], config.eve, config.alpha)
-    leakages = [_dither_leakages(code, eve_rows, kernel) for code in codes]
-    del eve_rows
+    leakages = _dither_leakages(codes, config.eve, kernel)
     main_rows, slot, firsts = _scored_main_rows(source, config.main, list(zip(codes, leakages)))
     main_rows.setflags(write=False)
     records = []
@@ -726,10 +783,11 @@ def sweep_experiment(config: SweepConfig) -> list[ExperimentRecord]:
     """Run the configured sweep: per n, build codes and select dithers.
 
     The sweep goes n by n, on one thread.  An n's eve likelihood rows are
-    built once and dropped once every code's leakages are scored; its main
-    rows are built next, for the members of the dithers that selection can
-    score, in two builds shared by the codes' error scores
-    (``_run_codes``).  Records come back ordered by (n, code index).
+    built once, a block of members at a time, each block added into every
+    code's leakage table and overwritten by the next; its main rows are
+    built next, for the members of the dithers that selection can score,
+    in two builds shared by the codes' error scores (``_run_codes``).
+    Records come back ordered by (n, code index).
     """
     sources = {}
     for n in config.n_values:

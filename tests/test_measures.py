@@ -412,6 +412,20 @@ class TestDivergences:
                     whole = {key: whole[key] + counts[key] for key in whole}
         assert whole["batched"] > 1000 and whole["call"] > 100
 
+    def test_d_infinity_of_table_without_positive_cell_is_named(self):
+        # an all-zero p has no support to take the max ratio over: a
+        # ValueError that says so, not math.log2(0)'s "math domain error",
+        # from the one-shot function in bits and nats and from a stack
+        # with one such table among positive ones
+        q = np.array([0.25, 0.25, 0.5])
+        for bits in (True, False):
+            with pytest.raises(ValueError, match="no positive cell"):
+                d_infinity_raw(np.zeros(3), q, bits=bits)
+        stack = np.stack([np.full((2, 3), 1 / 6), np.zeros((2, 3))])
+        with pytest.raises(ValueError, match="no positive cell"):
+            _DivergenceKernel(q / 2, math.inf, (2, 3)).tables(stack)
+        assert d_infinity_raw(np.array([0.0, 0.0, 1.0]), q) == 1.0
+
     def test_alphabet_mismatch(self):
         other = Pmf(("x", "y"), (0.5, 0.5))
         with pytest.raises(AlphabetMismatchError):

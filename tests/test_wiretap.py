@@ -17,7 +17,7 @@ from helpers import (
     s_kernel_row_reference,
     select_f_reference,
 )
-from osrb_lab import wiretap
+from osrb_lab import cli, wiretap
 from osrb_lab.binning import derive_seed, m_from_rate
 from osrb_lab.measures import (
     Channel,
@@ -516,9 +516,7 @@ class TestSharedRows:
         codes = cross_path_codes(kind)
         source = codes[0].source
         assert all(code.source is source for code in codes)
-        eve_rows = _likelihood_rows(source, EVE)
-        leakages = [_dither_leakages(code, eve_rows, _leakage_kernel(code, EVE, check_alpha(alpha)))
-                    for code in codes]
+        leakages = _dither_leakages(codes, EVE, _leakage_kernel(codes[0], EVE, check_alpha(alpha)))
         main_rows, slot, firsts = _scored_main_rows(source, MAIN, list(zip(codes, leakages)))
         full = _likelihood_rows(source, MAIN)
         every = np.arange(full.shape[0])
@@ -604,43 +602,38 @@ class TestSharedRows:
 
     @pytest.mark.parametrize("block_cells", [BLOCK_CELLS, 1])
     def test_leakage_tables_match_per_dither_add_at(self, monkeypatch, block_cells):
-        # the stacks that _compact_leakages hands the kernel hold every
+        # the stacks that _dither_leakages hands the kernel hold every
         # occupied (f, m) cell in (k, f, m) order, k the dither's occupied
         # cell count, one (dithers, k, k^n) stack per k in increasing k, and
-        # each cell is np.add.at's as int64 bit patterns; at 1 the rows
-        # come one member per block and the later-rank adds one row per
-        # chunk.  At order 2 the zero-entry and 3-output channels leave
-        # tables to the per-table call, and at both orders every value, in (k, f) order, equals the
-        # per-dither one-shot divergence.  The cross-path codes occupy
-        # every cell; the 4 x 4 grids on 16 members give dithers of 1 to 4
-        # occupied cells
+        # each cell is np.add.at's over the reference's restricted weights,
+        # as int64 bit patterns; at 1 the eve rows come one member per
+        # block and the adds one row per chunk.  At order 2 the zero-entry
+        # and 3-output channels leave tables to the per-table call, and at
+        # both orders every value equals the per-dither one-shot
+        # divergence.  The cross-path codes occupy every cell; the 4 x 4
+        # grids on 16 members give dithers of 1 to 4 occupied cells
         monkeypatch.setattr(wiretap, "BLOCK_CELLS", block_cells)
         monkeypatch.setattr(wiretap, "ADD_CELLS", min(ADD_CELLS, block_cells))
         stacks = []
         counts = counted_table_calls(monkeypatch, stacks)
-        rng = np.random.default_rng(3)
         codes = cross_path_codes("deterministic") + cross_path_codes("stochastic")
         codes += [build_code(codes[0].source, 0.5, 0.5, seed) for seed in range(3)]
         for eve in (EVE, Z_EVE, ERASURE_EVE):
             for code in codes:
                 rows = _likelihood_rows(code.source, eve)
                 width = rows.shape[1]
-                weights = rng.uniform(0.01, 1.0, size=code.member_count)
                 occupied = set(zip(code.f_label.tolist(), code.m_label.tolist()))
                 k = Counter(f for f, _ in occupied)
                 cells = sorted(occupied, key=lambda fm: (k[fm[0]], fm))
                 per_dither = {}
-                for f in k:
-                    pos = code.f_positions(f)
+                for f, (pos, weights, _) in dither_leakages_reference(code, eve, 2, rows).items():
                     ref = np.zeros((code.m1, width))
-                    np.add.at(ref, code.m_label[pos] - 1, weights[pos, None] * rows[pos])
+                    np.add.at(ref, code.m_label[pos] - 1, weights[:, None] * rows[pos])
                     per_dither[f] = ref
                 target = leakage_target_reference(code, eve)
                 for alpha in (2, math.inf):
                     stacks.clear()
-                    kernel = _leakage_kernel(code, eve, alpha)
-                    got = wiretap._compact_leakages(code.m_label - 1, code.f_label - 1, code.m1,
-                                                    weights, rows, kernel)
+                    [got] = _dither_leakages([code], eve, _leakage_kernel(code, eve, alpha))
                     groups = sorted(Counter(k.values()).items())
                     assert [stack.shape for stack in stacks] == \
                         [(group, size, width) for size, group in groups]
@@ -649,11 +642,11 @@ class TestSharedRows:
                     for row, (f, m) in zip(table, cells):
                         assert np.array_equal(row.view(np.int64),
                                               per_dither[f][m - 1].view(np.int64))
-                    assert list(got) == sorted(k, key=lambda f: (k[f], f))
+                    assert sorted(got) == sorted(k)
                     for f, ref in per_dither.items():
                         want = (d_infinity_raw(ref, target) if alpha == math.inf
                                 else tsallis_raw(ref, target, alpha))
-                        assert got[f] == wiretap._residue_clamped(want)
+                        assert got[f][2] == wiretap._residue_clamped(want)
         assert counts["batched"] and counts["call"]
 
     def test_sweep_repeated_n_and_thread_count(self, sweep_dir):
@@ -688,7 +681,7 @@ class TestCompactTable:
                 for seed in range(3):
                     code = build_code(source, r1, r2, seed)
                     for alpha in (0.5, 1.0, 2.0, 3.0, math.inf):
-                        got = _dither_leakages(code, rows, _leakage_kernel(code, eve, alpha))
+                        [got] = _dither_leakages([code], eve, _leakage_kernel(code, eve, alpha))
                         want = dither_leakages_reference(code, eve, alpha, rows)
                         assert list(got) == sorted(want, key=lambda f: (want[f][2], f))
                         for f, (pos, weights, leak) in got.items():
@@ -701,30 +694,111 @@ class TestCompactTable:
         assert compared > 400
         assert counts["batched"] and counts["call"]
 
+    @pytest.mark.parametrize("block_rows", [1, 3, 7, None])
+    def test_streamed_leakages_match_reference_across_blocks(self, monkeypatch, block_rows):
+        # 3 codes per source, their occupied cells together fewer than the
+        # members, so the eve rows stream in blocks of block_rows rows (None:
+        # every member's, one build over pos=None) into all three tables:
+        # positions, weights and leakages equal the per-dither reference
+        # bit for bit at orders 0.5, 1, 2 and inf, for deterministic and
+        # stochastic sources through a BSC, a Z-channel and an erasure
+        # channel with 3 outputs
+        sources = [typical_set(Pmf(("a", "b"), (0.6, 0.4)), n, 0.9) for n in (5, 6)]
+        joint = JointPmf(("u0", "u1"), ("a", "b"), [[0.30, 0.20], [0.15, 0.35]])
+        sources += [joint_typical_set(joint, n, 0.5) for n in (4, 5)]
+        compared = 0
+        for source in sources:
+            codes = [build_code(source, 0.25, 0.25, seed) for seed in range(3)]
+            count = codes[0].member_count
+            cells = sum(len(set(zip(c.f_label.tolist(), c.m_label.tolist()))) for c in codes)
+            assert cells <= count
+            for eve in (EVE, Z_EVE, ERASURE_EVE):
+                width = len(eve.out_labels) ** source.n
+                monkeypatch.setattr(wiretap, "BLOCK_CELLS", (block_rows or count) * width)
+                rows = _likelihood_rows(source, eve)
+                for alpha in (0.5, 1.0, 2.0, math.inf):
+                    builds = counted_row_builds(monkeypatch, eve)
+                    got = _dither_leakages(codes, eve, _leakage_kernel(codes[0], eve, alpha))
+                    if block_rows is None:
+                        assert builds == [None]
+                    else:
+                        assert [pos.tolist() for pos in builds] == \
+                            [list(range(lo, min(lo + block_rows, count)))
+                             for lo in range(0, count, block_rows)]
+                    for code, leaks in zip(codes, got):
+                        want = dither_leakages_reference(code, eve, alpha, rows)
+                        assert list(leaks) == sorted(want, key=lambda f: (want[f][2], f))
+                        for f, (pos, weights, leak) in leaks.items():
+                            ref_pos, ref_weights, ref_leak = want[f]
+                            assert np.array_equal(pos, ref_pos)
+                            assert np.array_equal(weights.view(np.int64),
+                                                  ref_weights.view(np.int64))
+                            assert leak.hex() == ref_leak.hex()
+                            compared += 1
+        assert compared == 396
+
+    def test_codes_with_more_cells_than_members_take_one_block(self, monkeypatch):
+        # 3 codes of 6 x 6 grids on 32 members: their occupied cells
+        # outnumber the members, so the eve rows are one build over every
+        # member even at one row per block, and each code's table is made,
+        # reduced and dropped in turn
+        source = typical_set(Pmf(("a", "b"), (0.6, 0.4)), 5, 0.9)
+        codes = [build_code(source, 0.5, 0.5, seed) for seed in range(3)]
+        assert sum(len(set(zip(c.f_label.tolist(), c.m_label.tolist()))) for c in codes) > 32
+        monkeypatch.setattr(wiretap, "BLOCK_CELLS", 1)
+        builds = counted_row_builds(monkeypatch, EVE)
+        got = _dither_leakages(codes, EVE, _leakage_kernel(codes[0], EVE, 2.0))
+        monkeypatch.undo()
+        assert builds == [None]
+        rows = _likelihood_rows(source, EVE)
+        for code, leaks in zip(codes, got):
+            want = dither_leakages_reference(code, EVE, 2.0, rows)
+            assert {f: leak.hex() for f, (_, _, leak) in leaks.items()} == \
+                {f: leak.hex() for f, (_, _, leak) in want.items()}
+
+    def test_size_guard_covers_every_member_before_any_block(self, monkeypatch, sweep_dir):
+        # 16 members x 16 outputs is one cell over the guard while a block
+        # of 3 rows is far below it: no eve row is built and the sweep
+        # exits 3 with the guard's message, as a one-block build would
+        source = typical_set(UNIFORM2, 4, 0.9)
+        code = build_code(source, 0.25, 0.25, 0)
+        assert code.member_count * 2 ** 4 == 256
+        monkeypatch.setattr(wiretap, "BLOCK_CELLS", 3 * 2 ** 4)
+        monkeypatch.setattr(wiretap, "MATRIX_GUARD", 255)
+        builds = counted_row_builds(monkeypatch, EVE)
+        with pytest.raises(GuardError, match="likelihood matrix exceeds the size guard"):
+            _dither_leakages([code], EVE, _leakage_kernel(code, EVE, 2.0))
+        assert builds == []
+        base, doc = sweep_dir
+        (base / "uniform.json").write_text(json.dumps({"labels": ["a", "b"], "probs": [0.5, 0.5]}))
+        (base / "guard.json").write_text(json.dumps(dict(doc, n=[4], source="uniform.json",
+                                                         codes=1)))
+        assert cli.main(["wiretap", "--config", str(base / "guard.json")]) == 3
+
     def test_dither_leakages_peak_memory(self):
         # criterion 8's below-threshold code at n = 11 (113 dithers in 226
         # occupied cells of 2,048 outputs, a 3.5 MiB table): the
-        # tracemalloc peak above the eve rows is the table plus 1.18 MiB,
-        # two chunks of ADD_CELLS floats and the index arrays; zero-filling
-        # (m1 x k^n) tables and scatter-adding whole rank steps peaked at
-        # 10.9 MiB
+        # tracemalloc peak above the start is 15.2 MiB, the table, one
+        # block of BLOCK_CELLS eve row cells (8 MiB) and 3.6 MiB of the
+        # block's row build (its prefix levels), the index arrays and two
+        # chunks of ADD_CELLS floats; the leakages of the full 32 MiB eve
+        # table peaked at 4.7 MiB above that table
         uniform = Pmf.uniform(["a", "b"])
         eve = Channel.bsc(0.3, ("a", "b"))
         ts = typical_set(uniform, 11, 0.6)
         code = build_code(ts, 0.017, 0.619, derive_seed(0, "wiretap:n=11", 0))
-        rows = _likelihood_rows(ts, eve)
         kernel = _leakage_kernel(code, eve, 2.0)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            leaks = _dither_leakages(code, rows, kernel)
+            [leaks] = _dither_leakages([code], eve, kernel)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         cells = len(set(zip(code.f_label.tolist(), code.m_label.tolist())))
         assert len(leaks) == 113 and cells == 226
-        assert peak - base <= cells * rows.shape[1] * 8 + 2 * ADD_CELLS * 8 + 2 ** 18
+        assert peak - base <= (cells * 2 ** 11 + BLOCK_CELLS) * 8 + 4 * 2 ** 20
 
 
 def counted_row_builds(monkeypatch, channel):
@@ -792,7 +866,7 @@ class TestScoredMainRows:
         ts = typical_set(UNIFORM2, 4, 0.9)
         code = build_code(ts, 0.0, 0.25, 0)
         flat = Channel.bsc(0.5, ("a", "b"))
-        leaks = _dither_leakages(code, _likelihood_rows(ts, flat), _leakage_kernel(code, flat, 2.0))
+        [leaks] = _dither_leakages([code], flat, _leakage_kernel(code, flat, 2.0))
         assert len(leaks) > 1 and not any(leak for _, _, leak in leaks.values())
         first = leaks[min(leaks)][0]
         slot = np.full(code.member_count, -1)
@@ -813,7 +887,7 @@ class TestScoredMainRows:
         main, eve = Channel.bsc(0.1, ("a", "b")), Channel.bsc(0.3, ("a", "b"))
         ts = typical_set(uniform, 11, 0.6)
         code = build_code(ts, 0.017, 0.619, derive_seed(0, "wiretap:n=11", 0))
-        leaks = _dither_leakages(code, _likelihood_rows(ts, eve), _leakage_kernel(code, eve, 2.0))
+        [leaks] = _dither_leakages([code], eve, _leakage_kernel(code, eve, 2.0))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -894,11 +968,11 @@ class TestSweep:
 
     def test_n11_step_peak_memory(self):
         # criterion 8's below-threshold code at n = 11 (2,048 members, a
-        # 32 MiB eve likelihood table): with one channel's rows alive at a
-        # time and the leakages from one compact table the step's
-        # tracemalloc peak above its start is 36.8 MiB, set by the eve rows
-        # (37.5 with a full main table, 43.6 with zero-filled per-dither
-        # tables); holding the eve and main rows together it was 75.6 MiB
+        # 32 MiB eve likelihood table if built whole): with the eve rows
+        # streamed in 8 MiB blocks into the 3.5 MiB compact table the
+        # step's tracemalloc peak above its start is 16.0 MiB; building the
+        # whole eve table first it was 37.5, and holding the eve and main
+        # rows together 75.6
         uniform = Pmf.uniform(["a", "b"])
         cfg = SweepConfig((11,), 0.017, 0.619, 2.0, "deterministic", 1, 0, 0.6, uniform,
                           Channel.bsc(0.1, ("a", "b")), Channel.bsc(0.3, ("a", "b")))
@@ -912,7 +986,7 @@ class TestSweep:
         finally:
             tracemalloc.stop()
         assert ts.size == 2 ** 11 and record.n == 11
-        assert peak - base <= 40 * 2 ** 20
+        assert peak - base <= 17 * 2 ** 20
 
     def test_empty_n_list_gives_no_records(self, sweep_dir):
         base, doc = sweep_dir
