@@ -14,9 +14,10 @@ Conventions used throughout the package:
   elementwise-equal probability vectors; the public entropies and
   divergences never return -0.0.
 * Every divergence is a ``_DivergenceKernel`` evaluation, one method per
-  convention: the max ratio at INFINITY, the KL sum at order one and the
-  log power sum at every other order.  The public divergence functions
-  are one-shot kernels.
+  convention: the max ratio at INFINITY, the KL sum at order one, a sum
+  of nonnegative polynomial terms at the integer orders 2..5 and the log
+  power sum at every other order.  The public divergence functions are
+  one-shot kernels.
 
 Sums over alphabets use compensated accumulation (``math.fsum``); power
 sums with large or tiny exponents are evaluated in the log domain.
@@ -520,37 +521,59 @@ def is_singleton(j: JointPmf, atol: float = 1e-12) -> bool:
 # ---------------------------------------------------------------------------
 # Divergences
 
+# A maximum ratio p/q this close below 1 is rounding on normalized inputs.
+RATIO_ULPS = 4 * np.finfo(float).eps
+# The integer orders whose Tsallis divergence the kernel evaluates as a
+# polynomial f-sum: per order, the Horner coefficients of P_alpha after
+# its leading 1, C(alpha, j) for j = alpha - 1 down to 2.
+F_SUM_COEFFICIENTS = {a: tuple(math.comb(a, j) for j in range(a - 1, 1, -1))
+                      for a in (2, 3, 4, 5)}
+
 
 class _DivergenceKernel:
     """Every divergence of the package, at one order: tables p of up to
     ``shape[0]`` rows of k cells against the reference that repeats the row
-    q in every row.
+    q in every row.  A table of r < shape[0] rows stands for its
+    (shape[0], k) table with zero rows below.
 
-    Each convention is evaluated in one method: :meth:`max_ratio` at
-    INFINITY and :meth:`kl` at order one, both on a (g, r, k) stack of g
-    tables, and :meth:`log_phi` at every other order, on one table.  A
-    table equal to the reference gives a ratio of exactly 1.0 and KL terms
-    of exactly 0.0, so only the other orders test for equality.  A call
-    gives one table's Tsallis value (KL in nats at order one, D_inf in bits
-    at INFINITY), :meth:`tables` those of a stack and :meth:`renyi` one
-    table's Renyi value; the public divergence functions are one-shot
-    kernels.  Built once per reference: it holds q's positive mask and, at
-    the other orders, (1 - alpha) log q and scratch arrays of ``shape``,
-    sliced to a table's rows, so that a call there allocates nothing
-    table-sized unless a cell lies outside the support and the terms are
-    compacted.
+    Each convention is evaluated in one method, on a (g, r, k) stack of g
+    tables: :meth:`max_ratio` at INFINITY, :meth:`kl` at order one and
+    :meth:`f_sums` at the integer orders 2..5, the Tsallis divergence as
+    the Csiszar f-divergence of a polynomial generator; every other order
+    takes :meth:`log_phi` on one table.  A call gives one table's Tsallis
+    value (KL in nats at order one, D_inf in bits at INFINITY),
+    :meth:`tables` those of a stack and :meth:`renyi` one table's Renyi
+    value; the public divergence functions are one-shot kernels.  Built
+    once per reference: it holds q's positive mask; at the integer orders
+    q's exact sum and, from order 3, one accumulator of ``shape`` (two
+    rows for a one-row shape); at the other finite orders (1 - alpha)
+    log q and scratch arrays of ``shape``, sliced to a table's rows, so
+    that a call there allocates nothing table-sized unless a cell lies
+    outside the support and the terms are compacted.  The call and
+    :meth:`tables` may overwrite p at the integer orders.
     """
 
     def __init__(self, row: np.ndarray, alpha: float, shape: tuple[int, int]):
         self.row = row
         self.alpha = alpha
+        self.shape = shape
         self.row_pos = row > 0.0
         self.all_pos = bool(self.row_pos.all())
-        if not (math.isinf(alpha) or _is_one(alpha)):
-            with np.errstate(divide="ignore"):
-                self.log_row = (1.0 - alpha) * np.log(row)
-            self.mask = np.empty(shape, dtype=bool)
-            self.buf = np.empty(shape)
+        self.horner = F_SUM_COEFFICIENTS.get(alpha)
+        if self.horner is not None:
+            self.row_sum = _exact_sum(row)
+            self.div = row if self.all_pos else np.where(self.row_pos, row, 1.0)
+            if self.horner:
+                self.acc = np.empty((2, max(1, shape[0] // 2), shape[1]))
+        elif not (math.isinf(alpha) or _is_one(alpha)):
+            self.log_form()
+
+    def log_form(self):
+        """Hold (1 - alpha) log q and the scratch arrays of :meth:`log_phi`."""
+        with np.errstate(divide="ignore"):
+            self.log_row = (1.0 - self.alpha) * np.log(self.row)
+        self.mask = np.empty(self.shape, dtype=bool)
+        self.buf = np.empty(self.shape)
 
     def same(self, p: np.ndarray) -> bool:
         """True when every cell of p equals the reference (almost every
@@ -564,6 +587,8 @@ class _DivergenceKernel:
             return math.log2(self.max_ratio(p[None])[0])
         if _is_one(a):
             return float(self.kl(p[None])[0])
+        if self.horner is not None:
+            return float(self.f_sums(p[None])[0]) / (a - 1.0)
         if self.same(p):
             return 0.0
         log_phi = self.log_phi(p)
@@ -572,32 +597,44 @@ class _DivergenceKernel:
         return math.expm1(log_phi) / (a - 1.0)
 
     def renyi(self, p: np.ndarray, bits: bool = True) -> float:
-        """Renyi divergence of the one table p, in bits or nats; never -0.0."""
+        """Renyi divergence of the one table p, in bits or nats; never -0.0.
+        At the integer orders it is log1p((alpha - 1) T_alpha) / (alpha - 1),
+        (alpha - 1) T_alpha being the f-sum itself, of a copy of p.  Where
+        that sum is inf, its log may still be finite: the value is then
+        the log power sum's, inf only outside q's support."""
         a = self.alpha
         if math.isinf(a):
             ratio = float(self.max_ratio(p[None])[0])
             return math.log2(ratio) if bits else math.log(ratio)
         if _is_one(a):
             v = float(self.kl(p[None])[0])
+        elif self.horner is not None:
+            v = math.log1p(float(self.f_sums(p[None].copy())[0])) / (a - 1.0)
+            if v == math.inf:
+                self.log_form()
+                v = self.log_phi(p) / (a - 1.0)
         else:
             v = 0.0 if self.same(p) else self.log_phi(p) / (a - 1.0)
         return (v / LN2 if bits else v) + 0.0
 
     def tables(self, p: np.ndarray) -> np.ndarray:
         """Values of the stack p of g tables, shape (g, r, k): bit for bit
-        the kernel's call on each table; p may be overwritten.  At INFINITY
-        and at order one every table is evaluated at once.  At other orders
-        the tables with every cell positive and a first cell other than the
-        reference's, against a positive reference, are reduced together
-        with a call's float operations on p in place, each table one row of
-        r k terms and one log-sum-exp along axis 1; any other table takes
-        the call: one with a zero cell, one that may equal the reference,
-        and every table against a reference with a zero."""
+        the kernel's call on each table; p may be overwritten.  At INFINITY,
+        at order one and at the integer orders every table is evaluated
+        with the stack.  At other orders the tables with every cell
+        positive and a first cell other than the reference's, against a
+        positive reference, are reduced together with a call's float
+        operations on p in place, each table one row of r k terms and one
+        log-sum-exp along axis 1; any other table takes the call: one with
+        a zero cell, one that may equal the reference, and every table
+        against a reference with a zero."""
         a = self.alpha
         if math.isinf(a):
             return np.array([math.log2(r) for r in self.max_ratio(p).tolist()])
         if _is_one(a):
             return self.kl(p)
+        if self.horner is not None:
+            return self.f_sums(p) / (a - 1.0)
         out = np.empty(p.shape[0])
         ok = np.minimum.reduce(p, axis=(1, 2)) > 0.0
         ok &= p[:, 0, 0] != self.row[0]
@@ -617,19 +654,73 @@ class _DivergenceKernel:
                    for v in log_phi[:, 0].tolist()]
         return out
 
+    def f_sums(self, p: np.ndarray) -> np.ndarray:
+        """(alpha - 1) T_alpha of each table of the stack p, shape (g, r, k),
+        at an integer order alpha in 2..5, worked in place on p.
+
+        With d = (p - q)/q, (1 + d)^alpha - 1 - alpha d is d^2 P_alpha(d),
+        P_alpha having the integer coefficients C(alpha, j), so each table
+        is the sum of the terms q d^2 P_alpha(d) (Liese-Vajda, IEEE T-IT
+        2006), each >= 0 whatever the rounding: d >= -1 in floats too, and
+        P_alpha >= alpha - 1 there.  Near q, p - q is exact (Sterbenz), and
+        p is overwritten by it.  A term is (p - q)^2 / q at order 2, with
+        no scratch; from order 3 it is ((p - q) d) P_alpha(d), d and then
+        P_alpha(d) by Horner formed in the two halves of the accumulator, a
+        chunk of rows at a time.  (p - q) d = q d^2 <= term, so no step
+        overflows unless the term does or d^(alpha - 2) leaves float range.
+        Each table is one pairwise sum of its r k terms, so a table equal
+        to the reference gives exactly 0.0.  A cell with q = 0 is divided
+        by 1: it adds nothing where p = 0, and where p > 0 its table is
+        inf whatever the sum.  The zero rows that r < shape[0] leaves out
+        are cells with d = -1, whose terms q P_alpha(-1) = (alpha - 1) q
+        together add (shape[0] - r)(alpha - 1) times q's exact sum."""
+        g, r, k = p.shape
+        outside = None
+        if not self.all_pos:
+            outside = np.logical_or.reduce(p[:, :, ~self.row_pos] > 0.0, axis=(1, 2))
+        cells = p.reshape(g * r, k)
+        with np.errstate(over="ignore"):
+            cells -= self.row
+            if not self.horner:
+                cells *= cells
+                cells /= self.div
+            else:
+                lead, *rest = self.horner
+                step = self.acc.shape[1]
+                for lo in range(0, g * r, step):
+                    w = cells[lo:lo + step]
+                    d, poly = self.acc[:, :w.shape[0]]
+                    np.divide(w, self.div, out=d)
+                    np.add(d, lead, out=poly)
+                    for c in rest:
+                        poly *= d
+                        poly += c
+                    w *= d
+                    w *= poly
+        sums = np.add.reduce(cells.reshape(g, r * k), axis=1)
+        if r < self.shape[0]:
+            sums += ((self.shape[0] - r) * (self.alpha - 1.0)) * self.row_sum
+        if outside is not None:
+            sums[outside] = math.inf
+        return sums
+
     def max_ratio(self, p: np.ndarray) -> np.ndarray:
         """max p/q over supp(p) of each table of the stack p, shape
         (g, r, k); inf where p > 0 = q.  Dividing by q > 0 keeps order, so
         the column maxima give the max of the ratios, and a table equal to
         the reference gives exactly 1.0.  A ratio p/q >= p never rounds to
         0, so only a table with no positive cell would give 0; it raises
-        ValueError."""
+        ValueError.  Tables and a reference of mass 1 have a maximum of at
+        least 1; one within RATIO_ULPS of 1 below it is rounding and is
+        reported as exactly 1.0, so D_inf is never negative there."""
         col_max = np.maximum.reduce(p, axis=1)
         ratio = np.divide(col_max, self.row, where=self.row_pos,
                           out=np.where(col_max > 0.0, math.inf, 0.0))
         ratio = np.maximum.reduce(ratio, axis=1)
-        if not ratio.all():
-            raise ValueError("D_inf of a table with no positive cell is undefined")
+        if not np.minimum.reduce(ratio) >= 1.0:
+            if not ratio.all():
+                raise ValueError("D_inf of a table with no positive cell is undefined")
+            np.copyto(ratio, 1.0, where=(ratio < 1.0) & (ratio >= 1.0 - RATIO_ULPS))
         return ratio
 
     def kl(self, p: np.ndarray) -> np.ndarray:
@@ -671,10 +762,10 @@ class _DivergenceKernel:
 
 
 def _one_shot(p, q, alpha: float):
-    """The kernel of the single table p against the whole array q, and p
-    shaped as that table's one row."""
+    """The kernel of the single table p against the whole array q, and a
+    copy of p shaped as that table's one row, for the kernel to work on."""
     q = np.ravel(q)
-    return _DivergenceKernel(q, alpha, (1, q.size)), np.reshape(p, (1, q.size))
+    return _DivergenceKernel(q, alpha, (1, q.size)), np.array(p, dtype=float).reshape(1, q.size)
 
 
 def tsallis_raw(p: np.ndarray, q: np.ndarray, alpha: float) -> float:

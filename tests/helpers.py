@@ -484,9 +484,12 @@ def dither_leakages_reference(code, eve, alpha, eve_rows):
     logsumexp of the members' tilted log-probabilities, the (m1, k^n) table
     zero-filled and summed with np.add.at, and the one-shot tsallis_raw
     (d_infinity_raw at INFINITY) against uniform messages times the i.i.d.
-    output law, reported as 0.0 within RESIDUE of it.  ``eve_rows`` are the
-    likelihood rows of every member.  The compact-table path of
-    ``wiretap._dither_leakages`` must reproduce it bit for bit."""
+    output law, reported as 0.0 within RESIDUE of it.  At the integer
+    orders 2..5 the table's unoccupied rows are left out and added as
+    :func:`f_sum_reference` adds omitted rows, the compact formula.
+    ``eve_rows`` are the likelihood rows of every member.  The
+    compact-table path of ``wiretap._dither_leakages`` must reproduce it
+    bit for bit."""
     a = check_alpha(alpha)
     labeled = code.source.u_set if code.kind == "stochastic" else code.source
     target = leakage_target_reference(code, eve)
@@ -499,8 +502,14 @@ def dither_leakages_reference(code, eve, alpha, eve_rows):
         weights = np.exp(log_probs - logsumexp(log_probs))
         table = np.zeros(target.shape)
         np.add.at(table, code.m_label[pos] - 1, weights[:, None] * eve_rows[pos])
-        value = (d_infinity_raw(table, target) if math.isinf(a)
-                 else tsallis_raw(table, target, a))
+        if math.isinf(a):
+            value = d_infinity_raw(table, target)
+        elif a in (2, 3, 4, 5):
+            occupied = np.unique(code.m_label[pos] - 1)
+            value = divergence_reference(table[occupied], target[occupied], a,
+                                         omitted_rows=code.m1 - occupied.size)
+        else:
+            value = tsallis_raw(table, target, a)
         out[f] = (pos, weights, 0.0 if abs(value) < RESIDUE else value)
     return out
 
@@ -546,11 +555,17 @@ def logsumexp_reference(a, axis=None):
     return out[()] if out.ndim == 0 else out
 
 
-def divergence_reference(p, q, alpha, bits=True):
+def divergence_reference(p, q, alpha, bits=True, omitted_rows=0):
     """Tsallis divergence of finite order (KL in nats within ALPHA_ONE_WINDOW
     of one) or, at alpha = inf, D_inf in bits or nats, from masked copies of
-    the support and :func:`logsumexp_reference`: the one-shot formulas the
-    divergence kernel must reproduce bit for bit."""
+    the support: the one-shot formulas the divergence kernel must
+    reproduce bit for bit.  Other orders than the integers 2..5 take
+    :func:`logsumexp_reference`; those take :func:`f_sum_reference`, with
+    ``omitted_rows`` zero rows of p left out (q's last axis is the row
+    each of them omits)."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    if float(alpha).is_integer() and 2 <= alpha <= 5:
+        return f_sum_reference(p, q, int(alpha), omitted_rows) / (alpha - 1.0)
     if np.array_equal(p, q):
         return 0.0
     p, q = np.ravel(p), np.ravel(q)
@@ -560,6 +575,8 @@ def divergence_reference(p, q, alpha, bits=True):
         if violated:
             return math.inf
         ratio = float(np.max(p[pos] / q[pos]))
+        if 1.0 - 4 * np.finfo(float).eps <= ratio < 1.0:
+            ratio = 1.0
         return math.log2(ratio) if bits else math.log(ratio)
     if abs(alpha - 1.0) < ALPHA_ONE_WINDOW:
         return math.inf if violated else math.fsum(
@@ -571,6 +588,69 @@ def divergence_reference(p, q, alpha, bits=True):
         return math.expm1(-math.inf) / (alpha - 1.0)
     terms = alpha * np.log(p[ok]) + (1.0 - alpha) * np.log(q[ok])
     return math.expm1(float(logsumexp_reference(terms))) / (alpha - 1.0)
+
+
+def f_sum_reference(p, q, alpha, omitted_rows=0):
+    """(alpha - 1) T_alpha at an integer order alpha in 2..5 as the sum of
+    the terms q d^2 P_alpha(d), d = (p - q)/q and P_alpha(d) the polynomial
+    of the binomial coefficients C(alpha, j), j = 2..alpha, in Horner form,
+    from fresh arrays: (p - q)^2 / q at order 2 and ((p - q) d) P_alpha(d)
+    above, 0.0 where q = 0, all summed by one np.sum; inf where p > 0 = q.
+    Each of the ``omitted_rows`` zero rows of p adds alpha - 1 times the
+    exact sum of a row of q, the last axis, as P_alpha(-1) = alpha - 1."""
+    row = np.reshape(q, (-1, np.shape(q)[-1]))[0]
+    p, q = np.ravel(p), np.ravel(q)
+    if np.any((p > 0.0) & (q == 0.0)):
+        return math.inf
+    ok = q > 0.0
+    terms = np.zeros(p.size)
+    diff = p[ok] - q[ok]
+    with np.errstate(over="ignore"):
+        if alpha == 2:
+            terms[ok] = diff * diff / q[ok]
+        else:
+            d = diff / q[ok]
+            poly = d + math.comb(alpha, alpha - 1)
+            for j in range(alpha - 2, 1, -1):
+                poly = poly * d + math.comb(alpha, j)
+            terms[ok] = diff * d * poly
+        return (float(np.sum(terms))
+                + (omitted_rows * (alpha - 1.0)) * math.fsum(row.tolist()))
+
+
+def f_divergence_fraction(p, q, alpha, omitted_rows=0):
+    """T_alpha at an integer order alpha >= 2 in exact rational arithmetic
+    from the float entries: the sum over cells of q ((1 + d)^alpha - 1 -
+    alpha d) / (alpha - 1), d = (p - q)/q, plus the reference mass of
+    ``omitted_rows`` zero rows of p (d = -1 gives exactly q), a row being
+    q's last axis; a cell with q = 0 adds nothing, or makes it inf where
+    p > 0.  Returned as a Fraction, or math.inf."""
+    row = np.reshape(q, (-1, np.shape(q)[-1]))[0]
+    total = Fraction(0)
+    for pi, qi in zip(np.ravel(p).tolist(), np.ravel(q).tolist()):
+        if qi == 0.0:
+            if pi > 0.0:
+                return math.inf
+            continue
+        pf, qf = Fraction(pi), Fraction(qi)
+        d = (pf - qf) / qf
+        total += qf * ((1 + d) ** alpha - 1 - alpha * d)
+    return total / (alpha - 1) + omitted_rows * sum(map(Fraction, row.tolist()))
+
+
+def near_equal_pairs(rng, count, spread=4e-16):
+    """``count`` (p, q) pmf pairs on 2-6 letters: p ~ Dirichlet(1) and q = p
+    with each entry scaled by 1 + u, |u| <= spread, divided by its sum
+    and both normalized by Pmf, so q is within rounding of p at the
+    default spread."""
+    pairs = []
+    for _ in range(count):
+        k = int(rng.integers(2, 7))
+        p = Pmf(tuple(f"s{i}" for i in range(k)), rng.dirichlet(np.ones(k)))
+        q = p.probs * (1.0 + rng.uniform(-spread, spread, size=k))
+        q = Pmf(p.labels, q / q.sum())
+        pairs.append((p, q))
+    return pairs
 
 
 def aggregate_kron_reference(assignment, high, low, m):

@@ -340,12 +340,17 @@ class TestMonteCarloKernel:
             assert mean > 0.0 and se > 0.0
 
     @pytest.mark.parametrize("alpha,expected", [
-        (2, (0.06376225112580801, 0.0005779823772955073)),
+        (2, (0.06376225112580869, 0.0005779823772955046)),
         (math.inf, (1.1001788935111678, 0.008526587688328147)),
     ])
     def test_flip_values_pinned(self, alpha, expected):
-        # the values of the product-joint kernel this one replaced
-        assert expected_divergence_mc(FLIP, 10, 0.3, alpha, 64, 0) == expected
+        # the values of the product-joint kernel this one replaced; at
+        # order 2 the f-sum's, within 1e-13 relative of the values of the
+        # log-sum-exp form that the f-sum replaced
+        got = expected_divergence_mc(FLIP, 10, 0.3, alpha, 64, 0)
+        assert got == expected
+        log_form = {2: (0.06376225112580801, 0.0005779823772955073)}.get(alpha, expected)
+        assert all(abs(g - w) <= 1e-13 * w for g, w in zip(got, log_form))
 
     @pytest.mark.parametrize("alpha", [1, 1 + 5e-7])
     def test_order_one_values_pinned(self, alpha):

@@ -520,6 +520,19 @@ class TestZeroValues:
         assert [line.split()[-1] for line in printed[:6]] == ["value=0"] * 6
         assert printed[6:] == ["0.000000", "0.000000"]
 
+    def test_integer_orders_of_near_equal_pmfs_print_without_sign(self, files, capsys):
+        # q moves p = (0.1, 0.2, 0.7) by an ulp or two: the power sum minus
+        # one gave T_2 = -1.1e-16 and D_3 = -1.6e-16, printed as -0.000000;
+        # the f-sum's terms are each nonnegative
+        Pmf(("a", "b", "c"), (0.1, 0.2, 0.7)).save(files / "p.json")
+        q = (0.10000000000000002, 0.2000000000000001, 0.7)
+        Pmf(("a", "b", "c"), q).save(files / "q.json")
+        assert Pmf.load(files / "q.json").probs.tolist() == list(q)
+        for kind, alpha in (("tsallis", "2"), ("renyi", "3")):
+            assert main(["measure", "--kind", kind, "--alpha", alpha,
+                         "--p", path(files, "p.json"), "--q", path(files, "q.json")]) == 0
+            assert capsys.readouterr().out == "0.000000\n"
+
 
 class TestDivergenceFunnel:
     def test_osrb_and_wiretap_never_call_one_shot_divergences(self, files, capsys, monkeypatch):

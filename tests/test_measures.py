@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from helpers import (
     binary_entropy,
     counted_table_calls,
     divergence_reference,
+    f_divergence_fraction,
     logsumexp_reference,
+    near_equal_pairs,
     product_power_oracle,
     random_channel,
     random_joint,
@@ -375,10 +378,13 @@ class TestDivergences:
         # The stacks hold tables with a zero cell, with a zero row, zero
         # where the reference is zero, positive there (outside the
         # support), whose first cell is the reference's and equal to the
-        # broadcast reference.  At INFINITY and at order one every table
-        # is evaluated with the stack; at other orders exactly the tables
-        # with a zero cell, one starting with the reference's first cell,
-        # and every table against a reference with a zero take the call
+        # broadcast reference.  At INFINITY, at order one and at the
+        # integer orders 2..5 every table is evaluated with the stack, and
+        # the r < rows tables there stand for their tables with rows - r
+        # zero rows; at other orders exactly the tables with a zero cell,
+        # one starting with the reference's first cell, and every table
+        # against a reference with a zero take the call.  Each value is
+        # also the kernel's own call on that table
         counts = counted_table_calls(monkeypatch)
         rng = np.random.default_rng(22)
         whole = {"batched": 0, "call": 0}
@@ -399,15 +405,19 @@ class TestDivergences:
             p[rng.random(g) < 0.1] = row
             calls = sum(not (row.min() > 0.0 and table.min() > 0.0 and table[0, 0] != row[0])
                         for table in p)
-            for alpha in (0.3, 1, 1 + 5e-7, 2, 7.5, math.inf):
+            for alpha in (0.3, 1, 1 + 5e-7, 2, 3, 4, 5, 7.5, math.inf):
                 counts.update(batched=0, call=0)
-                got = _DivergenceKernel(row, alpha, (rows, k)).tables(p.copy())
+                kernel = _DivergenceKernel(row, alpha, (rows, k))
+                got = kernel.tables(p.copy())
+                whole_stack = (math.isinf(alpha) or abs(alpha - 1.0) < ALPHA_ONE_WINDOW
+                               or alpha in (2, 3, 4, 5))
+                assert counts["call"] == (0 if whole_stack else calls), (case, alpha)
                 for i, table in enumerate(p):
-                    want = divergence_reference(table, np.broadcast_to(row, table.shape), alpha)
+                    want = divergence_reference(table, np.broadcast_to(row, table.shape), alpha,
+                                                omitted_rows=rows - r)
                     assert not math.isnan(got[i]), (case, alpha, i)
                     assert got[i].hex() == want.hex(), (case, alpha, i)
-                whole_stack = math.isinf(alpha) or abs(alpha - 1.0) < ALPHA_ONE_WINDOW
-                assert counts["call"] == (0 if whole_stack else calls), (case, alpha)
+                    assert got[i].hex() == kernel(table.copy()).hex(), (case, alpha, i)
                 if not whole_stack:
                     whole = {key: whole[key] + counts[key] for key in whole}
         assert whole["batched"] > 1000 and whole["call"] > 100
@@ -463,6 +473,128 @@ class TestDivergences:
 
 
 ALPHAS = (0.5, 0.9, 1.1, 2.0, 3.0, 8.0)
+
+
+class TestIntegerOrderFSum:
+    """The integer orders 2..5 as sums of nonnegative polynomial terms."""
+
+    @staticmethod
+    def stacks(pairs, rows, rng):
+        """Per pair a kernel reference row q / rows and a stack of 3 tables
+        of ``rows`` rows, each row a pmf within rounding of q, over rows."""
+        for p, q in pairs:
+            tables = [Pmf(q.labels, q.probs * (1.0 + rng.uniform(-4e-16, 4e-16, q.size))).probs
+                      for _ in range(3 * rows)]
+            yield q.probs / rows, np.reshape(tables, (3, rows, q.size)) / rows
+
+    def test_near_equal_grid_never_negative(self):
+        # 2,000 pairs within rounding of each other: the power sum minus
+        # one that the f-sum replaced is negative on many of them, while
+        # every Tsallis and Renyi value at the integer orders, one-shot or
+        # from stacks of near-equal tables, and every D_inf is >= 0
+        rng = np.random.default_rng(13)
+        pairs = near_equal_pairs(rng, 2000)
+        old_negative = sum(float(np.sum(p.probs ** 2 / q.probs)) - 1.0 < 0.0 for p, q in pairs)
+        assert old_negative > 200
+        for p, q in pairs:
+            for alpha in (2, 3, 4, 5):
+                assert tsallis_divergence(p, q, alpha) >= 0.0
+                assert renyi_divergence(p, q, alpha) >= 0.0
+                assert renyi_divergence(p, q, alpha, bits=False) >= 0.0
+            assert d_infinity(p, q) >= 0.0 and d_infinity(q, p) >= 0.0
+        for rows in (1, 2, 4):
+            for row, stack in self.stacks(pairs[:300], rows, rng):
+                for alpha in (2, 3, 4, 5):
+                    kernel = _DivergenceKernel(row, alpha, (rows, row.size))
+                    assert np.all(kernel.tables(stack.copy()) >= 0.0)
+                    assert kernel.renyi(stack[0].copy()) >= 0.0
+                kernel = _DivergenceKernel(row, math.inf, (rows, row.size))
+                assert np.all(kernel.tables(stack.copy()) >= 0.0)
+
+    def test_max_ratio_just_below_one_is_one(self):
+        # a maximum ratio within 4 ulps below 1 reads exactly 1, so D_inf
+        # is 0.0; further below it is left as it is
+        q = np.array([0.25, 0.25, 0.5])
+        for ulps in (1, 2, 4):
+            p = q * (1.0 - ulps * np.finfo(float).eps)
+            assert d_infinity_raw(p, q) == 0.0 and d_infinity_raw(p, q, bits=False) == 0.0
+        assert d_infinity_raw(q * 0.5, q) == -1.0
+
+    def test_renyi_finite_where_f_sum_overflows(self):
+        # q puts 1e-90 (1e-300) where p puts 1e-10 (0.5): the f-sum
+        # (alpha - 1) T_alpha exceeds float range from order 5 (3), while
+        # D_alpha, its log, is finite; it is the exact value's within
+        # 1e-12 relative, and inf only off q's support
+        for (p1, q1) in ((1e-10, 1e-90), (0.5, 1e-300)):
+            p, q = Pmf(("a", "b"), (p1, 1 - p1)), Pmf(("a", "b"), (q1, 1 - q1))
+            for alpha in (2, 3, 4, 5):
+                s = sum(Fraction(pi) ** alpha / Fraction(qi) ** (alpha - 1)
+                        for pi, qi in zip(p.probs.tolist(), q.probs.tolist()))
+                exact = (math.log(s.numerator) - math.log(s.denominator)) / (alpha - 1)
+                got = renyi_divergence(p, q, alpha, bits=False)
+                assert abs(got - exact) <= 1e-12 * exact, (p1, alpha)
+            assert tsallis_divergence(p, q, 5) == math.inf
+        off = Pmf(("a", "b"), (0.0, 1.0))
+        assert renyi_divergence(HALF, off, 3) == math.inf
+
+    def test_matches_fraction_oracle_on_three_regimes(self):
+        # near-equal pairs, pairs 1e-6 apart and independent Dirichlet
+        # pairs, one-shot and as r-row tables against a kernel of up to 4
+        # rows, the omitted rows each adding the reference row's mass:
+        # within 1e-15 relative of the same form in exact arithmetic,
+        # and exactly 0.0 where the exact value is 0
+        rng = np.random.default_rng(31)
+        regimes = [near_equal_pairs(rng, 150), near_equal_pairs(rng, 150, spread=1e-6)]
+        regimes.append([(Pmf(p.labels, rng.dirichlet(np.ones(p.size))), q)
+                        for p, q in near_equal_pairs(rng, 150)])
+        worst = 0.0
+        for pairs in regimes:
+            for p, q in pairs:
+                rows = int(rng.integers(1, 5))
+                r = int(rng.integers(1, rows + 1))
+                table = np.tile(p.probs / rows, (r, 1))
+                row = q.probs / rows
+                for alpha in (2, 3, 4, 5):
+                    cases = [(tsallis_divergence(p, q, alpha),
+                              f_divergence_fraction(p.probs, q.probs, alpha)),
+                             (_DivergenceKernel(row, alpha, (rows, q.size)).tables(
+                                 table[None].copy())[0],
+                              f_divergence_fraction(table, np.tile(row, (r, 1)), alpha,
+                                                    omitted_rows=rows - r))]
+                    for got, exact in cases:
+                        if exact == 0:
+                            assert got == 0.0
+                            continue
+                        err = abs(Fraction(got) - exact) / exact
+                        assert err <= Fraction(1, 10 ** 15), (alpha, float(err))
+                        worst = max(worst, float(err))
+        assert worst > 0.0
+
+    @pytest.mark.parametrize("alpha", [2, 3, 5])
+    def test_scratch_at_most_one_table(self, alpha):
+        # a kernel of 64 rows of 4,096 cells (2 MiB a table) built and
+        # scoring a stack of 8 tables of 32 rows in place: order 2
+        # allocates no table-sized scratch, orders 3 and 5 one accumulator
+        # of the kernel's shape, which the stack is worked through in
+        # chunks; beyond that, under 256 KiB (the row's exact sum takes
+        # its 4,096 entries as Python floats)
+        rng = np.random.default_rng(alpha)
+        shape = (64, 4096)
+        row = rng.dirichlet(np.ones(shape[1])) / shape[0]
+        stack = rng.dirichlet(np.ones(shape[1]), size=(8, 32)) / shape[0]
+        want = np.array([divergence_reference(t, np.broadcast_to(row, t.shape), alpha,
+                                              omitted_rows=shape[0] - 32) for t in stack])
+        table_bytes = shape[0] * shape[1] * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            got = _DivergenceKernel(row, alpha, shape).tables(stack)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == want.tobytes()
+        assert peak <= (table_bytes if alpha > 2 else 0) + 2 ** 18
 
 
 class TestCondRenyiProperties:

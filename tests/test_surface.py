@@ -42,9 +42,9 @@ def test_tracer_extractors_run_on_small_sweeps(tmp_path, capsys, monkeypatch):
     # over its own x set
     builds = []
 
-    def recording(source, ch, pos=None, out=None):
+    def recording(source, ch, pos=None, out=None, union=None):
         builds.append((source, ch, pos))
-        return likelihood_rows(source, ch, pos, out)
+        return likelihood_rows(source, ch, pos, out, union)
 
     likelihood_rows = wiretap._likelihood_rows
     monkeypatch.setattr(wiretap, "_likelihood_rows", recording)

@@ -607,10 +607,13 @@ class TestSharedRows:
         # cell count, one (dithers, k, k^n) stack per k in increasing k, and
         # each cell is np.add.at's over the reference's restricted weights,
         # as int64 bit patterns; at 1 the eve rows come one member per
-        # block and the adds one row per chunk.  At order 2 the zero-entry
-        # and 3-output channels leave tables to the per-table call, and at
-        # both orders every value equals the per-dither one-shot
-        # divergence.  The cross-path codes occupy every cell; the 4 x 4
+        # block and the adds one row per chunk.  No table takes the
+        # per-table call, every value equals the per-dither reference bit
+        # for bit, and at INFINITY the one-shot divergence of the full
+        # (m1, k^n) table too.  At the integer orders the full table's
+        # m1 - k zero rows are (m1 - k) k^n terms, which the compact table
+        # adds as one product, so there the two agree within 2e-15
+        # relative.  The cross-path codes occupy every cell; the 4 x 4
         # grids on 16 members give dithers of 1 to 4 occupied cells
         monkeypatch.setattr(wiretap, "BLOCK_CELLS", block_cells)
         monkeypatch.setattr(wiretap, "ADD_CELLS", min(ADD_CELLS, block_cells))
@@ -631,9 +634,11 @@ class TestSharedRows:
                     np.add.at(ref, code.m_label[pos] - 1, weights[:, None] * rows[pos])
                     per_dither[f] = ref
                 target = leakage_target_reference(code, eve)
-                for alpha in (2, math.inf):
+                for alpha in (2, 3, 5, math.inf):
                     stacks.clear()
+                    counts["call"] = 0
                     [got] = _dither_leakages([code], eve, _leakage_kernel(code, eve, alpha))
+                    assert counts["call"] == 0
                     groups = sorted(Counter(k.values()).items())
                     assert [stack.shape for stack in stacks] == \
                         [(group, size, width) for size, group in groups]
@@ -643,11 +648,17 @@ class TestSharedRows:
                         assert np.array_equal(row.view(np.int64),
                                               per_dither[f][m - 1].view(np.int64))
                     assert sorted(got) == sorted(k)
+                    want = dither_leakages_reference(code, eve, alpha, rows)
                     for f, ref in per_dither.items():
-                        want = (d_infinity_raw(ref, target) if alpha == math.inf
+                        assert got[f][2] == want[f][2]
+                        full = (d_infinity_raw(ref, target) if alpha == math.inf
                                 else tsallis_raw(ref, target, alpha))
-                        assert got[f][2] == wiretap._residue_clamped(want)
-        assert counts["batched"] and counts["call"]
+                        full = wiretap._residue_clamped(full)
+                        if alpha == math.inf:
+                            assert got[f][2] == full
+                        else:
+                            assert abs(got[f][2] - full) <= 2e-15 * full
+        assert counts["batched"]
 
     def test_sweep_repeated_n_and_thread_count(self, sweep_dir):
         base, doc = sweep_dir
@@ -737,6 +748,38 @@ class TestCompactTable:
                             compared += 1
         assert compared == 396
 
+    def test_stochastic_union_table_built_once_across_blocks(self, monkeypatch):
+        # 3 stochastic codes streamed 3 eve rows per block: one
+        # log-likelihood table over every member's x set serves all ten
+        # blocks, and the rows each block adds are the per-u kernel's bit
+        # for bit
+        joint = JointPmf(("u0", "u1"), ("a", "b"), [[0.30, 0.20], [0.15, 0.35]])
+        source = joint_typical_set(joint, 5, 0.5)
+        codes = [build_code(source, 0.25, 0.25, seed) for seed in range(3)]
+        width = len(ERASURE_EVE.out_labels) ** source.n
+        monkeypatch.setattr(wiretap, "BLOCK_CELLS", 3 * width)
+        builds = []
+
+        def counted(*args, **kwargs):
+            builds.append(args[1].shape[0])
+            return _channel_log_likelihoods(*args, **kwargs)
+        monkeypatch.setattr(wiretap, "_channel_log_likelihoods", counted)
+        added = {}
+        add = wiretap._LeakageTable.add
+
+        def recording(self, lo, rows):
+            added[lo] = rows.copy()
+            return add(self, lo, rows)
+        monkeypatch.setattr(wiretap._LeakageTable, "add", recording)
+        _dither_leakages(codes, ERASURE_EVE, _leakage_kernel(codes[0], ERASURE_EVE, 2.0))
+        members = source.u_set.members
+        union = np.unique(np.concatenate(source.x_members))
+        assert builds == [union.size]
+        assert sorted(added) == list(range(0, members.size, 3)) and len(added) == 10
+        got = np.concatenate([added[lo] for lo in sorted(added)])
+        want = np.stack([s_kernel_row_reference(source, ERASURE_EVE, int(u)) for u in members])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_codes_with_more_cells_than_members_take_one_block(self, monkeypatch):
         # 3 codes of 6 x 6 grids on 32 members: their occupied cells
         # outnumber the members, so the eve rows are one build over every
@@ -806,10 +849,10 @@ def counted_row_builds(monkeypatch, channel):
     positions of every build through ``channel``; returns that list."""
     builds = []
 
-    def recording(source, ch, pos=None, out=None):
+    def recording(source, ch, pos=None, out=None, union=None):
         if ch is channel:
             builds.append(pos)
-        return _likelihood_rows(source, ch, pos, out)
+        return _likelihood_rows(source, ch, pos, out, union)
 
     monkeypatch.setattr(wiretap, "_likelihood_rows", recording)
     return builds
