@@ -26,7 +26,7 @@ import functools
 import hashlib
 import math
 from collections import Counter
-from itertools import count as iter_count, product as iter_product
+from itertools import chain, count as iter_count
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .measures import (
 from .measures import d_infinity_raw, tsallis_raw  # noqa: F401
 
 ENUM_GUARD = 10 ** 6     # max number of binnings an enumeration may visit
+ENUM_CELLS = 2 ** 16     # table cells of one stack of enumerated binnings
 
 
 def _mask64(value: int) -> int:
@@ -111,11 +112,17 @@ def m_from_rate(n: int, rate: float) -> int:
     return int(math.ceil(2.0 ** (n * rate)))
 
 
-def _aggregate(assignment: np.ndarray, probs: np.ndarray, m: int) -> np.ndarray:
-    """Sum joint rows into bins: P[b, z] = sum over items in bin b."""
-    out = np.zeros((m, probs.shape[1]))
-    np.add.at(out, assignment - 1, probs)
-    return out
+def _aggregate(bins: np.ndarray, probs: np.ndarray, m: int) -> np.ndarray:
+    """Bin tables of a stack of g binnings, shape (g, m, probs.shape[1]):
+    table t sums the rows probs[i] with bins[t, i] = b (0-based) into row b.
+    Rows are added item by item in item order, one fancy add per item for
+    the whole stack, so each cell is the item-order sum of ``np.add.at``."""
+    g, items = bins.shape
+    out = np.zeros((g * m, probs.shape[1]))
+    first = np.arange(0, g * m, m)
+    for i in range(items):
+        out[first + bins[:, i]] += probs[i]
+    return out.reshape(g, m, -1)
 
 
 class _KronTables:
@@ -149,9 +156,11 @@ def expected_divergence_enum(j: JointPmf, n: int, m: int, alpha) -> float:
     """Ensemble average over all m^(k^n) binnings of the n-fold extension of
     ``j`` (k source letters).  The guard is checked before the extension is
     built, and neither m^(k^n) nor k^n is formed once n alone puts any
-    m >= 2 over it; a k^n past SEQ_GUARD is written as a power.  One
+    m >= 2 over it; a k^n past SEQ_GUARD is written as a power.  Binnings
+    go in the order of ``itertools.product``, at most ``ENUM_CELLS`` table
+    cells at a time, through :func:`_aggregate` into one stack, which one
     divergence kernel, built per call against the row p(z^n)/m, scores
-    every binning's table."""
+    with :meth:`_DivergenceKernel.tables`; the mean is one ``math.fsum``."""
     a = check_alpha(alpha)
     if n < 1:
         raise ValueError("expected_divergence_enum: n must be >= 1")
@@ -165,8 +174,15 @@ def expected_divergence_enum(j: JointPmf, n: int, m: int, alpha) -> float:
     count = m ** n_items
     pz = jn.probs.sum(axis=0)
     divergence = _DivergenceKernel(pz / m, a, (m, pz.size))
-    return math.fsum(divergence(_aggregate(np.asarray(combo, dtype=np.int64), jn.probs, m))
-                     for combo in iter_product(range(1, m + 1), repeat=n_items)) / count
+    chunk = max(1, ENUM_CELLS // (m * pz.size))
+    # the bin of item i in binning t is digit i of t in base m, item 0 leading
+    places = m ** np.arange(n_items - 1, -1, -1, dtype=np.int64)
+
+    def values(lo: int) -> list:
+        bins = np.arange(lo, min(lo + chunk, count), dtype=np.int64)[:, None] // places % m
+        return divergence.tables(_aggregate(bins, jn.probs, m)).tolist()
+
+    return math.fsum(chain.from_iterable(map(values, range(0, count, chunk)))) / count
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +234,22 @@ def _block_types(alpha: int) -> tuple:
                          for rho in set_partitions(alpha)).items())
 
 
+@functools.lru_cache(maxsize=8)
+def _exact_terms(j: JointPmf, alpha: int) -> tuple:
+    """The n- and m-free part of :func:`expected_tsallis_exact_iid` for the
+    joint object ``j`` (JointPmf compares by identity) at ``alpha``: one
+    (block sizes, count, log G_rho) per block type other than the unit
+    one, with the power sums S_k(z) of j's positive columns."""
+    pz, cond = j.col_conditionals()
+    pos = pz > 0.0
+    pz, cond = pz[pos], cond[:, pos]
+    power_sums = {1: 1.0}  # S_1(z) = 1 exactly on every positive column
+    power_sums.update((k, np.sum(cond ** k, axis=0)) for k in range(2, alpha + 1))
+    return tuple(
+        (sizes, count, math.log(math.fsum(pz * math.prod(power_sums[s] for s in sizes))))
+        for sizes, count in _block_types(alpha) if sizes[-1] > 1)
+
+
 def expected_tsallis_exact_iid(j: JointPmf, n: int, m: int, alpha: int) -> float:
     """Exact ensemble average for the n-fold i.i.d. extension of ``j``.
 
@@ -231,7 +263,10 @@ def expected_tsallis_exact_iid(j: JointPmf, n: int, m: int, alpha: int) -> float
     mass of the reference and is dropped analytically, so nothing cancels
     against 1, and m = 1 gives exactly 0.0.  Each term is formed in the
     log domain as exp(log|c_rho(m)| + n log G_rho); a term or sum beyond
-    float range raises GuardError.
+    float range raises GuardError.  Every log G_rho depends on the joint
+    and the order only, and is computed once per (joint object, order)
+    (:func:`_exact_terms`, a small cache); a call forms the c_s(m) and at
+    most one exp per block type.
     """
     a = float(alpha)
     if not (a.is_integer() and 2 <= a <= 5):
@@ -241,20 +276,14 @@ def expected_tsallis_exact_iid(j: JointPmf, n: int, m: int, alpha: int) -> float
         raise ValueError("expected_tsallis_exact_iid: n must be >= 1")
     if m < 1:
         raise ValueError("expected_tsallis_exact_iid: m must be >= 1")
-    pz, cond = j.col_conditionals()
-    pos = pz > 0.0
-    pz, cond = pz[pos], cond[:, pos]
-    power_sums = {1: 1.0}  # S_1(z) = 1 exactly on every positive column
-    power_sums.update((k, np.sum(cond ** k, axis=0)) for k in range(2, alpha + 1))
     c = dict(enumerate(bin_cumulant_coefficients(m, alpha), start=1))
     terms = []
     try:
-        for sizes, count in _block_types(alpha):
+        for sizes, count, log_g in _exact_terms(j, alpha):
             coef = count * math.prod(c[s] for s in sizes)
-            if sizes[-1] == 1 or coef == 0:
-                continue  # the unit term, or a coefficient that vanishes at this m
-            g = math.fsum(pz * math.prod(power_sums[s] for s in sizes))
-            term = math.exp(math.log(abs(coef)) + n * math.log(g))
+            if coef == 0:
+                continue  # a coefficient that vanishes at this m
+            term = math.exp(math.log(abs(coef)) + n * log_g)
             terms.append(term if coef > 0 else -term)
         return math.fsum(terms) / (alpha - 1)
     except OverflowError:

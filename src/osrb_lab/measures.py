@@ -528,6 +528,7 @@ RATIO_ULPS = 4 * np.finfo(float).eps
 # its leading 1, C(alpha, j) for j = alpha - 1 down to 2.
 F_SUM_COEFFICIENTS = {a: tuple(math.comb(a, j) for j in range(a - 1, 1, -1))
                       for a in (2, 3, 4, 5)}
+F_SUM_CELLS = 2 ** 15  # cells of each half of f_sums' accumulator, at most
 
 
 class _DivergenceKernel:
@@ -545,9 +546,10 @@ class _DivergenceKernel:
     :meth:`tables` those of a stack and :meth:`renyi` one table's Renyi
     value; the public divergence functions are one-shot kernels.  Built
     once per reference: it holds q's positive mask; at the integer orders
-    q's exact sum and, from order 3, one accumulator of ``shape`` (two
-    rows for a one-row shape); at the other finite orders (1 - alpha)
-    log q and scratch arrays of ``shape``, sliced to a table's rows, so
+    q's exact sum and, from order 3, the accumulator of :meth:`f_sums`,
+    grown to the largest stack it has worked on; at the other finite
+    orders (1 - alpha) log q and scratch arrays of ``shape``, sliced to a
+    table's rows, so
     that a call there allocates nothing table-sized unless a cell lies
     outside the support and the terms are compacted.  The call and
     :meth:`tables` may overwrite p at the integer orders.
@@ -563,8 +565,7 @@ class _DivergenceKernel:
         if self.horner is not None:
             self.row_sum = _exact_sum(row)
             self.div = row if self.all_pos else np.where(self.row_pos, row, 1.0)
-            if self.horner:
-                self.acc = np.empty((2, max(1, shape[0] // 2), shape[1]))
+            self.acc = None  # from order 3: f_sums' accumulator, sized per stack
         elif not (math.isinf(alpha) or _is_one(alpha)):
             self.log_form()
 
@@ -666,8 +667,12 @@ class _DivergenceKernel:
         p is overwritten by it.  A term is (p - q)^2 / q at order 2, with
         no scratch; from order 3 it is ((p - q) d) P_alpha(d), d and then
         P_alpha(d) by Horner formed in the two halves of the accumulator, a
-        chunk of rows at a time.  (p - q) d = q d^2 <= term, so no step
-        overflows unless the term does or d^(alpha - 2) leaves float range.
+        chunk of rows at a time: half the stack's g r rows, at least one row
+        and at most ``F_SUM_CELLS`` cells, so a one-row table takes two rows
+        of scratch and a stack of many small tables two chunks.  The
+        accumulator is kept, and grows to the largest chunk.
+        (p - q) d = q d^2 <= term, so no step overflows unless the term
+        does or d^(alpha - 2) leaves float range.
         Each table is one pairwise sum of its r k terms, so a table equal
         to the reference gives exactly 0.0.  A cell with q = 0 is divided
         by 1: it adds nothing where p = 0, and where p > 0 its table is
@@ -686,7 +691,9 @@ class _DivergenceKernel:
                 cells /= self.div
             else:
                 lead, *rest = self.horner
-                step = self.acc.shape[1]
+                step = max(1, min(g * r // 2, F_SUM_CELLS // k))
+                if self.acc is None or self.acc.shape[1] < step:
+                    self.acc = np.empty((2, step, k))
                 for lo in range(0, g * r, step):
                     w = cells[lo:lo + step]
                     d, poly = self.acc[:, :w.shape[0]]

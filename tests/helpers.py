@@ -13,6 +13,8 @@ import numpy as np
 import osrb_lab
 from osrb_lab.binning import (
     ENUM_GUARD,
+    _block_types,
+    bin_cumulant_coefficients,
     expected_tsallis_exact_iid,
     m_from_rate,
     pairwise_sum,
@@ -130,6 +132,39 @@ def exact_mean_oracle(joint, n, m, alpha):
             powers = [sum(sizes[i] for i in c) for c in sigma]
             total += m ** (alpha - len(pi)) * mu * base_n(powers)
     return (total - 1) / (alpha - 1)
+
+
+def exact_mean_reference(j, n, m, alpha):
+    """expected_tsallis_exact_iid with everything rebuilt per call: the
+    column conditionals, the power sums S_k(z) and one ``math.fsum`` G_rho
+    per block type, then the same log-domain terms and GuardError."""
+    a = float(alpha)
+    if not (a.is_integer() and 2 <= a <= 5):
+        raise ValueError("expected_tsallis_exact_iid: order must be an integer in 2..5")
+    alpha = int(a)
+    if n < 1:
+        raise ValueError("expected_tsallis_exact_iid: n must be >= 1")
+    if m < 1:
+        raise ValueError("expected_tsallis_exact_iid: m must be >= 1")
+    pz, cond = j.col_conditionals()
+    pos = pz > 0.0
+    pz, cond = pz[pos], cond[:, pos]
+    power_sums = {1: 1.0}
+    power_sums.update((k, np.sum(cond ** k, axis=0)) for k in range(2, alpha + 1))
+    c = dict(enumerate(bin_cumulant_coefficients(m, alpha), start=1))
+    terms = []
+    try:
+        for sizes, count in _block_types(alpha):
+            coef = count * math.prod(c[s] for s in sizes)
+            if sizes[-1] == 1 or coef == 0:
+                continue
+            g = math.fsum(pz * math.prod(power_sums[s] for s in sizes))
+            term = math.exp(math.log(abs(coef)) + n * math.log(g))
+            terms.append(term if coef > 0 else -term)
+        return math.fsum(terms) / (alpha - 1)
+    except OverflowError:
+        raise GuardError(f"exact mean at n={n}, log2(m)={math.log2(m):.1f}, "
+                         f"order {alpha} exceeds float range")
 
 
 def random_pmf(rng, k, floor=0.0, prefix="s"):

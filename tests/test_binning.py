@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from helpers import (
     dyadic_joint,
     enum_reference,
     exact_mean_oracle,
+    exact_mean_reference,
     mc_reference,
     order_two_transition_problems,
     random_joint,
@@ -19,6 +21,7 @@ from osrb_lab.measures import GuardError, JointPmf, cond_renyi_entropy
 from osrb_lab.binning import (
     _KronTables,
     _aggregate,
+    _exact_terms,
     _kron_power,
     bin_cumulant_coefficients,
     derive_seed,
@@ -33,6 +36,8 @@ from osrb_lab.binning import (
 FLIP = JointPmf(("x0", "x1"), ("z0", "z1"),
                 np.array([[0.75, 0.25], [0.25, 0.75]]) * 0.5)
 ENUM_ALPHAS = (0.5, 1.0, 1.0 + 5e-7, 2.0, 3.0, 7.5, math.inf)
+# blocklengths of the benchmark's exact jobs (perfbench/workloads.py EXACT_N)
+EXACT_N = list(range(1, 17)) + [20, 24, 32, 40, 48, 64, 80, 96, 128, 160, 192, 256, 320]
 
 
 class TestSampling:
@@ -86,7 +91,9 @@ class TestInduced:
         for row, lab in zip(j.probs.tolist(), assignment.tolist()):
             for z, p in enumerate(row):
                 agg[lab - 1][z] += p
-        assert np.array_equal(_aggregate(assignment, j.probs, m), np.array(agg))
+        got = _aggregate((assignment - 1)[None], j.probs, m)
+        assert got.shape == (1, m, j.shape[1])
+        assert np.array_equal(got[0], np.array(agg))
 
     @pytest.mark.parametrize("case", range(7))
     def test_enum_matches_one_shot_reference_bit_for_bit(self, case):
@@ -117,6 +124,32 @@ class TestInduced:
                 enum_reference(big, 3, m, 2.0)
             with pytest.raises(GuardError):
                 expected_divergence_enum(big, 3, m, 2.0)
+
+    @pytest.mark.parametrize("cells", [1, 50, 2 ** 16])
+    def test_enum_chunks_change_no_bit(self, monkeypatch, cells):
+        # one binning per stack, stacks that end inside a binning's table
+        # and the default: the mean is the reference's bit for bit
+        monkeypatch.setattr("osrb_lab.binning.ENUM_CELLS", cells)
+        j3 = random_joint(np.random.default_rng(11), 3, 2)
+        for j, n, m in ((FLIP, 2, 3), (j3, 1, 3), (j3, 2, 2)):
+            for alpha in ENUM_ALPHAS:
+                want = enum_reference(j, n, m, alpha)
+                assert expected_divergence_enum(j, n, m, alpha).hex() == want.hex(), (
+                    n, m, alpha)
+
+    @pytest.mark.parametrize("alpha", [0.5, 2, 3, math.inf])
+    def test_enum_peak_memory(self, alpha):
+        # FLIP at n = 4, m = 2: 65,536 binnings of 32 cells, 16 MiB as one
+        # stack; in stacks of ENUM_CELLS cells (512 KiB) with their bin
+        # digits and the f-sum's accumulator it stays under 3 MiB
+        expected_divergence_enum(FLIP, 1, 2, alpha)
+        tracemalloc.start()
+        try:
+            expected_divergence_enum(FLIP, 4, 2, alpha)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2 ** 20
 
 
 class TestPartitionMachinery:
@@ -249,6 +282,69 @@ class TestExactExpectation:
         assert v > 0
 
 
+class TestExactSetupCache:
+    """The mean from per-joint terms computed once against the per-call
+    evaluation kept in tests/helpers.py."""
+
+    @staticmethod
+    def outcome(fn, j, n, m, alpha):
+        try:
+            return fn(j, n, m, alpha).hex()
+        except GuardError as exc:
+            return f"GuardError: {exc}"
+
+    def test_matches_per_call_reference_bit_for_bit(self):
+        # the benchmark's exact blocklengths, orders 2..5 and three rates on
+        # FLIP, a seeded dyadic 3x2 joint and a near-deterministic joint
+        # with a zero column, whose m^4 term leaves float range at n = 320
+        eps = 2.0 ** -20
+        joints = [FLIP, dyadic_joint(np.random.default_rng(28), 3, 2),
+                  JointPmf(("x0", "x1"), ("z0", "z1", "z2"),
+                           [[0.5 - eps, eps, 0.0], [eps, 0.5 - eps, 0.0]])]
+        guarded = []
+        for j, n, alpha, rate in itertools.product(joints, EXACT_N, (2, 3, 4, 5),
+                                                   (0.05, 0.3, 0.9)):
+            m = m_from_rate(n, rate)
+            want = self.outcome(exact_mean_reference, j, n, m, alpha)
+            assert self.outcome(expected_tsallis_exact_iid, j, n, m, alpha) == want, (
+                n, m, alpha)
+            if want.startswith("GuardError"):
+                guarded.append((joints.index(j), n, alpha, rate))
+        assert guarded == [(2, 320, 5, 0.9)]
+
+    def test_argument_checks_come_first(self):
+        for n, m, alpha in ((2, 2, 6), (2, 2, 1.5), (0, 2, 2), (2, 0, 3)):
+            with pytest.raises(ValueError) as want:
+                exact_mean_reference(FLIP, n, m, alpha)
+            with pytest.raises(ValueError, match=re.escape(str(want.value))):
+                expected_tsallis_exact_iid(FLIP, n, m, alpha)
+
+    def test_joints_with_equal_labels_never_share_an_entry(self):
+        # JointPmf compares by identity: a second joint with the same labels,
+        # or the same probabilities, gets its own terms
+        other = JointPmf(FLIP.row_labels, FLIP.col_labels, [[0.25, 0.25], [0.0625, 0.4375]])
+        twin = JointPmf(FLIP.row_labels, FLIP.col_labels, FLIP.probs)
+        _exact_terms.cache_clear()
+        for j in (FLIP, other, twin, other, FLIP):
+            for n, m in ((1, 2), (12, 7), (40, 1000)):
+                want = exact_mean_reference(j, n, m, 3)
+                assert expected_tsallis_exact_iid(j, n, m, 3).hex() == want.hex()
+        info = _exact_terms.cache_info()
+        assert (info.misses, info.currsize) == (3, 3)
+        assert expected_tsallis_exact_iid(FLIP, 12, 7, 3) != expected_tsallis_exact_iid(
+            other, 12, 7, 3)
+
+    def test_cache_is_bounded(self):
+        _exact_terms.cache_clear()
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            j = random_joint(rng, 2, 3)
+            assert expected_tsallis_exact_iid(j, 5, 3, 2).hex() == (
+                exact_mean_reference(j, 5, 3, 2).hex())
+        info = _exact_terms.cache_info()
+        assert info.currsize <= info.maxsize <= 16
+
+
 class TestOrderTwoTransitionCheck:
     def test_flags_gap_too_close_to_threshold(self):
         # at rate H2 - 0.05 the prefactor-free mean only falls by 0.564
@@ -299,7 +395,7 @@ class TestMonteCarloKernel:
         high = _kron_power(j.probs, n // 2)
         low = _kron_power(j.probs, n - n // 2)
         return (_KronTables(high, low, m)(assignment - 1),
-                _aggregate(assignment, j.product_power(n).probs, m))
+                _aggregate((assignment - 1)[None], j.product_power(n).probs, m)[0])
 
     @pytest.mark.parametrize("m", [1, 2, 8, 132])
     def test_flip_tables_bit_for_bit(self, m):

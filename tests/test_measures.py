@@ -32,6 +32,7 @@ from osrb_lab.measures import (
     NormalizationError,
     Pmf,
     _DivergenceKernel,
+    _one_shot,
     check_alpha,
     cond_renyi_entropy,
     conditional_entropy,
@@ -570,14 +571,40 @@ class TestIntegerOrderFSum:
                         worst = max(worst, float(err))
         assert worst > 0.0
 
+    @pytest.mark.parametrize("alpha", [3, 4, 5])
+    def test_stack_of_small_tables_takes_two_chunks(self, alpha):
+        # 512 tables of 2 x 4 cells: the accumulator holds half the stack's
+        # 1,024 rows, so the Horner loop runs twice, not once per row, and
+        # every value is the per-table call's bit for bit
+        rng = np.random.default_rng([28, alpha])
+        row = rng.dirichlet(np.ones(4)) / 2
+        stack = rng.dirichlet(np.ones(4), size=(512, 2)) / 2
+        stack[:3] = row  # tables equal to the reference give exactly 0
+        want = [_DivergenceKernel(row, alpha, (2, 4))(t.copy()).hex() for t in stack]
+        kernel = _DivergenceKernel(row, alpha, (2, 4))
+        got = kernel.tables(stack.copy())
+        assert [v.hex() for v in got.tolist()] == want
+        assert got[:3].tolist() == [0.0] * 3
+        assert math.ceil(1024 / kernel.acc.shape[1]) == 2
+
+    @pytest.mark.parametrize("alpha", [3, 4, 5])
+    def test_one_shot_accumulator_is_two_rows(self, alpha):
+        # a one-row table takes the (2, 1, k) accumulator that the kernel of
+        # a (1, k) shape allocated when it was built
+        p, q = Pmf.uniform("abcdef"), Pmf(tuple("abcdef"), [0.1, 0.2, 0.3, 0.1, 0.2, 0.1])
+        kernel, table = _one_shot(p.probs, q.probs, alpha)
+        kernel(table)
+        assert kernel.acc.shape == (2, 1, 6)
+        assert renyi_divergence(p, q, alpha) == kernel.renyi(p.probs[None].copy())
+
     @pytest.mark.parametrize("alpha", [2, 3, 5])
     def test_scratch_at_most_one_table(self, alpha):
         # a kernel of 64 rows of 4,096 cells (2 MiB a table) built and
         # scoring a stack of 8 tables of 32 rows in place: order 2
-        # allocates no table-sized scratch, orders 3 and 5 one accumulator
-        # of the kernel's shape, which the stack is worked through in
-        # chunks; beyond that, under 256 KiB (the row's exact sum takes
-        # its 4,096 entries as Python floats)
+        # allocates no table-sized scratch, orders 3 and 5 an accumulator
+        # of at most F_SUM_CELLS cells per half, which the stack is worked
+        # through in chunks; beyond that, under 256 KiB (the row's exact
+        # sum takes its 4,096 entries as Python floats)
         rng = np.random.default_rng(alpha)
         shape = (64, 4096)
         row = rng.dirichlet(np.ones(shape[1])) / shape[0]
